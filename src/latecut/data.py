@@ -148,9 +148,20 @@ def cross_entropy_loss_and_grads(network, x, y):
     return loss, backprop_from_outputs(network, trace, grad_logits=grad_logits)
 
 
+# Rows per forward in evaluate_accuracy; bounds its temporaries.
+EVAL_CHUNK_ROWS = 1024
+
+
 def evaluate_accuracy(network, x, y, skip=None) -> float:
-    logits, _ = forward(network, x, skip)
-    return float((np.argmax(logits, axis=1) == y).mean())
+    """Top-1 accuracy, evaluated in chunks of ``EVAL_CHUNK_ROWS`` rows.  The
+    forward pass is batch-composition invariant, so the predictions are
+    bitwise those of one forward over all of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    predictions = [
+        np.argmax(forward(network, x[lo : lo + EVAL_CHUNK_ROWS], skip)[0], axis=1)
+        for lo in range(0, len(x), EVAL_CHUNK_ROWS)
+    ]
+    return float((np.concatenate(predictions) == y).mean())
 
 
 def pretrain_source(train_split, arch, epochs=30, seed=0, lr=0.05, batch_size=64) -> ResidualNetwork:

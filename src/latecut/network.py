@@ -13,14 +13,20 @@ skipping a block leaves the identity in its place.  Blocks are indexed
 feature width (the standard constructors always use square blocks; the
 checkpoint format only supports those).
 
-The forward path evaluates its affine maps with einsum rather than BLAS
-matmul: BLAS reassociates sums differently for different batch sizes, while
-einsum's reduction order depends only on the operand widths.  That makes
-every sample's features bitwise independent of which batch it rides in,
-which cached pseudo-labels rely on (a label generated for one sample must
-exactly equal the same model's output for that sample inside any
-mini-batch).  Gradient math uses plain matmul; it has no such contract and
-is verified against finite differences instead.
+The forward path evaluates every affine map as a stack of fixed-shape GEMM
+tiles: the batch is padded with zero rows to a multiple of ``TILE_ROWS`` and
+multiplied one ``(TILE_ROWS, in) x (in, out)`` tile at a time.  BLAS picks
+its blocking, and so its reduction order, from the operand shapes; with one
+shape for every call, each row's sums are computed the same way whatever the
+batch size or the row's position in it.  That makes every sample's features
+bitwise independent of which batch it rides in, which cached pseudo-labels
+rely on (a label generated for one sample must exactly equal the same
+model's output for that sample inside any mini-batch).  An import-time
+self-check confirms this on the local BLAS; where it fails, :func:`affine`
+falls back to einsum, whose reduction order depends only on the operand
+widths but which runs several times slower on batches.  Gradient math uses
+plain matmul; it has no such contract and is verified against finite
+differences instead.
 
 Every operation here is pure except :func:`sgd_step`, which updates its
 network in place.  Networks and arrays can be handed between threads, but
@@ -29,6 +35,7 @@ one network must not be mutated concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +99,10 @@ class ResidualNetwork:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def parameter_arrays(self):
-        """All parameter tensors in declaration order (checkpoint order)."""
-        yield self.stem_weight
-        yield self.stem_bias
-        for block in self.blocks:
-            yield block.weight1
-            yield block.bias1
-            yield block.weight2
-            yield block.bias2
-        yield self.classifier_weight
-        yield self.classifier_bias
+    def parameter_arrays(self, skip=frozenset()):
+        """All parameter tensors in declaration order (checkpoint order),
+        leaving out the blocks whose ids are in ``skip``."""
+        return _parameter_arrays(self, skip)
 
 
 @dataclass
@@ -115,24 +115,47 @@ class BlockGradients:
 
 @dataclass
 class Gradients:
-    """One array per trainable parameter tensor, congruent with a network."""
+    """One array per trainable parameter tensor, congruent with a network.
+
+    ``skip`` names the blocks the forward sweep skipped.  Their gradients
+    are shared read-only zeros, and :func:`sgd_step` leaves those blocks
+    untouched.
+    """
 
     stem_weight: np.ndarray
     stem_bias: np.ndarray
     blocks: list[BlockGradients]
     classifier_weight: np.ndarray
     classifier_bias: np.ndarray
+    skip: frozenset[int] = frozenset()
 
-    def parameter_arrays(self):
-        yield self.stem_weight
-        yield self.stem_bias
-        for block in self.blocks:
-            yield block.weight1
-            yield block.bias1
-            yield block.weight2
-            yield block.bias2
-        yield self.classifier_weight
-        yield self.classifier_bias
+    def parameter_arrays(self, skip=frozenset()):
+        return _parameter_arrays(self, skip)
+
+
+def _parameter_arrays(owner, skip):
+    """Tensors of a network or gradient set in declaration order; blocks are
+    numbered 1..n in list order."""
+    yield owner.stem_weight
+    yield owner.stem_bias
+    for block_id, block in enumerate(owner.blocks, start=1):
+        if block_id in skip:
+            continue
+        yield block.weight1
+        yield block.bias1
+        yield block.weight2
+        yield block.bias2
+    yield owner.classifier_weight
+    yield owner.classifier_bias
+
+
+@functools.lru_cache(maxsize=64)
+def _frozen_zeros(shape) -> np.ndarray:
+    """A read-only zero array, shared by every gradient of this shape that
+    is zero by construction."""
+    zeros = np.zeros(shape)
+    zeros.flags.writeable = False
+    return zeros
 
 
 @dataclass
@@ -176,10 +199,56 @@ def _check_batch(network: ResidualNetwork, batch) -> np.ndarray:
     return batch
 
 
-def affine(x, weight, bias):
-    """``x @ weight + bias`` with a reduction order that does not depend on
-    the batch size (see module docstring)."""
+# Rows per GEMM tile.  Timed per affine map against einsum at widths 32 and
+# 128: with 4 rows batch 1 is as fast and batch 64 about 6x faster; 8 and 16
+# rows make batch 1 slower at width 128.
+TILE_ROWS = 4
+
+
+def _pad_rows(x) -> np.ndarray:
+    """``x`` with zero rows appended up to a multiple of ``TILE_ROWS``."""
+    rows = x.shape[0]
+    padded = -(-rows // TILE_ROWS) * TILE_ROWS
+    if padded == rows:
+        return x
+    out = np.zeros((padded, x.shape[1]))
+    out[:rows] = x
+    return out
+
+
+def _tiled_affine(x, weight, bias):
+    """``x @ weight + bias`` as a stack of ``(TILE_ROWS, in) x (in, out)``
+    products over the zero-padded batch."""
+    rows = x.shape[0]
+    x = _pad_rows(x)
+    out = np.matmul(x.reshape(x.shape[0] // TILE_ROWS, TILE_ROWS, x.shape[1]), weight)
+    return out.reshape(x.shape[0], weight.shape[1])[:rows] + bias
+
+
+def _einsum_affine(x, weight, bias):
+    """``x @ weight + bias`` by einsum, the fallback where BLAS tiles are not
+    batch invariant."""
     return np.einsum("bd,dw->bw", x, weight) + bias
+
+
+def _tiles_are_batch_invariant() -> bool:
+    """Whether the local BLAS gives each row of :func:`_tiled_affine` the
+    same bits alone and inside batches of several sizes and offsets."""
+    rng = np.random.default_rng(0)
+    for in_dim, out_dim in ((16, 32), (128, 128), (33, 4)):
+        weight = rng.standard_normal((in_dim, out_dim))
+        bias = rng.standard_normal(out_dim)
+        pool = rng.standard_normal((67, in_dim))
+        alone = np.concatenate([_tiled_affine(row[None, :], weight, bias) for row in pool])
+        for lo, hi in ((0, 67), (1, 67), (2, 5), (3, 64), (5, 6)):
+            if not np.array_equal(_tiled_affine(pool[lo:hi], weight, bias), alone[lo:hi]):
+                return False
+    return True
+
+
+# ``x @ weight + bias`` with a reduction order that does not depend on the
+# batch size (see module docstring).
+affine = _tiled_affine if _tiles_are_batch_invariant() else _einsum_affine
 
 
 def forward(network, batch, skip=None):
@@ -191,14 +260,17 @@ def forward(network, batch, skip=None):
     skip = normalize_skip(network, skip)
     x = _check_batch(network, batch)
     op_counter.forward_passes += 1
-    x = affine(x, network.stem_weight, network.stem_bias)
+    rows = x.shape[0]
+    # Padded once here rather than in every affine map; rows are
+    # independent, so the padding rows are computed and dropped.
+    x = affine(_pad_rows(x), network.stem_weight, network.stem_bias)
     for block in network.blocks:
         if block.block_id in skip:
             continue
         hidden = np.maximum(affine(x, block.weight1, block.bias1), 0.0)
         x = x + affine(hidden, block.weight2, block.bias2)
     logits = affine(x, network.classifier_weight, network.classifier_bias)
-    return logits, x
+    return logits[:rows], x[:rows]
 
 
 def forward_trace(network, batch, skip=None) -> ForwardTrace:
@@ -210,21 +282,22 @@ def forward_trace(network, batch, skip=None) -> ForwardTrace:
     skip = normalize_skip(network, skip)
     batch = _check_batch(network, batch)
     op_counter.forward_passes += 1
+    rows = batch.shape[0]
     inputs: dict[int, np.ndarray] = {}
     preacts: dict[int, np.ndarray] = {}
     hiddens: dict[int, np.ndarray] = {}
-    x = affine(batch, network.stem_weight, network.stem_bias)
+    x = affine(_pad_rows(batch), network.stem_weight, network.stem_bias)
     for block in network.blocks:
         if block.block_id in skip:
             continue
-        inputs[block.block_id] = x
+        inputs[block.block_id] = x[:rows]
         z = affine(x, block.weight1, block.bias1)
         hidden = np.maximum(z, 0.0)
-        preacts[block.block_id] = z
-        hiddens[block.block_id] = hidden
+        preacts[block.block_id] = z[:rows]
+        hiddens[block.block_id] = hidden[:rows]
         x = x + affine(hidden, block.weight2, block.bias2)
     logits = affine(x, network.classifier_weight, network.classifier_bias)
-    return ForwardTrace(batch, skip, inputs, preacts, hiddens, x, logits)
+    return ForwardTrace(batch, skip, inputs, preacts, hiddens, x[:rows], logits[:rows])
 
 
 def feature_mse(a, b) -> float:
@@ -250,7 +323,9 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
     ``grad_features`` is dL/d(final features); ``grad_logits`` additionally
     propagates a loss on the logits and fills the classifier gradients
     (zero otherwise).  Skipped blocks get zero parameter gradients and pass
-    the feature gradient through unchanged.
+    the feature gradient through unchanged.  Gradients that are zero by
+    construction are shared read-only arrays, so a skipped block costs no
+    allocation.
     """
     op_counter.backward_passes += 1
     feats = trace.features
@@ -261,18 +336,18 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
         if grad_features is not None:
             g = g + grad_features
     else:
-        d_cls_w = np.zeros_like(network.classifier_weight)
-        d_cls_b = np.zeros_like(network.classifier_bias)
+        d_cls_w = _frozen_zeros(network.classifier_weight.shape)
+        d_cls_b = _frozen_zeros(network.classifier_bias.shape)
         g = np.array(grad_features, dtype=np.float64, copy=True)
 
     block_grads: list[BlockGradients] = [None] * network.n_blocks  # type: ignore[list-item]
     for block in reversed(network.blocks):
         if block.block_id in trace.skip:
             block_grads[block.block_id - 1] = BlockGradients(
-                np.zeros_like(block.weight1),
-                np.zeros_like(block.bias1),
-                np.zeros_like(block.weight2),
-                np.zeros_like(block.bias2),
+                _frozen_zeros(block.weight1.shape),
+                _frozen_zeros(block.bias1.shape),
+                _frozen_zeros(block.weight2.shape),
+                _frozen_zeros(block.bias2.shape),
             )
             continue
         x_in = trace.block_inputs[block.block_id]
@@ -289,7 +364,7 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
 
     d_stem_w = trace.batch.T @ g
     d_stem_b = g.sum(axis=0)
-    return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b)
+    return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b, trace.skip)
 
 
 def backward_feature_mse(student, batch, target_features, skip=None, freeze_classifier=True):
@@ -316,8 +391,12 @@ def sgd_step(network, grads, lr):
     """Plain SGD update ``p -= lr * grad(p)`` applied in place.
 
     No momentum, no weight decay.  Frozen parameters are realized by zero
-    gradients.  A zero learning rate is a no-op that leaves every parameter
-    bitwise unchanged.
+    gradients.  Every gradient tensor is shape-checked, and every trained
+    one is checked for finiteness before any parameter changes.  Blocks in
+    ``grads.skip`` are not trained: their gradients are zero by
+    construction, and leaving them untouched is bitwise what subtracting
+    ``lr * 0`` would give.  A zero learning rate is a no-op that leaves
+    every parameter bitwise unchanged.
     """
     params = list(network.parameter_arrays())
     grad_arrays = list(grads.parameter_arrays())
@@ -326,11 +405,13 @@ def sgd_step(network, grads, lr):
     for p, g in zip(params, grad_arrays):
         if p.shape != g.shape:
             raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    trained = list(zip(network.parameter_arrays(grads.skip), grads.parameter_arrays(grads.skip)))
+    for _, g in trained:
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient")
     if lr == 0.0:
         return network
-    for p, g in zip(params, grad_arrays):
+    for p, g in trained:
         p -= lr * g
     return network
 

@@ -8,8 +8,10 @@ Two modes:
   stem and classifier cost fan_in*fan_out per sample.  Costs are additive,
   which makes every latency-saving identity exactly testable.
 * ``measured`` — wall-clock medians over repeated forward passes on a
-  seeded random batch, after warmup.  Measured profiling holds a process-
-  wide lock so no two measurements run concurrently.
+  seeded random batch, after warmup.  The full network and every
+  single-block-skipped network are timed round-robin, so a change in the
+  host's speed does not favour one of them.  Measured profiling holds a
+  process-wide lock so no two measurements run concurrently.
 """
 
 from __future__ import annotations
@@ -67,13 +69,17 @@ def _noise_batch(network: ResidualNetwork, batch_size: int, seed) -> np.ndarray:
     return rng.standard_normal((batch_size, network.input_dim))
 
 
-def _median_forward_seconds(network, batch, skip, timed_runs: int) -> float:
-    times = []
+def _median_forward_seconds(network, batch, skips, timed_runs: int) -> list[float]:
+    """Median forward time for each skip set in ``skips``.  The sets are
+    timed round-robin, one forward each per round, so a change in the
+    host's speed during the measurement reaches every set alike."""
+    times = [[] for _ in skips]
     for _ in range(timed_runs):
-        start = time.perf_counter()
-        forward(network, batch, skip)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        for skip, samples in zip(skips, times):
+            start = time.perf_counter()
+            forward(network, batch, skip)
+            samples.append(time.perf_counter() - start)
+    return [statistics.median(samples) for samples in times]
 
 
 def profile(network, batch_shape, mode=MODE_MODELED, warmup_runs=3, timed_runs=9, seed=0):
@@ -111,11 +117,11 @@ def profile(network, batch_shape, mode=MODE_MODELED, warmup_runs=3, timed_runs=9
     with _measure_lock:
         for _ in range(warmup_runs):
             forward(network, batch)
-        full = _median_forward_seconds(network, batch, None, timed_runs)
-        skipped = {
-            block.block_id: _median_forward_seconds(network, batch, {block.block_id}, timed_runs)
-            for block in network.blocks
-        }
+        block_ids = [block.block_id for block in network.blocks]
+        full, *per_block = _median_forward_seconds(
+            network, batch, [None] + [{j} for j in block_ids], timed_runs
+        )
+        skipped = dict(zip(block_ids, per_block))
     return LatencyProfile(
         MODE_MEASURED, full, skipped, warmup_runs, timed_runs, batch_size, network, batch
     )
@@ -144,7 +150,7 @@ def latency_saving(prof: LatencyProfile, skip) -> float:
     with _measure_lock:
         for _ in range(max(1, prof.warmup_runs)):
             forward(prof.network, prof.batch, skip)
-        multi = _median_forward_seconds(prof.network, prof.batch, skip, prof.timed_runs)
+        (multi,) = _median_forward_seconds(prof.network, prof.batch, [skip], prof.timed_runs)
     return (prof.full_latency - multi) / prof.full_latency
 
 

@@ -8,14 +8,16 @@ tautology.
 
 import numpy as np
 
+from latecut import network as _network
+
 
 def reference_forward(network, batch):
     """Skip-free batched forward: the library's arithmetic with every trace
-    of the skip machinery removed."""
+    of the skip machinery removed.  It calls the library's own ``affine``
+    (looked up at call time), so it checks the skip machinery bitwise, not
+    the affine kernel; ``loop_forward`` checks the arithmetic."""
 
-    def aff(x, w, b):
-        return np.einsum("bd,dw->bw", x, w) + b
-
+    aff = _network.affine
     x = aff(batch, network.stem_weight, network.stem_bias)
     for block in network.blocks:
         hidden = np.maximum(aff(x, block.weight1, block.bias1), 0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latecut.data import (
+    EVAL_CHUNK_ROWS,
     DatasetSpec,
     ShiftSpec,
     cross_entropy_loss_and_grads,
@@ -10,6 +11,7 @@ from latecut.data import (
     pretrain_source,
 )
 from latecut.errors import ConfigError, TrainingDivergedError
+from latecut.network import forward, op_counter, random_network
 
 from oracles import finite_difference_grads, max_relative_gradient_error
 
@@ -157,3 +159,16 @@ class TestShiftMonotonicity:
                 accs.append(evaluate_accuracy(net, x_test, y_test))
             wins += all(a >= b for a, b in zip(accs, accs[1:]))
         assert wins >= 3
+
+
+def test_evaluate_accuracy_chunks_match_one_full_forward():
+    rows = 2 * EVAL_CHUNK_ROWS + 37
+    net = random_network(6, 9, 2, 3, seed=4)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((rows, 6))
+    y = rng.integers(0, 3, rows)
+    logits, _ = forward(net, x, {1})
+    op_counter.reset()
+    accuracy = evaluate_accuracy(net, x, y, {1})
+    assert op_counter.forward_passes == 3
+    assert accuracy == float((np.argmax(logits, axis=1) == y).mean())

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from latecut import network
 from latecut.errors import DimensionError, InvalidBlockError, NumericError
 from latecut.network import (
     Gradients,
     ResidualBlock,
     ResidualNetwork,
+    TILE_ROWS,
     backward_feature_mse,
     block_param_count,
     clone_network,
@@ -117,6 +121,57 @@ class TestForward:
             forward(net, np.zeros((2, 4)), skip={3})
         with pytest.raises(InvalidBlockError):
             forward(net, np.zeros((2, 4)), skip={0})
+
+
+INVARIANCE_BATCH_SIZES = list(range(1, 71)) + [128, 200, 256]
+
+
+class TestBatchCompositionInvariance:
+    """A sample's logits and features must not depend, by a single bit, on
+    the batch it rides in: its size or its position there."""
+
+    @pytest.fixture(params=["active", "einsum_fallback"])
+    def affine_impl(self, request, monkeypatch):
+        if request.param == "einsum_fallback":
+            monkeypatch.setattr(network, "affine", network._einsum_affine)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "input_dim, width, hidden_widths",
+        [
+            (6, 5, [7, 13, 3]),      # no width a multiple of the tile
+            (16, 32, None),
+            (16, 128, [64, 128]),
+        ],
+    )
+    def test_every_batch_size_and_offset(self, affine_impl, input_dim, width, hidden_widths):
+        n_blocks = 2 if hidden_widths is None else len(hidden_widths)
+        net = random_network(input_dim, width, n_blocks, 3, seed=width,
+                             hidden_widths=hidden_widths)
+        rng = np.random.default_rng(width)
+        pool = rng.standard_normal((256, input_dim))
+        sample = rng.standard_normal(input_dim)
+        alone_logits, alone_feats = forward(net, sample[None, :])
+        for size in INVARIANCE_BATCH_SIZES:
+            for pos in sorted({0, 1, TILE_ROWS - 1, TILE_ROWS, size // 2, size - 1}):
+                if pos >= size:
+                    continue
+                batch = pool[:size].copy()
+                batch[pos] = sample
+                logits, feats = forward(net, batch)
+                trace = forward_trace(net, batch)
+                assert np.array_equal(logits[pos], alone_logits[0]), (size, pos)
+                assert np.array_equal(feats[pos], alone_feats[0]), (size, pos)
+                assert np.array_equal(trace.logits[pos], alone_logits[0]), (size, pos)
+                assert np.array_equal(trace.features[pos], alone_feats[0]), (size, pos)
+
+    def test_self_check_rejects_a_batch_dependent_kernel(self, monkeypatch):
+        def drifting(x, weight, bias):
+            return x @ weight + bias + 1e-12 * len(x)
+
+        assert network._tiles_are_batch_invariant() == (network.affine is network._tiled_affine)
+        monkeypatch.setattr(network, "_tiled_affine", drifting)
+        assert not network._tiles_are_batch_invariant()
 
 
 class TestFeatureMse:
@@ -232,6 +287,45 @@ class TestSgd:
             sgd_step(net, grads, 0.01)
         final, _ = backward_feature_mse(net, x, target)
         assert final < losses[0]
+
+    def test_skipped_blocks_untouched_and_bitwise_like_zero_update(self):
+        net = random_network(5, 4, 3, 2, seed=8)
+        x = np.random.default_rng(8).standard_normal((6, 5))
+        _, feats = forward(net, x, {2})
+        _, grads = backward_feature_mse(net, x, feats + 1.0, skip={2})
+        assert grads.skip == {2}
+        before = clone_network(net)
+        explicit = clone_network(net)
+        sgd_step(net, grads, 0.1)
+        # the same zero gradients, applied as ordinary trained tensors
+        sgd_step(explicit, dataclasses.replace(grads, skip=frozenset()), 0.1)
+        for p, q in zip(net.parameter_arrays(), explicit.parameter_arrays()):
+            assert np.array_equal(p, q)
+        for name in ("weight1", "bias1", "weight2", "bias2"):
+            assert np.array_equal(getattr(net.blocks[1], name), getattr(before.blocks[1], name))
+        assert not np.array_equal(net.blocks[0].weight1, before.blocks[0].weight1)
+
+    def test_skip_keeps_nan_and_shape_checks(self):
+        net = random_network(4, 3, 3, 2, seed=9)
+        x = np.random.default_rng(9).standard_normal((4, 4))
+        _, feats = forward(net, x, {2})
+        _, grads = backward_feature_mse(net, x, feats + 1.0, skip={2})
+        before = [p.copy() for p in net.parameter_arrays()]
+
+        kept_nan = dataclasses.replace(grads, blocks=list(grads.blocks))
+        kept_nan.blocks[2] = dataclasses.replace(grads.blocks[2], bias1=grads.blocks[2].bias1.copy())
+        kept_nan.blocks[2].bias1[0] = np.nan
+        with pytest.raises(NumericError):
+            sgd_step(net, kept_nan, 0.1)
+
+        for index in (0, 1):  # a kept block and the skipped one
+            bad_shape = dataclasses.replace(grads, blocks=list(grads.blocks))
+            bad_shape.blocks[index] = dataclasses.replace(grads.blocks[index],
+                                                          weight2=np.zeros((3, 4)))
+            with pytest.raises(DimensionError):
+                sgd_step(net, bad_shape, 0.1)
+        for p, b in zip(net.parameter_arrays(), before):
+            assert np.array_equal(p, b)
 
     def test_nonfinite_gradient_raises(self):
         net = random_network(2, 2, 1, 2, seed=0)

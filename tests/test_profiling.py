@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from latecut import profiling
 from latecut.errors import ConfigError, InvalidBlockError
 from latecut.network import random_network
 from latecut.profiling import (
@@ -107,6 +108,20 @@ class TestMeasured:
         for latency in prof.skipped_latency.values():
             assert latency <= prof.full_latency * 1.02
         assert np.mean(list(prof.skipped_latency.values())) < prof.full_latency
+
+    def test_full_and_skipped_networks_are_timed_round_robin(self, monkeypatch):
+        order = []
+        real_forward = profiling.forward
+
+        def recording(network, batch, skip=None):
+            order.append(frozenset(skip or ()))
+            return real_forward(network, batch, skip)
+
+        monkeypatch.setattr(profiling, "forward", recording)
+        net = random_network(4, 4, 3, 2, seed=0)
+        profile(net, 8, mode="measured", warmup_runs=1, timed_runs=3)
+        one_round = [frozenset(), frozenset({1}), frozenset({2}), frozenset({3})]
+        assert order == [frozenset()] + one_round * 3
 
     def test_measured_ranking_tracks_modeled_ranking(self):
         # blocks with hidden widths 32/64/128: adjacent costs differ 2x
