@@ -38,13 +38,7 @@ from .experiment import (
     run_experiment,
 )
 from .profiling import profile, profile_from_dict, profile_to_dict
-from .pruning import (
-    baseline_curl,
-    baseline_finetune_oracle,
-    baseline_l2_ratio,
-    baseline_random,
-    rank_and_prune,
-)
+from .pruning import METHODS, prune_by_method
 from .serving import ServeConfig, serve
 
 log = logging.getLogger("latecut")
@@ -166,21 +160,14 @@ def _cmd_prune(args) -> int:
                 f"--prune-batch {args.prune_batch} exceeds {inputs.shape[0]} samples"
             )
         prune_batch = inputs[: args.prune_batch]
-    if args.method == "proposed":
-        decision = rank_and_prune(network, prune_batch, prof, args.np)
-    elif args.method == "random":
-        decision = baseline_random(network, args.np, seed)
-    elif args.method == "l2ratio":
-        decision = baseline_l2_ratio(network, prune_batch, args.np)
-    elif args.method == "curl":
-        decision = baseline_curl(network, prune_batch, args.np)
-    else:  # oracle
+    cache = None
+    if args.method == "oracle":
         if args.cache is None:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
-        decision = baseline_finetune_oracle(
-            network, prune_batch, cache, args.np, args.k_steps, prof, seed=seed
-        )
+    decision = prune_by_method(
+        args.method, network, prune_batch, prof, args.np, cache, args.k_steps, seed
+    )
     _write_json(args.out, _decision_to_dict(decision))
     log.info("%s pruned blocks %s -> %s", args.method, sorted(decision.pruned), args.out)
     return EXIT_OK
@@ -194,6 +181,13 @@ def _cmd_distill(args) -> int:
     if args.mode == "cached":
         if args.cache is not None:
             cache = PseudoLabelCache.load(args.cache)
+            if args.teacher is not None:
+                expected = formats.network_fingerprint(formats.load_checkpoint(args.teacher))
+                if cache.teacher_fingerprint != expected:
+                    raise ConfigError(
+                        f"cache {args.cache} was built from teacher fingerprint "
+                        f"{cache.teacher_fingerprint:016x}, not {args.teacher}'s {expected:016x}"
+                    )
         elif args.teacher is not None and args.samples is not None:
             teacher = formats.load_checkpoint(args.teacher)
             inputs, _ = formats.load_samples(args.samples)
@@ -329,8 +323,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prune", help="rank blocks and emit a prune decision")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--method", choices=["proposed", "random", "l2ratio", "curl", "oracle"],
-                   default="proposed")
+    p.add_argument("--method", choices=METHODS, default="proposed")
     p.add_argument("--np", type=int, required=True)
     p.add_argument("--prune-batch", type=int, default=64)
     p.add_argument("--samples", default=None,
@@ -345,7 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--student", required=True)
     p.add_argument("--decision", required=True)
     p.add_argument("--cache", default=None)
-    p.add_argument("--teacher", default=None)
+    p.add_argument("--teacher", default=None,
+                   help="teacher checkpoint: labels --samples, or must match --cache's fingerprint")
     p.add_argument("--samples", default=None)
     p.add_argument("--save-cache", default=None,
                    help="also write the built pseudo-label cache here (cached mode)")

@@ -68,7 +68,6 @@ class DistillConfig:
     lr0: float = 0.02
     decay_factor: float = 0.1
     decay_every_fraction: float = 0.4
-    freeze_classifier: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ def required_dataset_size(student_param_count: int, pixels_per_label: int, kappa
     return max(1, math.ceil(kappa * student_param_count / pixels_per_label))
 
 
-def _teacher_labels(teacher, inputs, feature_source):
+def teacher_labels(teacher, inputs, feature_source):
     """Pseudo-labels for a stack of inputs.  The forward path is bitwise
     batch-composition invariant, so a label computed here equals the label
     the same teacher would produce for that sample in any other batch."""
@@ -136,7 +135,7 @@ def build_cache(teacher, samples, feature_source=SOURCE_FINAL_BLOCK) -> PseudoLa
     inputs = np.ascontiguousarray(samples, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ConfigError(f"samples must be a non-empty 2-D array, got shape {inputs.shape}")
-    labels = _teacher_labels(teacher, inputs, feature_source)
+    labels = teacher_labels(teacher, inputs, feature_source)
     return PseudoLabelCache(inputs, labels, network_fingerprint(teacher), feature_source)
 
 
@@ -209,7 +208,7 @@ class DistillRun:
         idx = next(self._indices)
         x = self.cache.inputs[idx]
         if self.live_teacher is not None:
-            targets = _teacher_labels(self.live_teacher, x, self.cache.feature_source)
+            targets = teacher_labels(self.live_teacher, x, self.cache.feature_source)
             self.teacher_query_count += len(idx)
         else:
             targets = self.cache.labels[idx]

@@ -32,15 +32,7 @@ from .distill import (
 from .errors import ConfigError
 from .network import clone_network, parameter_count
 from .profiling import latency_saving, profile
-from .pruning import (
-    baseline_curl,
-    baseline_finetune_oracle,
-    baseline_l2_ratio,
-    baseline_random,
-    rank_and_prune,
-)
-
-METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
+from .pruning import METHODS, prune_by_method
 
 CSV_COLUMNS = [
     "method",
@@ -131,23 +123,6 @@ class ExperimentReport:
         }
 
 
-def _prune_decision(config, network, prune_batch, latency_profile, cache):
-    if config.method == "proposed":
-        return rank_and_prune(network, prune_batch, latency_profile, config.n_p)
-    if config.method == "random":
-        return baseline_random(network, config.n_p, config.seed)
-    if config.method == "l2ratio":
-        return baseline_l2_ratio(network, prune_batch, config.n_p)
-    if config.method == "curl":
-        return baseline_curl(network, prune_batch, config.n_p)
-    if config.method == "oracle":
-        return baseline_finetune_oracle(
-            network, prune_batch, cache, config.n_p, config.oracle_k_steps,
-            latency_profile, seed=config.seed,
-        )
-    raise ConfigError(f"unknown pruning method {config.method!r}")
-
-
 def run_experiment(config: ExperimentConfig, pretrained=None) -> ExperimentReport:
     """profile -> prune -> distill -> evaluate, timing each stage.
 
@@ -188,7 +163,10 @@ def run_experiment(config: ExperimentConfig, pretrained=None) -> ExperimentRepor
     cache_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    decision = _prune_decision(config, pretrained, prune_batch, latency_profile, cache)
+    decision = prune_by_method(
+        config.method, pretrained, prune_batch, latency_profile, config.n_p, cache,
+        config.oracle_k_steps, config.seed,
+    )
     prune_seconds = time.perf_counter() - t1
 
     t2 = time.perf_counter()

@@ -12,11 +12,12 @@ Checkpoint (magic ``LCUT``, version 1)
     bias (num_classes).  Only square-block networks (hidden width equal to
     feature width) are representable.  Round-trips are bitwise.
 
-Pseudo-label cache (magic ``LCCH``, version 1)
+Pseudo-label cache (magic ``LCCH``, version 2)
     magic[4] | version u32 | count u32 | input_dim u32 | pixels_per_label
     u32 | count interleaved records, each input f64[input_dim] followed by
-    label f64[pixels_per_label] | teacher fingerprint u64 (FNV-1a of the
-    teacher checkpoint bytes).
+    label f64[pixels_per_label] | teacher fingerprint u64 (see
+    :func:`network_fingerprint`).  Version 1 stored an FNV-1a hash of the
+    teacher checkpoint bytes instead and is rejected.
 
 Sample set (magic ``LCDT``, version 1)
     magic[4] | version u32 | count u32 | input_dim u32 | has_labels u32 |
@@ -26,6 +27,7 @@ Sample set (magic ``LCDT``, version 1)
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -38,19 +40,8 @@ from .network import ResidualBlock, ResidualNetwork
 CHECKPOINT_MAGIC = b"LCUT"
 CACHE_MAGIC = b"LCCH"
 SAMPLES_MAGIC = b"LCDT"
-FORMAT_VERSION = 1
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _U64_MASK
-    return h
+FORMAT_VERSION = 1  # checkpoint and sample set
+CACHE_VERSION = 2
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -142,27 +133,20 @@ def network_from_bytes(data: bytes, source="<bytes>") -> ResidualNetwork:
 
 
 def network_fingerprint(network: ResidualNetwork) -> int:
-    """64-bit FNV-1a hash of the network's checkpoint bytes.
-
-    Networks the checkpoint layout cannot represent (non-square blocks)
-    hash a shape-tagged stream of their raw parameters instead.
-    """
-    try:
-        data = checkpoint_bytes(network)
-    except ConfigError:
-        parts = [struct.pack("<4sI", b"LCFP", FORMAT_VERSION)]
-        for p in network.parameter_arrays():
-            parts.append(struct.pack("<I", p.ndim))
-            parts.extend(struct.pack("<I", s) for s in p.shape)
-            parts.append(_f64_bytes(p))
-        data = b"".join(parts)
-    return fnv1a64(data)
+    """64-bit BLAKE2b digest of the network's parameters: each array's
+    rank and shape (u32s) followed by its little-endian f64 bytes, in
+    declaration order.  Any block shape hashes the same way."""
+    digest = hashlib.blake2b(digest_size=8)
+    for p in network.parameter_arrays():
+        digest.update(struct.pack(f"<{p.ndim + 1}I", p.ndim, *p.shape))
+        digest.update(np.ascontiguousarray(p, dtype="<f8"))
+    return int.from_bytes(digest.digest(), "little")
 
 
 def cache_bytes(inputs: np.ndarray, labels: np.ndarray, teacher_fingerprint: int) -> bytes:
     count, input_dim = inputs.shape
     pixels = labels.shape[1]
-    header = struct.pack("<4sIIII", CACHE_MAGIC, FORMAT_VERSION, count, input_dim, pixels)
+    header = struct.pack("<4sIIII", CACHE_MAGIC, CACHE_VERSION, count, input_dim, pixels)
     parts = [header]
     for i in range(count):
         parts.append(_f64_bytes(inputs[i]))
@@ -185,7 +169,7 @@ def load_cache_file(path):
     magic, version, count, input_dim, pixels = struct.unpack_from("<4sIIII", data)
     if magic != CACHE_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-    if version != FORMAT_VERSION:
+    if version != CACHE_VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}")
     expected = header_size + 8 * count * (input_dim + pixels) + 8
     if len(data) != expected:

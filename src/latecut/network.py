@@ -367,13 +367,12 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
     return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b, trace.skip)
 
 
-def backward_feature_mse(student, batch, target_features, skip=None, freeze_classifier=True):
+def backward_feature_mse(student, batch, target_features, skip=None):
     """Loss and exact analytic gradients of :func:`feature_mse` between the
     student's final features and ``target_features``.
 
     The loss never touches the classifier, so its gradients are identically
-    zero whether or not the classifier is frozen; the flag is kept so call
-    sites state the training contract explicitly.
+    zero: the classifier is frozen by construction.
     """
     trace = forward_trace(student, batch, skip)
     target = _as_f64(target_features)

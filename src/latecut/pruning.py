@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import log_softmax
 from .distill import DistillConfig, DistillRun, PseudoLabelCache
 from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
 from .network import (
@@ -37,6 +38,8 @@ from .network import (
     parameter_count,
 )
 from .profiling import LatencyProfile, latency_saving, profile
+
+METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
 
 
 @dataclass
@@ -71,9 +74,12 @@ def _check_n_p(network, n_p: int) -> None:
         raise ConfigError(f"n_p={n_p} outside 0..{network.n_blocks} removable blocks")
 
 
-def _decision(method, n_p, rows, seed=None) -> PruneDecision:
-    pruned = frozenset(row.block_id for row in rows[:n_p])
-    return PruneDecision(method, n_p, rows, pruned, seed)
+def decide(method, n_p, rows, seed=None) -> PruneDecision:
+    """Rank ``rows`` ascending by ``(importance, block_id)`` and prune the
+    first ``n_p``: the one sort every scored method shares."""
+    ranked = sorted(rows, key=lambda r: (r.importance, r.block_id))
+    pruned = frozenset(row.block_id for row in ranked[:n_p])
+    return PruneDecision(method, n_p, ranked, pruned, seed)
 
 
 def initial_noise(network, prune_batch, block_id, baseline_features=None) -> float:
@@ -106,27 +112,34 @@ def importance(row: BlockProfile) -> float:
     return row.epsilon_ini * row.capacity_gap / row.delta_t
 
 
+def score_block(network, block_id, epsilon, latency_profile: LatencyProfile) -> BlockProfile:
+    """The proposed method's row for one block, given its ``epsilon_ini``:
+    capacity gap G, latency saving delta_T and importance."""
+    row = BlockProfile(
+        block_id=block_id,
+        epsilon_ini=epsilon,
+        capacity_gap=capacity_gap(network, block_id),
+        delta_t=latency_saving(latency_profile, {block_id}),
+        param_count=block_param_count(network.blocks[block_id - 1]),
+    )
+    row.importance = importance(row)
+    return row
+
+
 def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: int) -> PruneDecision:
     """Score every block against the unpruned network in a single pass and
     prune the ``n_p`` lowest-importance blocks (ties broken by lower id)."""
     _check_n_p(network, n_p)
     _, baseline = forward(network, prune_batch)
-    total_params = parameter_count(network)
-    rows = []
-    for block in network.blocks:
-        eps = initial_noise(network, prune_batch, block.block_id, baseline_features=baseline)
-        params = block_param_count(block)
-        row = BlockProfile(
-            block_id=block.block_id,
-            epsilon_ini=eps,
-            capacity_gap=params / total_params,
-            delta_t=latency_saving(latency_profile, {block.block_id}),
-            param_count=params,
+    rows = [
+        score_block(
+            network, block.block_id,
+            initial_noise(network, prune_batch, block.block_id, baseline_features=baseline),
+            latency_profile,
         )
-        row.importance = importance(row)
-        rows.append(row)
-    rows.sort(key=lambda r: (r.importance, r.block_id))
-    return _decision("proposed", n_p, rows)
+        for block in network.blocks
+    ]
+    return decide("proposed", n_p, rows)
 
 
 def baseline_random(network, n_p, seed) -> PruneDecision:
@@ -140,7 +153,7 @@ def baseline_random(network, n_p, seed) -> PruneDecision:
         BlockProfile(block_id=j, param_count=block_param_count(network.blocks[j - 1]))
         for j in chosen + rest
     ]
-    return _decision("random", n_p, rows, seed=seed)
+    return PruneDecision("random", n_p, rows, frozenset(chosen), seed)
 
 
 def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
@@ -162,23 +175,17 @@ def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
                 param_count=block_param_count(block),
             )
         )
-    rows.sort(key=lambda r: (r.importance, r.block_id))
-    return _decision("l2ratio", n_p, rows)
-
-
-def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return decide("l2ratio", n_p, rows)
 
 
 def softmax(logits):
-    return np.exp(_log_softmax(logits))
+    return np.exp(log_softmax(logits))
 
 
 def kl_divergence(p_logits, q_logits) -> float:
     """Mean over the batch of KL(softmax(p) || softmax(q))."""
-    log_p = _log_softmax(p_logits)
-    log_q = _log_softmax(q_logits)
+    log_p = log_softmax(p_logits)
+    log_q = log_softmax(q_logits)
     per_sample = (np.exp(log_p) * (log_p - log_q)).sum(axis=1)
     return float(per_sample.mean())
 
@@ -198,8 +205,7 @@ def baseline_curl(network, prune_batch, n_p) -> PruneDecision:
                 param_count=block_param_count(block),
             )
         )
-    rows.sort(key=lambda r: (r.importance, r.block_id))
-    return _decision("curl", n_p, rows)
+    return decide("curl", n_p, rows)
 
 
 def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
@@ -239,5 +245,26 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
                 tuned_loss=tuned_loss,
             )
         )
-    rows.sort(key=lambda r: (r.importance, r.block_id))
-    return _decision("oracle", n_p, rows, seed=seed)
+    return decide("oracle", n_p, rows, seed=seed)
+
+
+def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfile, n_p,
+                    cache: PseudoLabelCache | None = None, k_steps=50, seed=0) -> PruneDecision:
+    """Prune with one of :data:`METHODS`.  ``random`` ignores the prune
+    batch; ``oracle`` needs ``cache`` and fine-tunes each candidate for
+    ``k_steps``."""
+    if method == "proposed":
+        return rank_and_prune(network, prune_batch, latency_profile, n_p)
+    if method == "random":
+        return baseline_random(network, n_p, seed)
+    if method == "l2ratio":
+        return baseline_l2_ratio(network, prune_batch, n_p)
+    if method == "curl":
+        return baseline_curl(network, prune_batch, n_p)
+    if method == "oracle":
+        if cache is None:
+            raise ConfigError("method 'oracle' needs a pseudo-label cache to distill against")
+        return baseline_finetune_oracle(
+            network, prune_batch, cache, n_p, k_steps, latency_profile, seed=seed
+        )
+    raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")

@@ -7,11 +7,18 @@ Between arrivals the loop spends a bounded budget of work units per tick:
 score one block, generate one pseudo-label, or run one distillation step.
 Phases advance Pruning -> Distilling -> Serving, each exactly once.
 
+Each unit calls the offline pipeline's own code: ``pruning.score_block``
+and ``pruning.decide`` rank the blocks as ``rank_and_prune`` does,
+``distill.teacher_labels`` labels one cache sample as ``build_cache`` does,
+and ``DistillRun`` steps the student as ``distill`` does, so the final
+model is bitwise the offline pipeline's.
+
 The first ``prune_batch_size`` streamed samples seed the prune batch and
 the next ``cache_size`` seed the pseudo-label cache, so background work
 stalls (never the serving of arrivals) until enough samples have arrived.
-The whole loop is single-threaded and, in modeled-latency mode, bitwise
-deterministic for a fixed stream and seed.
+Each record's ``latency`` is the serving model's modeled cost in
+multiply-accumulates per sample.  The whole loop is single-threaded and
+bitwise deterministic for a fixed stream and seed.
 """
 
 from __future__ import annotations
@@ -19,16 +26,22 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .distill import DistillConfig, DistillRun, PseudoLabelCache, SOURCE_FINAL_BLOCK, SOURCE_POOLED
+from .distill import (
+    DistillConfig,
+    DistillRun,
+    PseudoLabelCache,
+    SOURCE_FINAL_BLOCK,
+    SOURCE_POOLED,
+    teacher_labels,
+)
 from .errors import ConfigError, PartialRunError
 from .formats import network_fingerprint
-from .network import ResidualNetwork, block_param_count, clone_network, forward, parameter_count
-from .pruning import BlockProfile, PruneDecision, _decision, importance, initial_noise
-from .profiling import latency_saving, network_cost_macs, profile
+from .network import ResidualNetwork, clone_network, forward
+from .pruning import BlockProfile, PruneDecision, decide, initial_noise, score_block
+from .profiling import network_cost_macs, profile
 
 
 class Phase(enum.Enum):
@@ -78,8 +91,6 @@ class ServeConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
     budget_per_tick: int = 4
     feature_source: str = SOURCE_FINAL_BLOCK
-    latency_mode: str = "modeled"
-    adaptation_hook: Callable[[ResidualNetwork, np.ndarray], None] | None = None
 
     def __post_init__(self):
         if self.prune_batch_size < 1:
@@ -122,6 +133,7 @@ class ServingState:
         # Modeled profile for the prune decision; free of forward passes.
         self.latency_profile = profile(pretrained, config.prune_batch_size, mode="modeled")
         self.prune_samples: list[np.ndarray] = []
+        self.prune_batch: np.ndarray | None = None  # prune_samples stacked once full
         self.cache_samples: list[np.ndarray] = []
         self.baseline_features: np.ndarray | None = None
         self.score_rows: list[BlockProfile] = []
@@ -150,13 +162,11 @@ class ServingState:
     # -- active model ----------------------------------------------------
 
     def active_model(self):
+        """``(network, skip, model_id, cost_macs)`` of the model that
+        answers arrivals now."""
         if self.phase is Phase.SERVING:
-            return self.student, self.decision.pruned, MODEL_PRUNED
-        return self.network, frozenset(), MODEL_FULL
-
-    def sample_cost(self) -> float:
-        net, skip, _ = self.active_model()
-        return network_cost_macs(net, 1, skip)
+            return self.student, self.decision.pruned, MODEL_PRUNED, self._pruned_cost
+        return self.network, frozenset(), MODEL_FULL, self._full_cost
 
     # -- background work -------------------------------------------------
 
@@ -176,27 +186,17 @@ class ServingState:
             self._distill_unit()
 
     def _prune_unit(self) -> None:
-        batch = np.array(self.prune_samples)
         if self.baseline_features is None:
-            _, self.baseline_features = forward(self.network, batch)
+            self.prune_batch = np.array(self.prune_samples)
+            _, self.baseline_features = forward(self.network, self.prune_batch)
             self.timings.teacher_query_count += 1
             return
         block_id = len(self.score_rows) + 1
-        eps = initial_noise(self.network, batch, block_id, self.baseline_features)
+        eps = initial_noise(self.network, self.prune_batch, block_id, self.baseline_features)
         self.timings.teacher_query_count += 1
-        row = BlockProfile(
-            block_id=block_id,
-            epsilon_ini=eps,
-            capacity_gap=block_param_count(self.network.blocks[block_id - 1])
-            / parameter_count(self.network),
-            delta_t=latency_saving(self.latency_profile, {block_id}),
-            param_count=block_param_count(self.network.blocks[block_id - 1]),
-        )
-        row.importance = importance(row)
-        self.score_rows.append(row)
+        self.score_rows.append(score_block(self.network, block_id, eps, self.latency_profile))
         if len(self.score_rows) == self.network.n_blocks:
-            ranked = sorted(self.score_rows, key=lambda r: (r.importance, r.block_id))
-            self.decision = _decision("proposed", self.config.n_p, ranked)
+            self.decision = decide("proposed", self.config.n_p, self.score_rows)
             self.student = clone_network(self.network)
             self._pruned_cost = network_cost_macs(self.network, 1, self.decision.pruned)
             self.phase = Phase.DISTILLING
@@ -206,12 +206,8 @@ class ServingState:
     def _distill_unit(self) -> None:
         if len(self.cache_labels) < self.config.cache_size:
             x = self.cache_samples[len(self.cache_labels)][None, :]
-            _, feats = forward(self.network, x)
+            self.cache_labels.append(teacher_labels(self.network, x, self.config.feature_source)[0])
             self.timings.teacher_query_count += 1
-            if self.config.feature_source == SOURCE_POOLED:
-                self.cache_labels.append(feats.mean(axis=1))
-            else:
-                self.cache_labels.append(feats[0])
             if len(self.cache_labels) < self.config.cache_size:
                 return
             cache = PseudoLabelCache(
@@ -241,19 +237,13 @@ class ServingState:
 def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     """Serve this tick's arrivals with the active model, then spend up to
     ``budget_per_tick`` units of background work, advancing the phase when
-    its work runs out."""
+    its work runs out.  The phase changes only in background work, so one
+    model answers every arrival of a tick."""
     records = []
-    arrival_batch = []
+    net, skip, model_id, cost = state.active_model()
     for sample in arrivals:
         x, label = _split_sample(sample)
-        net, skip, model_id = state.active_model()
-        if state.config.latency_mode == "measured":
-            start = time.perf_counter()
-            logits, _ = forward(net, x[None, :], skip)
-            latency = time.perf_counter() - start
-        else:
-            logits, _ = forward(net, x[None, :], skip)
-            latency = state.sample_cost()
+        logits, _ = forward(net, x[None, :], skip)
         predicted = int(np.argmax(logits[0]))
         records.append(
             ServingRecord(
@@ -262,7 +252,7 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
                 phase=state.phase,
                 model_id=model_id,
                 predicted_class=predicted,
-                latency=latency,
+                latency=cost,
                 correct=None if label is None else bool(predicted == label),
             )
         )
@@ -270,15 +260,6 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
         state.samples_seen += 1
         state.timings.inference_count += 1
         state.timings.inference_done_seconds = time.perf_counter() - state.start_time
-        arrival_batch.append(x)
-    if (
-        state.phase is Phase.SERVING
-        and state.config.adaptation_hook is not None
-        and arrival_batch
-    ):
-        # Extension point for post-distillation test-time adaptation; the
-        # shipped default does nothing.
-        state.config.adaptation_hook(state.student, np.array(arrival_batch))
     budget = state.config.budget_per_tick
     while budget > 0 and state._work_available():
         state._do_one_unit()

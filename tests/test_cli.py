@@ -113,6 +113,24 @@ def test_oracle_prune_via_saved_cache(workspace):
     assert decision["method"] == "oracle" and len(decision["pruned"]) == 1
 
 
+def test_distill_rejects_cache_from_another_teacher(workspace, capsys):
+    tmp, net, ckpt, data = workspace
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [1]}))
+    cache_bin = tmp / "cache.bin"
+    base = ["distill", "--student", str(ckpt), "--decision", str(decision),
+            "--steps", "2", "--batch", "8", "--out", str(tmp / "x.ckpt")]
+    assert main(base + ["--teacher", str(ckpt), "--samples", str(data),
+                        "--save-cache", str(cache_bin)]) == 0
+    assert main(base + ["--cache", str(cache_bin), "--teacher", str(ckpt)]) == 0
+    other = tmp / "other.ckpt"
+    save_checkpoint(random_network(6, 6, 3, 3, seed=1), other)
+    capsys.readouterr()
+    assert main(base + ["--cache", str(cache_bin), "--teacher", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "kind=data" in err and "fingerprint" in err
+
+
 def test_live_mode_requires_teacher(workspace, capsys):
     tmp, net, ckpt, data = workspace
     decision = tmp / "decision.json"

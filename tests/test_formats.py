@@ -1,10 +1,13 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from latecut.errors import ConfigError, FormatError
 from latecut.formats import (
+    CACHE_MAGIC,
     checkpoint_bytes,
-    fnv1a64,
     load_cache_file,
     load_checkpoint,
     load_samples,
@@ -14,13 +17,6 @@ from latecut.formats import (
     save_samples,
 )
 from latecut.network import random_network
-
-
-def test_fnv1a64_known_vectors():
-    # published FNV-1a 64-bit test vectors
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -66,6 +62,36 @@ def test_fingerprint_sensitive_to_any_parameter():
     assert network_fingerprint(twin) != base
 
 
+@pytest.mark.parametrize("hidden_widths", [None, [4, 8]], ids=["square", "non_square"])
+def test_fingerprint_is_blake2b_of_shapes_and_parameters(hidden_widths):
+    # Square and non-square networks hash on one path: rank, shape, f64 bytes.
+    net = random_network(3, 4, 2, 2, seed=0, hidden_widths=hidden_widths)
+    digest = hashlib.blake2b(digest_size=8)
+    for p in net.parameter_arrays():
+        digest.update(struct.pack("<I", p.ndim) + struct.pack(f"<{p.ndim}I", *p.shape))
+        digest.update(p.astype("<f8").tobytes())
+    assert network_fingerprint(net) == int.from_bytes(digest.digest(), "little")
+
+
+def _filled(input_dim, width, num_classes, hidden, values):
+    net = random_network(input_dim, width, 1, num_classes, hidden_widths=[hidden])
+    pos = 0
+    for p in net.parameter_arrays():
+        p.reshape(-1)[:] = values[pos : pos + p.size]
+        pos += p.size
+    assert pos == len(values)
+    return net
+
+
+def test_fingerprint_covers_shapes_not_just_bytes():
+    values = np.random.default_rng(0).standard_normal(24)
+    a = _filled(2, 2, 2, 2, values)
+    b = _filled(1, 3, 2, 1, values)
+    stream = lambda net: b"".join(p.tobytes() for p in net.parameter_arrays())
+    assert stream(a) == stream(b)
+    assert network_fingerprint(a) != network_fingerprint(b)
+
+
 def test_cache_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     inputs = rng.standard_normal((6, 4))
@@ -76,6 +102,16 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(got_inputs, inputs)
     assert np.array_equal(got_labels, labels)
     assert fingerprint == 0xDEADBEEF12345678
+
+
+def test_cache_version_1_rejected(tmp_path):
+    path = tmp_path / "cache.bin"
+    save_cache_file(path, np.zeros((2, 2)), np.zeros((2, 1)), 1)
+    data = path.read_bytes()
+    assert struct.unpack_from("<4sI", data) == (CACHE_MAGIC, 2)
+    path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+    with pytest.raises(FormatError, match="version 1"):
+        load_cache_file(path)
 
 
 def test_cache_truncation(tmp_path):

@@ -1,0 +1,46 @@
+"""Each latecut module uses only the public names of the others, so a step
+of the method cannot be re-implemented behind another module's private
+helper."""
+
+import ast
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "latecut"
+
+
+def private_imports(source: str) -> list[str]:
+    """``module:name`` for every underscore-prefixed name imported from a
+    latecut module (relative or absolute)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "latecut":
+            continue
+        found.extend(
+            f"{'.' * node.level}{module}:{alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+    return found
+
+
+def test_detector_sees_relative_and_absolute_private_imports():
+    source = (
+        "from .pruning import decide, _decision\n"
+        "from latecut.distill import _labels\n"
+        "from . import _hidden\n"
+        "from numpy import _private_of_another_package\n"
+    )
+    assert private_imports(source) == [".pruning:_decision", "latecut.distill:_labels", ".:_hidden"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    assert (PACKAGE_DIR / "__init__.py").is_file()
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}

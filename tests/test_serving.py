@@ -1,7 +1,10 @@
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from latecut.distill import DistillConfig, build_cache, distill
+from latecut.distill import SOURCE_FINAL_BLOCK, SOURCE_POOLED, DistillConfig, build_cache, distill
 from latecut.errors import ConfigError, PartialRunError
 from latecut.network import clone_network, forward, random_network
 from latecut.profiling import latency_saving, network_cost_macs, profile
@@ -141,21 +144,34 @@ class TestServe:
         for p, q in zip(first[0].parameter_arrays(), second[0].parameter_arrays()):
             assert np.array_equal(p, q)
 
-    def test_final_model_matches_offline_pipeline_bitwise(self):
+    @pytest.mark.parametrize("source", [SOURCE_FINAL_BLOCK, SOURCE_POOLED])
+    def test_final_model_matches_offline_pipeline_bitwise(self, source):
         net = random_network(5, 4, 3, 3, seed=10)
-        config = small_config(prune_batch_size=6, cache_size=8,
+        config = small_config(prune_batch_size=6, cache_size=8, feature_source=source,
                               distill=DistillConfig(steps=20, batch_size=4, seed=5))
         stream = make_stream(net, 40, seed=10)
-        final, _, _ = serve(iter(stream), net, config)
+        state = ServingState(net, config)
+        for sample in stream:
+            tick(state, [sample])
+        for _ in range(100):
+            if state.phase is Phase.SERVING:
+                break
+            tick(state, [])
+        assert state.phase is Phase.SERVING
 
         prune_batch = np.array(stream[:6])
         cache_samples = np.array(stream[6:14])
         prof = profile(net, 6, mode="modeled")
         decision = rank_and_prune(net, prune_batch, prof, 1)
-        cache = build_cache(net, cache_samples)
+        assert (state.decision.method, state.decision.n_p, state.decision.pruned) == (
+            decision.method, decision.n_p, decision.pruned)
+        assert [_row_bits(r) for r in state.decision.ranked] == [
+            _row_bits(r) for r in decision.ranked]
+        cache = build_cache(net, cache_samples, source)
+        assert np.array(state.cache_labels).tobytes() == cache.labels.tobytes()
         student = clone_network(net)
         student, _ = distill(student, decision.pruned, cache, config.distill)
-        for a, b in zip(final.parameter_arrays(), student.parameter_arrays()):
+        for a, b in zip(state.student.parameter_arrays(), student.parameter_arrays()):
             assert np.array_equal(a, b)
 
     def test_serving_cost_lower_by_exact_delta_t(self):
@@ -190,26 +206,20 @@ class TestServe:
         timeline = excinfo.value.timeline
         assert len(timeline.records) == 5
 
-    def test_adaptation_hook_called_per_serving_batch(self):
-        net = random_network(4, 4, 2, 3, seed=14)
-        calls = []
-
-        def hook(model, batch):
-            calls.append(batch.shape[0])
-
-        config = small_config(adaptation_hook=hook)
-        stream = make_stream(net, 50, seed=14)
-        _, timeline, _ = serve(iter(stream), net, config, arrival_schedule=2)
-        served = sum(1 for r in timeline.records if r.phase is Phase.SERVING)
-        assert sum(calls) == served
-        assert served > 0
-
     def test_config_validation(self):
         net = random_network(4, 4, 2, 3, seed=0)
         with pytest.raises(ConfigError):
             ServingState(net, small_config(n_p=5))
         with pytest.raises(ConfigError):
             small_config(budget_per_tick=0)
+
+
+def _row_bits(row):
+    """A ranked row's fields, floats as their IEEE-754 bytes."""
+    return [
+        struct.pack("<d", v) if isinstance(v, (float, np.floating)) else v
+        for v in astuple(row)
+    ]
 
 
 def _served_skip(net, timeline):
