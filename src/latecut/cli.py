@@ -399,6 +399,11 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         _print_error("numeric", exc)
         return EXIT_NUMERIC
+    except PartialRunError as exc:
+        # A serving run whose background work failed exits as its cause.
+        numeric = isinstance(exc.__cause__, _NUMERIC_ERRORS)
+        _print_error("numeric" if numeric else "data", exc)
+        return EXIT_NUMERIC if numeric else EXIT_DATA
     except _DATA_ERRORS as exc:
         _print_error("data", exc)
         return EXIT_DATA

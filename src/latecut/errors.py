@@ -38,8 +38,10 @@ class TrainingDivergedError(LatecutError):
 
 
 class PartialRunError(LatecutError):
-    """The sample stream ended before the serving loop could finish its
-    prune/distill work.  Carries the timeline recorded so far."""
+    """The serving loop did not finish its prune/distill work: the sample
+    stream ended before the prune batch and cache were seeded, or a
+    background unit raised (that exception is ``__cause__``).  Carries the
+    timeline recorded so far."""
 
     def __init__(self, message, timeline=None):
         super().__init__(message)

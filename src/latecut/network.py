@@ -13,20 +13,23 @@ skipping a block leaves the identity in its place.  Blocks are indexed
 feature width (the standard constructors always use square blocks; the
 checkpoint format only supports those).
 
-The forward path evaluates every affine map as a stack of fixed-shape GEMM
-tiles: the batch is padded with zero rows to a multiple of ``TILE_ROWS`` and
-multiplied one ``(TILE_ROWS, in) x (in, out)`` tile at a time.  BLAS picks
-its blocking, and so its reduction order, from the operand shapes; with one
-shape for every call, each row's sums are computed the same way whatever the
-batch size or the row's position in it.  That makes every sample's features
-bitwise independent of which batch it rides in, which cached pseudo-labels
-rely on (a label generated for one sample must exactly equal the same
-model's output for that sample inside any mini-batch).  An import-time
-self-check confirms this on the local BLAS; where it fails, :func:`affine`
-falls back to einsum, whose reduction order depends only on the operand
-widths but which runs several times slower on batches.  Gradient math uses
-plain matmul; it has no such contract and is verified against finite
-differences instead.
+The forward path is one tile pipeline.  It pads the batch once with zero
+rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map on
+that stack through :data:`tile_kernel`, one ``(TILE_ROWS, in) x (in, out)``
+GEMM per tile.  BLAS picks its blocking, and so its reduction order, from
+the operand shapes; with one shape for every call, each row's sums are
+computed the same way whatever the batch size or the row's position in it.
+That makes every sample's features bitwise independent of which batch it
+rides in, which cached pseudo-labels rely on (a label generated for one
+sample must exactly equal the same model's output for that sample inside
+any mini-batch).  Bias, ReLU and residual adds are in-place ufuncs on
+arrays the pass allocated, and the output is cut back to the batch's rows
+once, at the end.  An import-time self-check runs the BLAS kernel on rows
+alone and inside stacks of several sizes and offsets; where the local BLAS
+fails it, the kernel is einsum instead, whose reduction order depends only
+on the operand widths but which runs several times slower on batches.
+Gradient math uses plain matmul; it has no such contract and is verified
+against finite differences instead.
 
 Every operation here is pure except :func:`sgd_step`, which updates its
 network in place.  Networks and arrays can be handed between threads, but
@@ -177,10 +180,15 @@ def _as_f64(array) -> np.ndarray:
 
 
 def normalize_skip(network: ResidualNetwork, skip) -> frozenset[int]:
-    """Validate a skip set against the network's block ids."""
+    """Validate a skip set against the network's block ids.
+
+    A frozenset of ints, the form this returns, is range-checked as it is;
+    anything else is converted first.
+    """
     if skip is None:
         return frozenset()
-    skip = frozenset(int(j) for j in skip)
+    if type(skip) is not frozenset or not all(type(j) is int for j in skip):
+        skip = frozenset(int(j) for j in skip)
     n = network.n_blocks
     for j in skip:
         if j < 1 or j > n:
@@ -205,79 +213,91 @@ def _check_batch(network: ResidualNetwork, batch) -> np.ndarray:
 TILE_ROWS = 4
 
 
-def _pad_rows(x) -> np.ndarray:
-    """``x`` with zero rows appended up to a multiple of ``TILE_ROWS``."""
-    rows = x.shape[0]
-    padded = -(-rows // TILE_ROWS) * TILE_ROWS
-    if padded == rows:
-        return x
-    out = np.zeros((padded, x.shape[1]))
-    out[:rows] = x
-    return out
+def _tile_stack(x) -> np.ndarray:
+    """``x`` zero-padded to a multiple of ``TILE_ROWS`` rows, as a
+    ``(k, TILE_ROWS, d)`` stack.  A view of ``x`` when no padding is needed:
+    the pipeline only reads it."""
+    rows, dim = x.shape
+    tiles = -(-rows // TILE_ROWS)
+    if tiles * TILE_ROWS == rows:
+        return x.reshape(tiles, TILE_ROWS, dim)
+    stack = np.zeros((tiles, TILE_ROWS, dim))
+    stack.reshape(tiles * TILE_ROWS, dim)[:rows] = x
+    return stack
 
 
-def _tiled_affine(x, weight, bias):
-    """``x @ weight + bias`` as a stack of ``(TILE_ROWS, in) x (in, out)``
-    products over the zero-padded batch."""
-    rows = x.shape[0]
-    x = _pad_rows(x)
-    out = np.matmul(x.reshape(x.shape[0] // TILE_ROWS, TILE_ROWS, x.shape[1]), weight)
-    return out.reshape(x.shape[0], weight.shape[1])[:rows] + bias
+def _rows(stack, rows) -> np.ndarray:
+    """The first ``rows`` rows of a tile stack, as a 2-D view."""
+    return stack.reshape(-1, stack.shape[2])[:rows]
 
 
-def _einsum_affine(x, weight, bias):
-    """``x @ weight + bias`` by einsum, the fallback where BLAS tiles are not
-    batch invariant."""
-    return np.einsum("bd,dw->bw", x, weight) + bias
+def _einsum_tiles(stack, weight):
+    """Tile kernel by einsum, the fallback where BLAS tiles are not batch
+    invariant."""
+    return np.einsum("ktd,dw->ktw", stack, weight)
 
 
-def _tiles_are_batch_invariant() -> bool:
-    """Whether the local BLAS gives each row of :func:`_tiled_affine` the
-    same bits alone and inside batches of several sizes and offsets."""
+def _kernel_is_batch_invariant(kernel) -> bool:
+    """Whether ``kernel`` gives each row of a tile stack the same bits alone
+    and inside stacks built from batches of several sizes and offsets."""
     rng = np.random.default_rng(0)
     for in_dim, out_dim in ((16, 32), (128, 128), (33, 4)):
         weight = rng.standard_normal((in_dim, out_dim))
-        bias = rng.standard_normal(out_dim)
         pool = rng.standard_normal((67, in_dim))
-        alone = np.concatenate([_tiled_affine(row[None, :], weight, bias) for row in pool])
-        for lo, hi in ((0, 67), (1, 67), (2, 5), (3, 64), (5, 6)):
-            if not np.array_equal(_tiled_affine(pool[lo:hi], weight, bias), alone[lo:hi]):
+        alone = np.concatenate(
+            [_rows(kernel(_tile_stack(row[None, :]), weight), 1) for row in pool]
+        )
+        for lo, hi in ((0, 67), (1, 67), (2, 5), (3, 64), (0, 64), (5, 6)):
+            out = _rows(kernel(_tile_stack(pool[lo:hi]), weight), hi - lo)
+            if not np.array_equal(out, alone[lo:hi]):
                 return False
     return True
 
 
-# ``x @ weight + bias`` with a reduction order that does not depend on the
-# batch size (see module docstring).
-affine = _tiled_affine if _tiles_are_batch_invariant() else _einsum_affine
+# The tile kernel every forward calls: ``stack @ weight`` for a
+# ``(k, TILE_ROWS, in)`` stack, one ``(TILE_ROWS, in) x (in, out)`` GEMM per
+# tile, with a reduction order that does not depend on k (see module
+# docstring).
+tile_kernel = np.matmul if _kernel_is_batch_invariant(np.matmul) else _einsum_tiles
+
+
+def _affine(stack, weight, bias) -> np.ndarray:
+    """``stack @ weight + bias`` as a new stack; the bias is added in place."""
+    out = tile_kernel(stack, weight)
+    out += bias
+    return out
 
 
 def forward(network, batch, skip=None):
     """Run the network, treating skipped blocks as the identity.
 
     Returns ``(logits, final_features)`` where ``final_features`` is the
-    output of the last non-classifier stage.
+    output of the last non-classifier stage.  Every stage works in place on
+    arrays this call allocated; ``batch`` is only read.
     """
     skip = normalize_skip(network, skip)
     x = _check_batch(network, batch)
     op_counter.forward_passes += 1
-    rows = x.shape[0]
-    # Padded once here rather than in every affine map; rows are
-    # independent, so the padding rows are computed and dropped.
-    x = affine(_pad_rows(x), network.stem_weight, network.stem_bias)
+    # Rows are independent, so the padding rows are computed and dropped.
+    h = _affine(_tile_stack(x), network.stem_weight, network.stem_bias)
     for block in network.blocks:
         if block.block_id in skip:
             continue
-        hidden = np.maximum(affine(x, block.weight1, block.bias1), 0.0)
-        x = x + affine(hidden, block.weight2, block.bias2)
-    logits = affine(x, network.classifier_weight, network.classifier_bias)
-    return logits[:rows], x[:rows]
+        z = _affine(h, block.weight1, block.bias1)
+        np.maximum(z, 0.0, out=z)
+        h += _affine(z, block.weight2, block.bias2)
+    logits = _affine(h, network.classifier_weight, network.classifier_bias)
+    rows = x.shape[0]
+    return _rows(logits, rows), _rows(h, rows)
 
 
 def forward_trace(network, batch, skip=None) -> ForwardTrace:
     """Forward sweep that records per-block intermediates.
 
     Computes the exact same expressions as :func:`forward`, so features and
-    logits are bitwise identical to a plain forward on the same inputs.
+    logits are bitwise identical to a plain forward on the same inputs.  The
+    recorded arrays are views, so the ReLU and the residual add allocate new
+    arrays here instead of overwriting them.
     """
     skip = normalize_skip(network, skip)
     batch = _check_batch(network, batch)
@@ -286,18 +306,18 @@ def forward_trace(network, batch, skip=None) -> ForwardTrace:
     inputs: dict[int, np.ndarray] = {}
     preacts: dict[int, np.ndarray] = {}
     hiddens: dict[int, np.ndarray] = {}
-    x = affine(_pad_rows(batch), network.stem_weight, network.stem_bias)
+    h = _affine(_tile_stack(batch), network.stem_weight, network.stem_bias)
     for block in network.blocks:
         if block.block_id in skip:
             continue
-        inputs[block.block_id] = x[:rows]
-        z = affine(x, block.weight1, block.bias1)
+        z = _affine(h, block.weight1, block.bias1)
         hidden = np.maximum(z, 0.0)
-        preacts[block.block_id] = z[:rows]
-        hiddens[block.block_id] = hidden[:rows]
-        x = x + affine(hidden, block.weight2, block.bias2)
-    logits = affine(x, network.classifier_weight, network.classifier_bias)
-    return ForwardTrace(batch, skip, inputs, preacts, hiddens, x[:rows], logits[:rows])
+        inputs[block.block_id] = _rows(h, rows)
+        preacts[block.block_id] = _rows(z, rows)
+        hiddens[block.block_id] = _rows(hidden, rows)
+        h = h + _affine(hidden, block.weight2, block.bias2)
+    logits = _affine(h, network.classifier_weight, network.classifier_bias)
+    return ForwardTrace(batch, skip, inputs, preacts, hiddens, _rows(h, rows), _rows(logits, rows))
 
 
 def feature_mse(a, b) -> float:

@@ -7,11 +7,14 @@ Two modes:
   with hidden width h costs 2*w*h MACs per sample (its two affine maps);
   stem and classifier cost fan_in*fan_out per sample.  Costs are additive,
   which makes every latency-saving identity exactly testable.
-* ``measured`` — wall-clock medians over repeated forward passes on a
-  seeded random batch, after warmup.  The full network and every
-  single-block-skipped network are timed round-robin, so a change in the
-  host's speed does not favour one of them.  Measured profiling holds a
-  process-wide lock so no two measurements run concurrently.
+* ``measured`` — wall-clock timings of repeated forward passes on a
+  seeded random batch, after warmup.  Each round times the full network and
+  then every single-block-skipped network once.  T is the median full
+  time; a skipped network's latency is T times the median over rounds of
+  its time over the same round's full time.  The two timings of a ratio
+  are taken within one round, so a change in the host's speed between
+  rounds cancels out of it.  Measured profiling holds a process-wide lock
+  so no two measurements run concurrently.
 """
 
 from __future__ import annotations
@@ -69,17 +72,26 @@ def _noise_batch(network: ResidualNetwork, batch_size: int, seed) -> np.ndarray:
     return rng.standard_normal((batch_size, network.input_dim))
 
 
-def _median_forward_seconds(network, batch, skips, timed_runs: int) -> list[float]:
-    """Median forward time for each skip set in ``skips``.  The sets are
-    timed round-robin, one forward each per round, so a change in the
-    host's speed during the measurement reaches every set alike."""
-    times = [[] for _ in skips]
+def _forward_seconds(network, batch, skip) -> float:
+    start = time.perf_counter()
+    forward(network, batch, skip)
+    return time.perf_counter() - start
+
+
+def _median_forward_seconds(network, batch, skips, timed_runs: int):
+    """``(full, per_skip)``: the full network's median forward time, and
+    for each skip set in ``skips`` that median times the median over rounds
+    of the set's time over the round's full time.  Each round times the
+    full network and then every set once."""
+    full_times = []
+    ratios = [[] for _ in skips]
     for _ in range(timed_runs):
-        for skip, samples in zip(skips, times):
-            start = time.perf_counter()
-            forward(network, batch, skip)
-            samples.append(time.perf_counter() - start)
-    return [statistics.median(samples) for samples in times]
+        full = _forward_seconds(network, batch, None)
+        full_times.append(full)
+        for skip, samples in zip(skips, ratios):
+            samples.append(_forward_seconds(network, batch, skip) / full)
+    full = statistics.median(full_times)
+    return full, [full * statistics.median(samples) for samples in ratios]
 
 
 def profile(network, batch_shape, mode=MODE_MODELED, warmup_runs=3, timed_runs=9, seed=0):
@@ -118,8 +130,8 @@ def profile(network, batch_shape, mode=MODE_MODELED, warmup_runs=3, timed_runs=9
         for _ in range(warmup_runs):
             forward(network, batch)
         block_ids = [block.block_id for block in network.blocks]
-        full, *per_block = _median_forward_seconds(
-            network, batch, [None] + [{j} for j in block_ids], timed_runs
+        full, per_block = _median_forward_seconds(
+            network, batch, [{j} for j in block_ids], timed_runs
         )
         skipped = dict(zip(block_ids, per_block))
     return LatencyProfile(
@@ -132,7 +144,8 @@ def latency_saving(prof: LatencyProfile, skip) -> float:
 
     Singletons use the profiled per-block latency.  Multi-block skips are
     summed in modeled mode (costs are additive) and re-measured in measured
-    mode, since wall-clock savings are not guaranteed additive.
+    mode, with the full network timed again in the same rounds, since
+    wall-clock savings are not guaranteed additive.
     """
     skip = frozenset(int(j) for j in (skip or ()))
     for j in skip:
@@ -150,8 +163,9 @@ def latency_saving(prof: LatencyProfile, skip) -> float:
     with _measure_lock:
         for _ in range(max(1, prof.warmup_runs)):
             forward(prof.network, prof.batch, skip)
-        (multi,) = _median_forward_seconds(prof.network, prof.batch, [skip], prof.timed_runs)
-    return (prof.full_latency - multi) / prof.full_latency
+        full, (multi,) = _median_forward_seconds(prof.network, prof.batch, [skip],
+                                                 prof.timed_runs)
+    return (full - multi) / full
 
 
 def profile_to_dict(prof: LatencyProfile) -> dict:

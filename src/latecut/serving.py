@@ -5,7 +5,10 @@ loop currently trusts: the pretrained network M while pruning and
 distillation are in flight, the pruned-and-fine-tuned network afterwards.
 Between arrivals the loop spends a bounded budget of work units per tick:
 score one block, generate one pseudo-label, or run one distillation step.
-Phases advance Pruning -> Distilling -> Serving, each exactly once.
+Phases advance Pruning -> Distilling -> Serving, each exactly once.  If a
+unit raises, the loop enters the terminal Failed phase instead: it keeps
+answering every arrival with M, does no more background work, and keeps
+the exception as the cause.
 
 Each unit calls the offline pipeline's own code: ``pruning.score_block``
 and ``pruning.decide`` rank the blocks as ``rank_and_prune`` does,
@@ -48,6 +51,7 @@ class Phase(enum.Enum):
     PRUNING = "pruning"
     DISTILLING = "distilling"
     SERVING = "serving"
+    FAILED = "failed"
 
 
 MODEL_FULL = "M"
@@ -107,6 +111,7 @@ class ServeConfig:
 class ExperimentTimings:
     prune_done_tick: int | None = None
     distill_done_tick: int | None = None
+    failed_tick: int | None = None
     total_ticks: int = 0
     prune_done_seconds: float | None = None
     finetune_done_seconds: float | None = None
@@ -143,6 +148,7 @@ class ServingState:
         self.distill_run: DistillRun | None = None
         self._full_cost = network_cost_macs(pretrained, 1)
         self._pruned_cost: float | None = None
+        self.failure: Exception | None = None  # what ended background work early
 
     # -- sample intake -------------------------------------------------
 
@@ -180,10 +186,17 @@ class ServingState:
         return False
 
     def _do_one_unit(self) -> None:
-        if self.phase is Phase.PRUNING:
-            self._prune_unit()
-        elif self.phase is Phase.DISTILLING:
-            self._distill_unit()
+        # The loop must keep answering arrivals whatever a unit raises, so
+        # every failure is kept as the cause and ends background work.
+        try:
+            if self.phase is Phase.PRUNING:
+                self._prune_unit()
+            elif self.phase is Phase.DISTILLING:
+                self._distill_unit()
+        except Exception as exc:
+            self.failure = exc
+            self.phase = Phase.FAILED
+            self.timings.failed_tick = self.tick_index
 
     def _prune_unit(self) -> None:
         if self.baseline_features is None:
@@ -238,13 +251,14 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     """Serve this tick's arrivals with the active model, then spend up to
     ``budget_per_tick`` units of background work, advancing the phase when
     its work runs out.  The phase changes only in background work, so one
-    model answers every arrival of a tick."""
+    model answers every arrival of a tick.  A unit that raises moves the
+    loop to the Failed phase; the tick still returns its records."""
     records = []
     net, skip, model_id, cost = state.active_model()
     for sample in arrivals:
         x, label = _split_sample(sample)
         logits, _ = forward(net, x[None, :], skip)
-        predicted = int(np.argmax(logits[0]))
+        predicted = int(logits.argmax())
         records.append(
             ServingRecord(
                 sample_index=state.samples_seen,
@@ -253,12 +267,13 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
                 model_id=model_id,
                 predicted_class=predicted,
                 latency=cost,
-                correct=None if label is None else bool(predicted == label),
+                correct=None if label is None else predicted == label,
             )
         )
         state.admit(x)
         state.samples_seen += 1
-        state.timings.inference_count += 1
+    if records:
+        state.timings.inference_count += len(records)
         state.timings.inference_done_seconds = time.perf_counter() - state.start_time
     budget = state.config.budget_per_tick
     while budget > 0 and state._work_available():
@@ -292,8 +307,10 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
 
     Returns ``(final_model, timeline, timings)`` where ``final_model`` is
     the pruned, fine-tuned network that serves the tail of the stream.
-    Raises :class:`PartialRunError` (carrying the timeline so far) if the
-    stream ends before the prune batch and cache can be seeded.
+    Raises :class:`PartialRunError`, carrying the timeline, if the stream
+    ends before the prune batch and cache can be seeded, or, once the whole
+    stream has been answered, if background work failed (the unit's
+    exception is the error's ``__cause__``).
     """
     state = ServingState(pretrained, config)
     timeline = ServingTimeline()
@@ -311,7 +328,7 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
                     break
         timeline.records.extend(tick(state, arrivals))
         if exhausted:
-            if state.phase is Phase.SERVING:
+            if state.phase is Phase.SERVING or state.phase is Phase.FAILED:
                 break
             if not state._work_available() and not state.seeds_filled:
                 raise PartialRunError(
@@ -321,4 +338,10 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
                     timeline,
                 )
     state.timings.total_ticks = state.tick_index
+    if state.failure is not None:
+        raise PartialRunError(
+            f"background work failed at tick {state.timings.failed_tick}: {state.failure!r}; "
+            f"all {state.samples_seen} samples were answered",
+            timeline,
+        ) from state.failure
     return state.student, timeline, state.timings

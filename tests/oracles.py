@@ -11,18 +11,29 @@ import numpy as np
 from latecut import network as _network
 
 
+def reference_affine(x, weight, bias):
+    """``x @ weight + bias`` through the library's tile kernel (looked up at
+    call time), with its own zero-padding and out-of-place bias add."""
+    rows, dim = x.shape
+    tile = _network.TILE_ROWS
+    padded = np.zeros((-(-rows // tile) * tile, dim))
+    padded[:rows] = x
+    out = _network.tile_kernel(padded.reshape(-1, tile, dim), weight)
+    return out.reshape(-1, weight.shape[1])[:rows] + bias
+
+
 def reference_forward(network, batch):
     """Skip-free batched forward: the library's arithmetic with every trace
-    of the skip machinery removed.  It calls the library's own ``affine``
-    (looked up at call time), so it checks the skip machinery bitwise, not
-    the affine kernel; ``loop_forward`` checks the arithmetic."""
+    of the skip machinery and of the in-place tile pipeline removed.  Each
+    affine map goes through ``reference_affine``, so this checks the skip
+    machinery and the in-place stages bitwise, not the tile kernel;
+    ``loop_forward`` checks the arithmetic."""
 
-    aff = _network.affine
-    x = aff(batch, network.stem_weight, network.stem_bias)
+    x = reference_affine(batch, network.stem_weight, network.stem_bias)
     for block in network.blocks:
-        hidden = np.maximum(aff(x, block.weight1, block.bias1), 0.0)
-        x = x + aff(hidden, block.weight2, block.bias2)
-    logits = aff(x, network.classifier_weight, network.classifier_bias)
+        hidden = np.maximum(reference_affine(x, block.weight1, block.bias1), 0.0)
+        x = x + reference_affine(hidden, block.weight2, block.bias2)
+    logits = reference_affine(x, network.classifier_weight, network.classifier_bias)
     return logits, x
 
 

@@ -168,6 +168,21 @@ def test_numeric_failure_exits_3(workspace, capsys):
     assert "kind=numeric" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_serve_numeric_failure_exits_3(workspace, capsys):
+    tmp, net, ckpt, data = workspace
+    code = main([
+        "serve", "--checkpoint", str(ckpt), "--stream", str(data),
+        "--np", "1", "--prune-batch", "10", "--cache-size", "10",
+        "--steps", "8", "--batch", "8", "--lr", "1e300",
+        "--timeline", str(tmp / "timeline.json"), "--out", str(tmp / "served.ckpt"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "kind=numeric" in err and "all 120 samples were answered" in err
+
+
 def test_seed_env_override(workspace, monkeypatch):
     tmp, net, ckpt, data = workspace
     out_a = tmp / "a.json"

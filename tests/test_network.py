@@ -18,6 +18,7 @@ from latecut.network import (
     forward_trace,
     op_counter,
     parameter_count,
+    normalize_skip,
     random_network,
     sgd_step,
     zero_block,
@@ -30,6 +31,7 @@ from oracles import (
     loop_forward,
     loop_param_count,
     max_relative_gradient_error,
+    reference_affine,
     reference_forward,
 )
 
@@ -123,18 +125,150 @@ class TestForward:
             forward(net, np.zeros((2, 4)), skip={0})
 
 
+class TestNormalizeSkip:
+    def test_frozenset_fast_path_still_validates(self):
+        net8 = random_network(4, 3, 8, 2, seed=0)
+        net4 = random_network(4, 3, 4, 2, seed=0)
+        x = np.zeros((1, 4))
+        skip = frozenset({6})
+        for _ in range(3):
+            assert normalize_skip(net8, skip) is skip
+            with pytest.raises(InvalidBlockError):
+                normalize_skip(net4, skip)
+            with pytest.raises(InvalidBlockError):
+                forward(net4, x, skip)
+            for bad in (frozenset({0}), frozenset({9}), frozenset({2, 9})):
+                with pytest.raises(InvalidBlockError):
+                    normalize_skip(net8, bad)
+
+    def test_other_forms_normalize_as_before(self):
+        net = random_network(4, 3, 4, 2, seed=0)
+        for given, expected in [
+            (None, frozenset()),
+            (set(), frozenset()),
+            (frozenset(), frozenset()),
+            ({2, 3}, frozenset({2, 3})),
+            ([3, 2, 3], frozenset({2, 3})),
+            ((np.int64(4),), frozenset({4})),
+            (frozenset({np.int64(1), True}), frozenset({1})),
+        ]:
+            skip = normalize_skip(net, given)
+            assert type(skip) is frozenset and skip == expected, given
+            assert all(type(j) is int for j in skip), given
+        for bad in ({0}, [5], (-1,)):
+            with pytest.raises(InvalidBlockError):
+                normalize_skip(net, bad)
+
+
+@pytest.fixture(params=["active", "einsum_fallback"])
+def tile_kernel_impl(request, monkeypatch):
+    """Runs a test on the active tile kernel and on the einsum fallback, and
+    checks that the fallback case really ran the fallback."""
+    if request.param == "active":
+        yield request.param
+        return
+    calls = []
+
+    def einsum_tiles(stack, weight):
+        calls.append(stack.shape)
+        return network._einsum_tiles(stack, weight)
+
+    monkeypatch.setattr(network, "tile_kernel", einsum_tiles)
+    yield request.param
+    assert calls, "the forward pass never called the einsum fallback kernel"
+
+
+def _net_with_biases(seed, hidden_widths=(7, 5, 6)):
+    """Non-square blocks with random biases, so every in-place stage changes
+    its operand."""
+    net = random_network(6, 5, len(hidden_widths), 3, seed=seed,
+                         hidden_widths=list(hidden_widths))
+    rng = np.random.default_rng(seed)
+    for block in net.blocks:
+        block.bias1[:] = rng.normal(0.0, 0.5, block.bias1.shape)
+        block.bias2[:] = rng.normal(0.0, 0.5, block.bias2.shape)
+    net.stem_bias[:] = rng.normal(0.0, 0.5, net.stem_bias.shape)
+    net.classifier_bias[:] = rng.normal(0.0, 0.5, net.classifier_bias.shape)
+    return net
+
+
+PIPELINE_ROWS = [1, 3, TILE_ROWS, 2 * TILE_ROWS, 9, 64, 67]
+PIPELINE_SKIPS = [set(), {1}, {2, 3}, {1, 2, 3}]
+
+
+class TestInPlacePipeline:
+    """The forward pass works in place on arrays it allocated itself."""
+
+    def test_forward_never_writes_into_the_batch(self, tile_kernel_impl):
+        net = _net_with_biases(1)
+        rng = np.random.default_rng(1)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            original = batch.copy()
+            batch.flags.writeable = False  # an in-place write would raise
+            for skip in PIPELINE_SKIPS:
+                logits, feats = forward(net, batch, skip)
+                trace = forward_trace(net, batch, skip)
+                assert np.array_equal(batch, original), (rows, skip)
+                for out in (logits, feats, trace.features, trace.logits):
+                    assert out.flags.writeable and not np.shares_memory(out, batch)
+
+    def test_trace_intermediates_match_reference_block_by_block(self, tile_kernel_impl):
+        net = _net_with_biases(2)
+        rng = np.random.default_rng(2)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            for skip in PIPELINE_SKIPS:
+                trace = forward_trace(net, batch, skip)
+                kept = [b.block_id for b in net.blocks if b.block_id not in skip]
+                assert list(trace.block_inputs) == list(trace.block_preacts) == kept
+                assert list(trace.block_hidden) == kept
+                x = reference_affine(batch, net.stem_weight, net.stem_bias)
+                for block in net.blocks:
+                    if block.block_id in skip:
+                        continue
+                    z = reference_affine(x, block.weight1, block.bias1)
+                    hidden = np.maximum(z, 0.0)
+                    assert np.array_equal(trace.block_inputs[block.block_id], x)
+                    assert np.array_equal(trace.block_preacts[block.block_id], z)
+                    assert np.array_equal(trace.block_hidden[block.block_id], hidden)
+                    x = x + reference_affine(hidden, block.weight2, block.bias2)
+                logits = reference_affine(x, net.classifier_weight, net.classifier_bias)
+                assert np.array_equal(trace.features, x), (rows, skip)
+                assert np.array_equal(trace.logits, logits), (rows, skip)
+
+    def test_forward_and_trace_bitwise_equal_under_skips(self, tile_kernel_impl):
+        net = _net_with_biases(3)
+        rng = np.random.default_rng(3)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            for skip in PIPELINE_SKIPS:
+                logits, feats = forward(net, batch, skip)
+                trace = forward_trace(net, batch, skip)
+                assert np.array_equal(trace.logits, logits), (rows, skip)
+                assert np.array_equal(trace.features, feats), (rows, skip)
+            ref_logits, ref_feats = reference_forward(net, batch)
+            logits, feats = forward(net, batch)
+            assert np.array_equal(logits, ref_logits) and np.array_equal(feats, ref_feats)
+
+    def test_one_call_is_one_forward_pass_at_every_batch_size(self):
+        net = _net_with_biases(4)
+        for rows in PIPELINE_ROWS + [128, 200]:
+            batch = np.ones((rows, 6))
+            for skip in (None, {2}):
+                before = op_counter.forward_passes
+                forward(net, batch, skip)
+                assert op_counter.forward_passes == before + 1, rows
+                forward_trace(net, batch, skip)
+                assert op_counter.forward_passes == before + 2, rows
+
+
 INVARIANCE_BATCH_SIZES = list(range(1, 71)) + [128, 200, 256]
 
 
 class TestBatchCompositionInvariance:
     """A sample's logits and features must not depend, by a single bit, on
     the batch it rides in: its size or its position there."""
-
-    @pytest.fixture(params=["active", "einsum_fallback"])
-    def affine_impl(self, request, monkeypatch):
-        if request.param == "einsum_fallback":
-            monkeypatch.setattr(network, "affine", network._einsum_affine)
-        return request.param
 
     @pytest.mark.parametrize(
         "input_dim, width, hidden_widths",
@@ -144,7 +278,8 @@ class TestBatchCompositionInvariance:
             (16, 128, [64, 128]),
         ],
     )
-    def test_every_batch_size_and_offset(self, affine_impl, input_dim, width, hidden_widths):
+    def test_every_batch_size_and_offset(self, tile_kernel_impl, input_dim, width,
+                                         hidden_widths):
         n_blocks = 2 if hidden_widths is None else len(hidden_widths)
         net = random_network(input_dim, width, n_blocks, 3, seed=width,
                              hidden_widths=hidden_widths)
@@ -165,13 +300,15 @@ class TestBatchCompositionInvariance:
                 assert np.array_equal(trace.logits[pos], alone_logits[0]), (size, pos)
                 assert np.array_equal(trace.features[pos], alone_feats[0]), (size, pos)
 
-    def test_self_check_rejects_a_batch_dependent_kernel(self, monkeypatch):
-        def drifting(x, weight, bias):
-            return x @ weight + bias + 1e-12 * len(x)
+    def test_self_check_rejects_a_batch_dependent_kernel(self):
+        def drifting(stack, weight):
+            return np.matmul(stack, weight) + 1e-12 * len(stack)
 
-        assert network._tiles_are_batch_invariant() == (network.affine is network._tiled_affine)
-        monkeypatch.setattr(network, "_tiled_affine", drifting)
-        assert not network._tiles_are_batch_invariant()
+        check = network._kernel_is_batch_invariant
+        assert check(np.matmul) == (network.tile_kernel is np.matmul)
+        assert network.tile_kernel in (np.matmul, network._einsum_tiles)
+        assert check(network._einsum_tiles)
+        assert not check(drifting)
 
 
 class TestFeatureMse:

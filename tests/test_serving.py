@@ -4,8 +4,16 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from latecut.distill import SOURCE_FINAL_BLOCK, SOURCE_POOLED, DistillConfig, build_cache, distill
-from latecut.errors import ConfigError, PartialRunError
+from latecut import serving
+from latecut.distill import (
+    SOURCE_FINAL_BLOCK,
+    SOURCE_POOLED,
+    DistillConfig,
+    DistillRun,
+    build_cache,
+    distill,
+)
+from latecut.errors import ConfigError, NumericError, PartialRunError
 from latecut.network import clone_network, forward, random_network
 from latecut.profiling import latency_saving, network_cost_macs, profile
 from latecut.pruning import rank_and_prune
@@ -205,6 +213,65 @@ class TestServe:
             serve(iter(stream), net, small_config(prune_batch_size=10, cache_size=10))
         timeline = excinfo.value.timeline
         assert len(timeline.records) == 5
+
+    # 14 samples only just seed the prune batch (6) and cache (8), so the
+    # failure comes after the stream ended; 60 outlast the background work.
+    @pytest.mark.parametrize("count", [14, 60])
+    def test_failed_distill_step_keeps_every_answered_request(self, monkeypatch, count):
+        net = random_network(4, 4, 2, 3, seed=14)
+        stream = make_stream(net, count, seed=14)
+        injected = NumericError("non-finite distillation loss (injected)")
+        real_step = DistillRun.step
+
+        def failing_step(run):
+            if run.steps_done == 5:
+                raise injected
+            return real_step(run)
+
+        real_tick = serving.tick
+        ticks = []
+
+        def bounded_tick(state, arrivals):
+            ticks.append(len(arrivals))
+            assert len(ticks) < 1000, "serve kept ticking after the stream ended"
+            return real_tick(state, arrivals)
+
+        monkeypatch.setattr(DistillRun, "step", failing_step)
+        monkeypatch.setattr(serving, "tick", bounded_tick)
+        with pytest.raises(PartialRunError) as excinfo:
+            serve(iter(stream), net, small_config(), arrival_schedule=2)
+        assert excinfo.value.__cause__ is injected
+        records = excinfo.value.timeline.records
+        assert [r.sample_index for r in records] == list(range(count))
+        order = {Phase.PRUNING: 0, Phase.DISTILLING: 1, Phase.FAILED: 2}
+        ranks = [order[r.phase] for r in records]
+        assert ranks == sorted(ranks)
+        assert all(r.model_id == MODEL_FULL for r in records)
+        for record, x in zip(records, stream):
+            logits, _ = forward(net, x[None, :])
+            assert record.predicted_class == int(logits.argmax())
+        if count == 60:
+            assert records[-1].phase is Phase.FAILED
+
+    def test_tick_returns_its_records_when_a_unit_raises(self, monkeypatch):
+        net = random_network(4, 4, 2, 3, seed=15)
+        config = small_config(budget_per_tick=100)
+        state = ServingState(net, config)
+
+        def failing_step(run):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(DistillRun, "step", failing_step)
+        records = tick(state, make_stream(net, 14, seed=15))
+        assert [r.sample_index for r in records] == list(range(14))
+        assert all(r.phase is Phase.PRUNING for r in records)
+        assert state.phase is Phase.FAILED and isinstance(state.failure, NumericError)
+        assert state.timings.failed_tick == 0 and state.samples_seen == 14
+        late = tick(state, make_stream(net, 3, seed=16))
+        assert [r.sample_index for r in late] == [14, 15, 16]
+        assert all(r.phase is Phase.FAILED and r.model_id == MODEL_FULL for r in late)
+        assert state.distill_run.steps_done == 0  # no work after the failure
+        assert state.timings.inference_count == 17
 
     def test_config_validation(self):
         net = random_network(4, 4, 2, 3, seed=0)
