@@ -31,7 +31,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .experiment import (
-    CSV_COLUMNS,
+    ExperimentReport,
     compare_methods,
     experiment_config_from_dict,
     reports_to_csv,
@@ -94,14 +94,15 @@ def _log_resolved_config(args: argparse.Namespace) -> None:
     _write_json(os.path.join(output_dir, f"{args.command}_config.json"), resolved)
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(seed: int) -> int:
+    """``seed``, or the LATECUT_SEED environment variable when it is set."""
     env = os.environ.get("LATECUT_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"LATECUT_SEED must be an integer, got {env!r}") from exc
-    return args.seed
+    return seed
 
 
 def _decision_to_dict(decision) -> dict:
@@ -138,7 +139,7 @@ def _cmd_profile(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     prof = profile(
         network, args.batch, mode=args.mode, warmup_runs=args.warmup,
-        timed_runs=args.runs, seed=_resolve_seed(args),
+        timed_runs=args.runs, seed=_resolve_seed(args.seed),
     )
     _write_json(args.out, profile_to_dict(prof))
     log.info("profiled %d blocks in %s mode -> %s", network.n_blocks, args.mode, args.out)
@@ -149,7 +150,7 @@ def _cmd_prune(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     prune_batch = None
     if args.method != "random":
         if args.samples is None:
@@ -176,7 +177,7 @@ def _cmd_prune(args) -> int:
 def _cmd_distill(args) -> int:
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     config = DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=seed)
     if args.mode == "cached":
         if args.cache is not None:
@@ -223,7 +224,7 @@ def _cmd_distill(args) -> int:
 def _cmd_serve(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     inputs, labels = formats.load_samples(args.stream)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     stream = (
         (inputs[i], int(labels[i])) if labels is not None else inputs[i]
         for i in range(inputs.shape[0])
@@ -251,9 +252,7 @@ def _cmd_experiment(args) -> int:
         payload = json.load(fh)
     grid = payload.pop("grid", None)
     config = experiment_config_from_dict(payload)
-    env = os.environ.get("LATECUT_SEED")
-    if env is not None:
-        config = replace(config, seed=int(env))
+    config = replace(config, seed=_resolve_seed(config.seed))
     os.makedirs(args.out, exist_ok=True)
     if grid is not None:
         reports = compare_methods(
@@ -278,19 +277,19 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    for root, _, files in os.walk(args.results):
-        for name in sorted(files):
-            if name == "report.json" or (name.startswith("report_") and name.endswith(".json")):
-                with open(os.path.join(root, name)) as fh:
-                    rows.append(json.load(fh))
-    if not rows:
+    reports = []
+    try:
+        for root, _, files in os.walk(args.results):
+            for name in sorted(files):
+                if name == "report.json" or (name.startswith("report_") and name.endswith(".json")):
+                    with open(os.path.join(root, name)) as fh:
+                        reports.append(ExperimentReport(**json.load(fh)))
+        # The experiment's own writer, so the table matches its results.csv.
+        text = reports_to_csv(reports)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed report under {args.results}: {exc}") from exc
+    if not reports:
         raise ConfigError(f"no report JSON files found under {args.results}")
-    report_key = {"ls": "latency_saving"}  # CSV column -> report.json field
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row.get(report_key.get(col, col), "")) for col in CSV_COLUMNS))
-    text = "\n".join(lines) + "\n"
     if args.out:
         formats.atomic_write_text(args.out, text)
     else:

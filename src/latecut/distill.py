@@ -1,15 +1,24 @@
 """One-shot pseudo-label caching and feature-mimicking fine-tuning.
 
-The cache stores the teacher's final-block feature map for each fine-tuning
-sample, generated exactly once.  Fine-tuning then minimizes the mean squared
-error between those stored labels and the student's final-block features
-with plain SGD; the classifier stays frozen throughout.  A live mode that
-re-queries the teacher every mini-batch exists as the expensive reference:
-with equal seeds it follows a bitwise-identical parameter trajectory, it is
-just slower.
+The cache stores a label for each fine-tuning sample, generated exactly
+once from the teacher.  Fine-tuning then minimizes the mean squared error
+between those stored labels and the same projection of the student's
+final-block features with plain SGD; the classifier stays frozen
+throughout.  A live mode that re-queries the teacher every mini-batch
+exists as the expensive reference: with equal seeds it follows a
+bitwise-identical parameter trajectory, it is just slower.
 
-Learning-rate schedule: the rate starts at 0.02 and is multiplied by 0.1
-each time another 40% of the total steps has elapsed.
+One label rule serves every caller.  A label is the final-block feature map
+itself (``final_block``) or its per-sample mean, one pixel wide
+(``pooled``, the ablation source); :func:`check_feature_source` rejects any
+other name.  Teacher labels, the loss, the whole-cache loss, cache sizing
+and the configs of the serving loop and of experiments all go through it.
+:func:`feature_loss_and_grads` is the one implementation of the loss and its
+gradients, and :class:`DistillRun` steps with it.
+
+Learning-rate schedule: the rate starts at ``lr0`` (0.02 by default) and is
+multiplied by ``LR_DECAY_FACTOR`` (0.1) each time another
+``LR_DECAY_EVERY_FRACTION`` (40%) of the total steps has elapsed.
 """
 
 from __future__ import annotations
@@ -35,6 +44,28 @@ from .network import (
 SOURCE_FINAL_BLOCK = "final_block"
 SOURCE_POOLED = "pooled"
 
+LR_DECAY_FACTOR = 0.1
+LR_DECAY_EVERY_FRACTION = 0.4
+
+
+def check_feature_source(feature_source) -> str:
+    """``feature_source`` if it names a label source, else ConfigError."""
+    if feature_source not in (SOURCE_FINAL_BLOCK, SOURCE_POOLED):
+        raise ConfigError(f"unknown feature source {feature_source!r}")
+    return feature_source
+
+
+def label_pixels(feature_source, width: int) -> int:
+    """Pixels per label for a network of feature width ``width``."""
+    return 1 if check_feature_source(feature_source) == SOURCE_POOLED else width
+
+
+def _project(features, feature_source):
+    """The labels ``features`` (B, width) give under ``feature_source``."""
+    if check_feature_source(feature_source) == SOURCE_POOLED:
+        return features.mean(axis=1, keepdims=True)
+    return features
+
 
 @dataclass
 class PseudoLabelCache:
@@ -57,6 +88,7 @@ class PseudoLabelCache:
     @classmethod
     def load(cls, path) -> "PseudoLabelCache":
         inputs, labels, fingerprint = load_cache_file(path)
+        # The file does not name its source; only pooled labels are one pixel.
         source = SOURCE_POOLED if labels.shape[1] == 1 else SOURCE_FINAL_BLOCK
         return cls(inputs, labels, fingerprint, source)
 
@@ -66,8 +98,6 @@ class DistillConfig:
     steps: int = 500
     batch_size: int = 64
     lr0: float = 0.02
-    decay_factor: float = 0.1
-    decay_every_fraction: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
@@ -95,11 +125,11 @@ def lr_at(step: int, config: DistillConfig) -> float:
     """
     if step < 0 or step >= max(config.steps, 1):
         raise ConfigError(f"step {step} outside 0..{config.steps - 1}")
-    span = config.decay_every_fraction * config.steps
+    span = LR_DECAY_EVERY_FRACTION * config.steps
     decays = int(step / span) if span > 0 else 0
     lr = config.lr0
     for _ in range(decays):
-        lr *= config.decay_factor
+        lr *= LR_DECAY_FACTOR
     return lr
 
 
@@ -118,25 +148,42 @@ def teacher_labels(teacher, inputs, feature_source):
     batch-composition invariant, so a label computed here equals the label
     the same teacher would produce for that sample in any other batch."""
     _, feats = forward(teacher, inputs)
-    if feature_source == SOURCE_POOLED:
-        return feats.mean(axis=1, keepdims=True)
-    return feats
+    return _project(feats, feature_source)
 
 
 def build_cache(teacher, samples, feature_source=SOURCE_FINAL_BLOCK) -> PseudoLabelCache:
     """Generate pseudo-labels once for ``samples`` and store them: a single
-    pass over the set, each sample queried exactly once.
-
-    Labels are the teacher's final-block features, or their per-sample mean
-    for the pooled ablation source (one pixel per label).
-    """
-    if feature_source not in (SOURCE_FINAL_BLOCK, SOURCE_POOLED):
-        raise ConfigError(f"unknown feature source {feature_source!r}")
+    pass over the set, each sample queried exactly once."""
     inputs = np.ascontiguousarray(samples, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ConfigError(f"samples must be a non-empty 2-D array, got shape {inputs.shape}")
     labels = teacher_labels(teacher, inputs, feature_source)
     return PseudoLabelCache(inputs, labels, network_fingerprint(teacher), feature_source)
+
+
+def feature_loss_and_grads(student, skip, batch, targets, feature_source=SOURCE_FINAL_BLOCK):
+    """``(loss, Gradients)``: :func:`feature_mse` between the student's
+    labels for ``batch`` (its final-block features under ``feature_source``)
+    and ``targets``, and the loss's exact gradients.
+
+    The loss never touches the classifier, so its gradients are identically
+    zero: the classifier is frozen by construction.  A non-finite loss
+    raises NumericError before any gradient is computed.
+    """
+    trace = forward_trace(student, batch, skip)
+    feats = trace.features
+    predicted = _project(feats, feature_source)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != predicted.shape:
+        raise DimensionError(f"labels {targets.shape} != student labels {predicted.shape}")
+    loss = feature_mse(predicted, targets)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite feature loss {loss}")
+    grad = (2.0 / predicted.size) * (predicted - targets)
+    if predicted is not feats:
+        # pooled: d(mean)/d(feature pixel) = 1/width, broadcast over the pixels
+        grad = np.broadcast_to(grad / feats.shape[1], feats.shape)
+    return loss, backprop_from_outputs(student, trace, grad_features=grad)
 
 
 def _batch_indices(size: int, batch_size: int, seed: int):
@@ -151,31 +198,6 @@ def _batch_indices(size: int, batch_size: int, seed: int):
             epoch += 1
         yield np.array(buffer[:batch_size], dtype=np.intp)
         del buffer[:batch_size]
-
-
-def _feature_loss_parts(student, skip, x, targets, feature_source):
-    """Forward trace, loss, and dL/d(features) for one mini-batch."""
-    trace = forward_trace(student, x, skip)
-    feats = trace.features
-    if feature_source == SOURCE_POOLED:
-        pooled = feats.mean(axis=1, keepdims=True)
-        if targets.shape != pooled.shape:
-            raise DimensionError(f"pooled labels {targets.shape} != {pooled.shape}")
-        loss = feature_mse(pooled, targets)
-        # d(pooled)/d(feature pixel) = 1/width, broadcast back over pixels
-        grad_feats = (2.0 / pooled.size) * (pooled - targets) / feats.shape[1]
-        grad_feats = np.broadcast_to(grad_feats, feats.shape).copy()
-    else:
-        if targets.shape != feats.shape:
-            raise DimensionError(f"labels {targets.shape} != student features {feats.shape}")
-        loss = feature_mse(feats, targets)
-        grad_feats = (2.0 / feats.size) * (feats - targets)
-    return trace, loss, grad_feats
-
-
-def _feature_loss_and_grads(student, skip, x, targets, feature_source):
-    trace, loss, grad_feats = _feature_loss_parts(student, skip, x, targets, feature_source)
-    return loss, backprop_from_outputs(student, trace, grad_features=grad_feats)
 
 
 class DistillRun:
@@ -212,12 +234,12 @@ class DistillRun:
             self.teacher_query_count += len(idx)
         else:
             targets = self.cache.labels[idx]
-        trace, loss, grad_feats = _feature_loss_parts(
-            self.student, self.skip, x, targets, self.cache.feature_source
-        )
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite distillation loss at step {self.steps_done}")
-        grads = backprop_from_outputs(self.student, trace, grad_features=grad_feats)
+        try:
+            loss, grads = feature_loss_and_grads(
+                self.student, self.skip, x, targets, self.cache.feature_source
+            )
+        except NumericError as exc:
+            raise NumericError(f"{exc} at distillation step {self.steps_done}") from exc
         sgd_step(self.student, grads, lr_at(self.steps_done, self.config))
         self.steps_done += 1
         self.loss_trace.append(loss)
@@ -229,16 +251,8 @@ class DistillRun:
 
     def full_cache_loss(self) -> float:
         """Feature loss over the entire cache at the current parameters."""
-        loss, _ = _full_loss(self.student, self.skip, self.cache)
-        return loss
-
-
-def _full_loss(student, skip, cache):
-    trace = forward_trace(student, cache.inputs, skip)
-    feats = trace.features
-    if cache.feature_source == SOURCE_POOLED:
-        feats = feats.mean(axis=1, keepdims=True)
-    return feature_mse(feats, cache.labels), trace
+        _, feats = forward(self.student, self.cache.inputs, self.skip)
+        return feature_mse(_project(feats, self.cache.feature_source), self.cache.labels)
 
 
 def distill(student, skip, cache: PseudoLabelCache, config: DistillConfig):
@@ -266,13 +280,10 @@ def distill_live(student, skip, teacher, samples, config: DistillConfig,
     """
     start = time.perf_counter()
     inputs = np.ascontiguousarray(samples, dtype=np.float64)
-    # Same index stream as cached mode; labels are recomputed, never stored.
-    shell = PseudoLabelCache(
-        inputs,
-        np.zeros((inputs.shape[0], 1 if feature_source == SOURCE_POOLED else student.width)),
-        network_fingerprint(teacher),
-        feature_source,
-    )
+    # Same index stream as cached mode; labels are recomputed, never stored,
+    # so this cache holds placeholders and no teacher fingerprint.
+    pixels = label_pixels(feature_source, student.width)
+    shell = PseudoLabelCache(inputs, np.zeros((inputs.shape[0], pixels)), 0, feature_source)
     run = DistillRun(student, skip, shell, config, live_teacher=teacher)
     while not run.done:
         run.step()

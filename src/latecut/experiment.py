@@ -25,8 +25,10 @@ from .distill import (
     DistillConfig,
     SOURCE_FINAL_BLOCK,
     build_cache,
+    check_feature_source,
     distill,
     distill_live,
+    label_pixels,
     required_dataset_size,
 )
 from .errors import ConfigError
@@ -74,6 +76,7 @@ class ExperimentConfig:
             raise ConfigError(f"distill_mode must be cached or live, got {self.distill_mode!r}")
         if self.pf_source not in ("test", "train"):
             raise ConfigError(f"pf_source must be test or train, got {self.pf_source!r}")
+        check_feature_source(self.feature_source)
 
 
 @dataclass
@@ -137,8 +140,7 @@ def run_experiment(config: ExperimentConfig, pretrained=None) -> ExperimentRepor
 
     cache_size = config.cache_size
     if cache_size is None:
-        width = pretrained.width
-        pixels = 1 if config.feature_source != SOURCE_FINAL_BLOCK else width
+        pixels = label_pixels(config.feature_source, pretrained.width)
         cache_size = required_dataset_size(parameter_count(pretrained), pixels, config.kappa)
 
     pf_x = x_test if config.pf_source == "test" else x_train

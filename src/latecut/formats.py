@@ -147,12 +147,8 @@ def cache_bytes(inputs: np.ndarray, labels: np.ndarray, teacher_fingerprint: int
     count, input_dim = inputs.shape
     pixels = labels.shape[1]
     header = struct.pack("<4sIIII", CACHE_MAGIC, CACHE_VERSION, count, input_dim, pixels)
-    parts = [header]
-    for i in range(count):
-        parts.append(_f64_bytes(inputs[i]))
-        parts.append(_f64_bytes(labels[i]))
-    parts.append(struct.pack("<Q", teacher_fingerprint))
-    return b"".join(parts)
+    records = np.concatenate((inputs, labels), axis=1)  # one input+label row per record
+    return header + _f64_bytes(records) + struct.pack("<Q", teacher_fingerprint)
 
 
 def save_cache_file(path, inputs, labels, teacher_fingerprint) -> None:

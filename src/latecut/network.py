@@ -1,5 +1,6 @@
 """Residual MLP family: exact forward, skip-aware forward, and hand-derived
-gradients for the final-feature mean-squared-error loss.
+gradients from output-side gradients (the distillation loss built on them
+lives in :mod:`latecut.distill`).
 
 All numeric state is float64 numpy arrays.  Affine maps are stored
 input-major, so a layer computes ``x @ W + b`` with ``W`` of shape
@@ -385,25 +386,6 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
     d_stem_w = trace.batch.T @ g
     d_stem_b = g.sum(axis=0)
     return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b, trace.skip)
-
-
-def backward_feature_mse(student, batch, target_features, skip=None):
-    """Loss and exact analytic gradients of :func:`feature_mse` between the
-    student's final features and ``target_features``.
-
-    The loss never touches the classifier, so its gradients are identically
-    zero: the classifier is frozen by construction.
-    """
-    trace = forward_trace(student, batch, skip)
-    target = _as_f64(target_features)
-    if target.shape != trace.features.shape:
-        raise DimensionError(
-            f"target features {target.shape} != student features {trace.features.shape}"
-        )
-    loss = feature_mse(trace.features, target)
-    grad_features = (2.0 / trace.features.size) * (trace.features - target)
-    grads = backprop_from_outputs(student, trace, grad_features=grad_features)
-    return loss, grads
 
 
 def sgd_step(network, grads, lr):

@@ -191,6 +191,11 @@ def profile_from_dict(payload: dict) -> LatencyProfile:
         skipped = {int(row["block_id"]): float(row["latency"]) for row in payload["per_block"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed profile payload: {exc}") from exc
-    if full <= 0:
-        raise ConfigError(f"profile T must be positive, got {full}")
+    if mode not in (MODE_MEASURED, MODE_MODELED):
+        raise ConfigError(f"unknown latency mode {mode!r}")
+    if not 0 < full < np.inf:
+        raise ConfigError(f"profile T must be positive and finite, got {full}")
+    for block_id, latency in skipped.items():
+        if not np.isfinite(latency):
+            raise ConfigError(f"block {block_id} latency must be finite, got {latency}")
     return LatencyProfile(mode, full, skipped)

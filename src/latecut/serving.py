@@ -37,7 +37,7 @@ from .distill import (
     DistillRun,
     PseudoLabelCache,
     SOURCE_FINAL_BLOCK,
-    SOURCE_POOLED,
+    check_feature_source,
     teacher_labels,
 )
 from .errors import ConfigError, PartialRunError
@@ -103,8 +103,7 @@ class ServeConfig:
             raise ConfigError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.budget_per_tick < 1:
             raise ConfigError(f"budget_per_tick must be >= 1, got {self.budget_per_tick}")
-        if self.feature_source not in (SOURCE_FINAL_BLOCK, SOURCE_POOLED):
-            raise ConfigError(f"unknown feature source {self.feature_source!r}")
+        check_feature_source(self.feature_source)
 
 
 @dataclass

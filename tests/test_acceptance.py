@@ -17,12 +17,12 @@ from latecut.distill import (
     build_cache,
     distill,
     distill_live,
+    feature_loss_and_grads,
     lr_at,
     required_dataset_size,
 )
 from latecut.experiment import ExperimentConfig, run_experiment
 from latecut.network import (
-    backward_feature_mse,
     clone_network,
     op_counter,
     parameter_count,
@@ -280,9 +280,9 @@ def test_criterion_09_gradient_correctness():
     with criterion(9, "analytic gradients vs central differences (20 seeds, <1e-4)"):
         for seed in range(20):
             net, batch, target = make_gradcheck_case(seed, max_blocks=3, max_width=8)
-            _, grads = backward_feature_mse(net, batch, target)
+            _, grads = feature_loss_and_grads(net, None, batch, target)
             numeric = finite_difference_grads(
-                lambda: backward_feature_mse(net, batch, target)[0], net, h=1e-5
+                lambda: feature_loss_and_grads(net, None, batch, target)[0], net, h=1e-5
             )
             worst = max_relative_gradient_error(
                 list(grads.parameter_arrays()), numeric, skip_below=1e-8

@@ -131,6 +131,28 @@ def test_distill_rejects_cache_from_another_teacher(workspace, capsys):
     assert "kind=data" in err and "fingerprint" in err
 
 
+@pytest.mark.parametrize("change", [
+    {"mode": "bogus"},
+    {"T": float("nan")},
+    {"T": float("inf")},
+    {"per_block": [{"block_id": j, "latency": float("nan")} for j in (1, 2, 3)]},
+])
+def test_prune_rejects_malformed_profile(workspace, capsys, change):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    payload = json.loads(profile_json.read_text())
+    payload.update(change)
+    profile_json.write_text(json.dumps(payload))  # NaN and Infinity, as Python's json writes them
+    capsys.readouterr()
+    code = main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--np", "1", "--prune-batch", "16", "--samples", str(data),
+                 "--out", str(tmp / "decision.json")])
+    assert code == 2
+    assert "kind=data" in capsys.readouterr().err
+    assert not (tmp / "decision.json").exists()
+
+
 def test_live_mode_requires_teacher(workspace, capsys):
     tmp, net, ckpt, data = workspace
     decision = tmp / "decision.json"
@@ -211,7 +233,7 @@ def test_resolved_config_logged(workspace):
     assert logged["mode"] == "modeled"
 
 
-def test_experiment_and_report_roundtrip(workspace):
+def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
     tmp, _, _, _ = workspace
     config = {
         "dataset": {
@@ -240,7 +262,13 @@ def test_experiment_and_report_roundtrip(workspace):
 
     table = tmp / "table.csv"
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
-    assert len(table.read_text().splitlines()) == 2
+    assert table.read_bytes() == (results / "results.csv").read_bytes()
+
+    monkeypatch.setenv("LATECUT_SEED", "abc")
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(config_path), "--out", str(tmp / "r2")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=data" in err and "LATECUT_SEED" in err
 
 
 def test_subcommands_idempotent_in_modeled_mode(workspace):
@@ -295,7 +323,8 @@ def test_experiment_grid_runs_compare_methods(workspace):
     assert len(list(results.glob("report_*.json"))) == 3
     table = tmp / "grid_table.csv"
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
-    assert len(table.read_text().splitlines()) == 4  # aggregates report_*.json too
+    # aggregates report_*.json too, into the experiment's own table
+    assert table.read_bytes() == (results / "results.csv").read_bytes()
 
 
 def test_console_script_installed():

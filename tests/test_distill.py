@@ -9,8 +9,10 @@ from latecut.distill import (
     build_cache,
     distill,
     distill_live,
+    feature_loss_and_grads,
     lr_at,
     required_dataset_size,
+    teacher_labels,
 )
 from latecut.errors import ConfigError, NumericError
 from latecut.formats import network_fingerprint
@@ -146,6 +148,7 @@ class TestDistill:
         _, report = distill(student, {1}, cache, DistillConfig(steps=4, batch_size=64))
         assert len(report.loss_trace) == 4  # runs fine with 5-sample batches
 
+    @pytest.mark.filterwarnings("error")  # raised before any gradient sees the inf
     def test_nonfinite_loss_reports_step(self):
         teacher = make_teacher(seed=4)
         cache = build_cache(teacher, make_samples(teacher, 8, seed=4))
@@ -216,19 +219,31 @@ class TestPooledDistillation:
         assert report.final_loss < report.loss_trace[0]
 
     def test_pooled_gradients_match_finite_differences(self):
-        from latecut.distill import _feature_loss_and_grads
         from oracles import finite_difference_grads, max_relative_gradient_error
 
         teacher = make_teacher(seed=9, width=3, n_blocks=1, input_dim=3)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 3))
         targets = rng.standard_normal((4, 1))
-        _, grads = _feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)
+        _, grads = feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)
         numeric = finite_difference_grads(
-            lambda: _feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)[0],
+            lambda: feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)[0],
             teacher,
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
+
+
+def test_unknown_feature_source_rejected():
+    teacher = make_teacher(seed=11)
+    samples = make_samples(teacher, 6, seed=11)
+    student = clone_network(teacher)
+    with pytest.raises(ConfigError, match="pooledd"):
+        distill_live(student, {1}, teacher, samples, DistillConfig(steps=3), "pooledd")
+    assert op_counter.forward_passes == 0  # rejected before any label or step
+    with pytest.raises(ConfigError, match="pooledd"):
+        teacher_labels(teacher, samples, "pooledd")
+    with pytest.raises(ConfigError, match="pooledd"):
+        build_cache(teacher, samples, "pooledd")
 
 
 def test_cache_file_roundtrip(tmp_path):

@@ -169,6 +169,10 @@ class TestConfigParsing:
             experiment_config_from_dict({"no_such_field": 1})
         with pytest.raises(ConfigError):
             experiment_config_from_dict({"method": "bogus"})
+        with pytest.raises(ConfigError, match="pooledd"):
+            experiment_config_from_dict({"feature_source": "pooledd", "distill_mode": "live"})
+        with pytest.raises(ConfigError):  # the schedule's decay is fixed
+            experiment_config_from_dict({"distill": {"decay_factor": 0.5}})
 
     def test_json_round_trip(self, tmp_path):
         from latecut.experiment import load_experiment_config

@@ -7,6 +7,7 @@ import pytest
 from latecut.errors import ConfigError, FormatError
 from latecut.formats import (
     CACHE_MAGIC,
+    cache_bytes,
     checkpoint_bytes,
     load_cache_file,
     load_checkpoint,
@@ -102,6 +103,18 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(got_inputs, inputs)
     assert np.array_equal(got_labels, labels)
     assert fingerprint == 0xDEADBEEF12345678
+
+
+def test_cache_bytes_pinned_to_layout():
+    inputs = np.array([[1.0, -2.0], [3.5, 4.0]])
+    labels = np.array([[5.0, 6.0, 7.0], [8.0, 9.0, -0.5]])
+    expected = (
+        struct.pack("<4sIIII", b"LCCH", 2, 2, 2, 3)
+        + struct.pack("<5d", 1.0, -2.0, 5.0, 6.0, 7.0)
+        + struct.pack("<5d", 3.5, 4.0, 8.0, 9.0, -0.5)
+        + struct.pack("<Q", 0x0123456789ABCDEF)
+    )
+    assert cache_bytes(inputs, labels, 0x0123456789ABCDEF) == expected
 
 
 def test_cache_version_1_rejected(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from latecut import network
+from latecut.distill import feature_loss_and_grads
 from latecut.errors import DimensionError, InvalidBlockError, NumericError
 from latecut.network import (
     Gradients,
     ResidualBlock,
     ResidualNetwork,
     TILE_ROWS,
-    backward_feature_mse,
     block_param_count,
     clone_network,
     feature_mse,
@@ -343,7 +343,7 @@ class TestBackward:
         net = random_network(4, 3, 2, 2, seed=1)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, feats = forward(net, x)
-        loss, grads = backward_feature_mse(net, x, feats)
+        loss, grads = feature_loss_and_grads(net, None, x, feats)
         assert loss == 0.0
         for g in grads.parameter_arrays():
             assert np.all(g == 0.0)
@@ -352,16 +352,16 @@ class TestBackward:
         net = random_network(4, 3, 2, 2, seed=2)
         x = np.random.default_rng(2).standard_normal((5, 4))
         _, feats = forward(net, x)
-        _, grads = backward_feature_mse(net, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
         assert np.all(grads.classifier_weight == 0.0)
         assert np.all(grads.classifier_bias == 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_match_finite_differences(self, seed):
         net, batch, target = make_gradcheck_case(seed)
-        _, grads = backward_feature_mse(net, batch, target)
+        _, grads = feature_loss_and_grads(net, None, batch, target)
         numeric = finite_difference_grads(
-            lambda: backward_feature_mse(net, batch, target)[0], net
+            lambda: feature_loss_and_grads(net, None, batch, target)[0], net
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
 
@@ -373,9 +373,9 @@ class TestBackward:
         skip = {1}
         _, feats = forward(net, batch, skip)
         target = feats + 0.5
-        _, grads = backward_feature_mse(net, batch, target, skip=skip)
+        _, grads = feature_loss_and_grads(net, skip, batch, target)
         numeric = finite_difference_grads(
-            lambda: backward_feature_mse(net, batch, target, skip=skip)[0], net
+            lambda: feature_loss_and_grads(net, skip, batch, target)[0], net
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
         skipped = grads.blocks[0]
@@ -385,7 +385,7 @@ class TestBackward:
     def test_target_shape_mismatch(self):
         net = random_network(4, 3, 1, 2, seed=0)
         with pytest.raises(DimensionError):
-            backward_feature_mse(net, np.zeros((2, 4)), np.zeros((2, 4)))
+            feature_loss_and_grads(net, None, np.zeros((2, 4)), np.zeros((2, 4)))
 
 
 class TestSgd:
@@ -394,7 +394,7 @@ class TestSgd:
         x = np.random.default_rng(4).standard_normal((3, 4))
         _, feats = forward(net, x)
         before = [p.copy() for p in net.parameter_arrays()]
-        _, grads = backward_feature_mse(net, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
         sgd_step(net, grads, 0.0)
         for p, b in zip(net.parameter_arrays(), before):
             assert np.array_equal(p, b)
@@ -418,17 +418,17 @@ class TestSgd:
         target = feats + rng.standard_normal(feats.shape)
         losses = []
         for _ in range(10):
-            loss, grads = backward_feature_mse(net, x, target)
+            loss, grads = feature_loss_and_grads(net, None, x, target)
             losses.append(loss)
             sgd_step(net, grads, 0.01)
-        final, _ = backward_feature_mse(net, x, target)
+        final, _ = feature_loss_and_grads(net, None, x, target)
         assert final < losses[0]
 
     def test_skipped_blocks_untouched_and_bitwise_like_zero_update(self):
         net = random_network(5, 4, 3, 2, seed=8)
         x = np.random.default_rng(8).standard_normal((6, 5))
         _, feats = forward(net, x, {2})
-        _, grads = backward_feature_mse(net, x, feats + 1.0, skip={2})
+        _, grads = feature_loss_and_grads(net, {2}, x, feats + 1.0)
         assert grads.skip == {2}
         before = clone_network(net)
         explicit = clone_network(net)
@@ -445,7 +445,7 @@ class TestSgd:
         net = random_network(4, 3, 3, 2, seed=9)
         x = np.random.default_rng(9).standard_normal((4, 4))
         _, feats = forward(net, x, {2})
-        _, grads = backward_feature_mse(net, x, feats + 1.0, skip={2})
+        _, grads = feature_loss_and_grads(net, {2}, x, feats + 1.0)
         before = [p.copy() for p in net.parameter_arrays()]
 
         kept_nan = dataclasses.replace(grads, blocks=list(grads.blocks))
@@ -467,7 +467,7 @@ class TestSgd:
         net = random_network(2, 2, 1, 2, seed=0)
         x = np.random.default_rng(0).standard_normal((2, 2))
         _, feats = forward(net, x)
-        _, grads = backward_feature_mse(net, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
         grads.stem_weight[0, 0] = np.nan
         with pytest.raises(NumericError):
             sgd_step(net, grads, 0.1)
@@ -512,5 +512,5 @@ class TestPlumbing:
         forward_trace(net, x)
         assert op_counter.forward_passes == 2
         _, feats = forward(net, x)
-        backward_feature_mse(net, x, feats)
+        feature_loss_and_grads(net, None, x, feats)
         assert op_counter.backward_passes == 1

@@ -279,6 +279,8 @@ class TestServe:
             ServingState(net, small_config(n_p=5))
         with pytest.raises(ConfigError):
             small_config(budget_per_tick=0)
+        with pytest.raises(ConfigError, match="pooledd"):
+            small_config(feature_source="pooledd")
 
 
 def _row_bits(row):
