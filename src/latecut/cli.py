@@ -22,9 +22,6 @@ from .distill import DistillConfig, PseudoLabelCache, build_cache, distill, dist
 from .errors import (
     ConfigError,
     DegenerateBlockError,
-    DimensionError,
-    FormatError,
-    InvalidBlockError,
     LatecutError,
     NumericError,
     PartialRunError,
@@ -37,6 +34,7 @@ from .experiment import (
     reports_to_csv,
     run_experiment,
 )
+from .network import compact
 from .profiling import profile, profile_from_dict, profile_to_dict
 from .pruning import METHODS, prune_by_method
 from .serving import ServeConfig, serve
@@ -49,15 +47,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (NumericError, DegenerateBlockError, TrainingDivergedError)
-_DATA_ERRORS = (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    InvalidBlockError,
-    PartialRunError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +193,7 @@ def _cmd_distill(args) -> int:
         teacher = formats.load_checkpoint(args.teacher)
         inputs, _ = formats.load_samples(args.samples)
         student, report = distill_live(student, skip, teacher, inputs, config)
-    formats.save_checkpoint(student, args.out)
+    formats.save_checkpoint(compact(student, skip), args.out)
     if args.report:
         _write_json(
             args.report,
@@ -255,11 +244,14 @@ def _cmd_experiment(args) -> int:
     config = replace(config, seed=_resolve_seed(config.seed))
     os.makedirs(args.out, exist_ok=True)
     if grid is not None:
+        seeds = grid.get("seeds", [config.seed])
+        if "LATECUT_SEED" in os.environ:  # overrides the grid's seeds too
+            seeds = [config.seed]
         reports = compare_methods(
             config,
             methods=tuple(grid.get("methods", ["proposed"])),
             n_p_values=tuple(grid.get("n_p_values", [config.n_p])),
-            seeds=tuple(grid.get("seeds", [config.seed])),
+            seeds=tuple(seeds),
         )
         for i, report in enumerate(reports):
             _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
@@ -403,10 +395,7 @@ def main(argv=None) -> int:
         numeric = isinstance(exc.__cause__, _NUMERIC_ERRORS)
         _print_error("numeric" if numeric else "data", exc)
         return EXIT_NUMERIC if numeric else EXIT_DATA
-    except _DATA_ERRORS as exc:
-        _print_error("data", exc)
-        return EXIT_DATA
-    except LatecutError as exc:
+    except (LatecutError, OSError, json.JSONDecodeError) as exc:
         _print_error("data", exc)
         return EXIT_DATA
 

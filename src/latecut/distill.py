@@ -34,10 +34,10 @@ from .formats import load_cache_file, network_fingerprint, save_cache_file
 from .network import (
     ResidualNetwork,
     backprop_from_outputs,
+    compact,
     feature_mse,
     forward,
     forward_trace,
-    normalize_skip,
     sgd_step,
 )
 
@@ -161,7 +161,7 @@ def build_cache(teacher, samples, feature_source=SOURCE_FINAL_BLOCK) -> PseudoLa
     return PseudoLabelCache(inputs, labels, network_fingerprint(teacher), feature_source)
 
 
-def feature_loss_and_grads(student, skip, batch, targets, feature_source=SOURCE_FINAL_BLOCK):
+def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_BLOCK):
     """``(loss, Gradients)``: :func:`feature_mse` between the student's
     labels for ``batch`` (its final-block features under ``feature_source``)
     and ``targets``, and the loss's exact gradients.
@@ -170,7 +170,7 @@ def feature_loss_and_grads(student, skip, batch, targets, feature_source=SOURCE_
     zero: the classifier is frozen by construction.  A non-finite loss
     raises NumericError before any gradient is computed.
     """
-    trace = forward_trace(student, batch, skip)
+    trace = forward_trace(student, batch)
     feats = trace.features
     predicted = _project(feats, feature_source)
     targets = np.asarray(targets, dtype=np.float64)
@@ -203,18 +203,19 @@ def _batch_indices(size: int, batch_size: int, seed: int):
 class DistillRun:
     """Stepwise distillation driver.
 
-    Owns the mini-batch stream and the SGD schedule; callers advance it one
-    step at a time (the serving loop interleaves these steps with
-    inference).  ``live_teacher`` switches labels from the stored cache to
-    fresh per-batch teacher queries.
+    Trains every block of ``student``; to fine-tune a pruned model, pass its
+    :func:`~latecut.network.compact` view.  Owns the mini-batch stream and
+    the SGD schedule; callers advance it one step at a time (the serving
+    loop interleaves these steps with inference).  ``live_teacher``
+    switches labels from the stored cache to fresh per-batch teacher
+    queries.
     """
 
-    def __init__(self, student, skip, cache: PseudoLabelCache, config: DistillConfig,
+    def __init__(self, student, cache: PseudoLabelCache, config: DistillConfig,
                  live_teacher: ResidualNetwork | None = None):
         if cache.size == 0:
             raise ConfigError("pseudo-label cache is empty")
         self.student = student
-        self.skip = normalize_skip(student, skip)
         self.cache = cache
         self.config = config
         self.live_teacher = live_teacher
@@ -235,9 +236,8 @@ class DistillRun:
         else:
             targets = self.cache.labels[idx]
         try:
-            loss, grads = feature_loss_and_grads(
-                self.student, self.skip, x, targets, self.cache.feature_source
-            )
+            loss, grads = feature_loss_and_grads(self.student, x, targets,
+                                                 self.cache.feature_source)
         except NumericError as exc:
             raise NumericError(f"{exc} at distillation step {self.steps_done}") from exc
         sgd_step(self.student, grads, lr_at(self.steps_done, self.config))
@@ -251,16 +251,17 @@ class DistillRun:
 
     def full_cache_loss(self) -> float:
         """Feature loss over the entire cache at the current parameters."""
-        _, feats = forward(self.student, self.cache.inputs, self.skip)
+        _, feats = forward(self.student, self.cache.inputs)
         return feature_mse(_project(feats, self.cache.feature_source), self.cache.labels)
 
 
 def distill(student, skip, cache: PseudoLabelCache, config: DistillConfig):
-    """Fine-tune ``student`` against the stored cache.  The teacher is never
-    evaluated.  Returns the (mutated) student and a report whose final_loss
-    is the whole-cache loss at the final parameters."""
+    """Fine-tune the blocks of ``student`` that ``skip`` keeps against the
+    stored cache, through ``compact(student, skip)``.  The teacher is never
+    evaluated.  Returns the (mutated, full) student and a report whose
+    final_loss is the whole-cache loss at the final parameters."""
     start = time.perf_counter()
-    run = DistillRun(student, skip, cache, config)
+    run = DistillRun(compact(student, skip), cache, config)
     while not run.done:
         run.step()
     final_loss = run.full_cache_loss()
@@ -284,7 +285,7 @@ def distill_live(student, skip, teacher, samples, config: DistillConfig,
     # so this cache holds placeholders and no teacher fingerprint.
     pixels = label_pixels(feature_source, student.width)
     shell = PseudoLabelCache(inputs, np.zeros((inputs.shape[0], pixels)), 0, feature_source)
-    run = DistillRun(student, skip, shell, config, live_teacher=teacher)
+    run = DistillRun(compact(student, skip), shell, config, live_teacher=teacher)
     while not run.done:
         run.step()
     final_loss = run.loss_trace[-1] if run.loss_trace else float("nan")

@@ -1,6 +1,6 @@
-"""Residual MLP family: exact forward, skip-aware forward, and hand-derived
-gradients from output-side gradients (the distillation loss built on them
-lives in :mod:`latecut.distill`).
+"""Residual MLP family: exact forward, skip-aware forward, compact views,
+and hand-derived gradients from output-side gradients (the distillation
+loss built on them lives in :mod:`latecut.distill`).
 
 All numeric state is float64 numpy arrays.  Affine maps are stored
 input-major, so a layer computes ``x @ W + b`` with ``W`` of shape
@@ -13,6 +13,11 @@ skipping a block leaves the identity in its place.  Blocks are indexed
 1..n in forward order.  The hidden width of a block may differ from the
 feature width (the standard constructors always use square blocks; the
 checkpoint format only supports those).
+
+Only ranking and profiling skip blocks, through :func:`forward`.  A pruned
+model is a :func:`compact` view that shares its parameter arrays with the
+full network; tracing, backprop and :func:`sgd_step` take no skip set, and
+training the view trains the full network's kept blocks in place.
 
 The forward path is one tile pipeline.  It pads the batch once with zero
 rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map on
@@ -40,7 +45,7 @@ one network must not be mutated concurrently.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,10 +108,9 @@ class ResidualNetwork:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def parameter_arrays(self, skip=frozenset()):
-        """All parameter tensors in declaration order (checkpoint order),
-        leaving out the blocks whose ids are in ``skip``."""
-        return _parameter_arrays(self, skip)
+    def parameter_arrays(self):
+        """All parameter tensors in declaration order (checkpoint order)."""
+        return _parameter_arrays(self)
 
 
 @dataclass
@@ -119,32 +123,23 @@ class BlockGradients:
 
 @dataclass
 class Gradients:
-    """One array per trainable parameter tensor, congruent with a network.
-
-    ``skip`` names the blocks the forward sweep skipped.  Their gradients
-    are shared read-only zeros, and :func:`sgd_step` leaves those blocks
-    untouched.
-    """
+    """One array per trainable parameter tensor, congruent with a network."""
 
     stem_weight: np.ndarray
     stem_bias: np.ndarray
     blocks: list[BlockGradients]
     classifier_weight: np.ndarray
     classifier_bias: np.ndarray
-    skip: frozenset[int] = frozenset()
 
-    def parameter_arrays(self, skip=frozenset()):
-        return _parameter_arrays(self, skip)
+    def parameter_arrays(self):
+        return _parameter_arrays(self)
 
 
-def _parameter_arrays(owner, skip):
-    """Tensors of a network or gradient set in declaration order; blocks are
-    numbered 1..n in list order."""
+def _parameter_arrays(owner):
+    """Tensors of a network or gradient set in declaration order."""
     yield owner.stem_weight
     yield owner.stem_bias
-    for block_id, block in enumerate(owner.blocks, start=1):
-        if block_id in skip:
-            continue
+    for block in owner.blocks:
         yield block.weight1
         yield block.bias1
         yield block.weight2
@@ -155,8 +150,8 @@ def _parameter_arrays(owner, skip):
 
 @functools.lru_cache(maxsize=64)
 def _frozen_zeros(shape) -> np.ndarray:
-    """A read-only zero array, shared by every gradient of this shape that
-    is zero by construction."""
+    """A read-only zero array, shared by every frozen-classifier gradient of
+    this shape."""
     zeros = np.zeros(shape)
     zeros.flags.writeable = False
     return zeros
@@ -168,8 +163,7 @@ class ForwardTrace:
     scoring rules that need block inputs/outputs."""
 
     batch: np.ndarray
-    skip: frozenset[int]
-    block_inputs: dict[int, np.ndarray]   # x entering each non-skipped block
+    block_inputs: dict[int, np.ndarray]   # x entering each block, by block id
     block_preacts: dict[int, np.ndarray]  # z = x @ W1 + b1
     block_hidden: dict[int, np.ndarray]   # relu(z)
     features: np.ndarray                  # final pre-classifier features
@@ -292,7 +286,21 @@ def forward(network, batch, skip=None):
     return _rows(logits, rows), _rows(h, rows)
 
 
-def forward_trace(network, batch, skip=None) -> ForwardTrace:
+def compact(network, skip) -> ResidualNetwork:
+    """``network`` without the blocks in ``skip``, as a view.
+
+    The view shares every parameter array with ``network``, so training it
+    trains the kept blocks in place.  Its blocks are numbered 1..k in
+    forward order, as a checkpoint numbers them.  Its forward runs the same
+    operations in the same order as ``forward(network, batch, skip)``, so
+    the outputs are bitwise equal.
+    """
+    skip = normalize_skip(network, skip)
+    kept = [b for b in network.blocks if b.block_id not in skip]
+    return replace(network, blocks=[replace(b, block_id=j) for j, b in enumerate(kept, start=1)])
+
+
+def forward_trace(network, batch) -> ForwardTrace:
     """Forward sweep that records per-block intermediates.
 
     Computes the exact same expressions as :func:`forward`, so features and
@@ -300,7 +308,6 @@ def forward_trace(network, batch, skip=None) -> ForwardTrace:
     recorded arrays are views, so the ReLU and the residual add allocate new
     arrays here instead of overwriting them.
     """
-    skip = normalize_skip(network, skip)
     batch = _check_batch(network, batch)
     op_counter.forward_passes += 1
     rows = batch.shape[0]
@@ -309,8 +316,6 @@ def forward_trace(network, batch, skip=None) -> ForwardTrace:
     hiddens: dict[int, np.ndarray] = {}
     h = _affine(_tile_stack(batch), network.stem_weight, network.stem_bias)
     for block in network.blocks:
-        if block.block_id in skip:
-            continue
         z = _affine(h, block.weight1, block.bias1)
         hidden = np.maximum(z, 0.0)
         inputs[block.block_id] = _rows(h, rows)
@@ -318,7 +323,7 @@ def forward_trace(network, batch, skip=None) -> ForwardTrace:
         hiddens[block.block_id] = _rows(hidden, rows)
         h = h + _affine(hidden, block.weight2, block.bias2)
     logits = _affine(h, network.classifier_weight, network.classifier_bias)
-    return ForwardTrace(batch, skip, inputs, preacts, hiddens, _rows(h, rows), _rows(logits, rows))
+    return ForwardTrace(batch, inputs, preacts, hiddens, _rows(h, rows), _rows(logits, rows))
 
 
 def feature_mse(a, b) -> float:
@@ -342,11 +347,9 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
     """Hand-derived backward sweep from output-side gradients.
 
     ``grad_features`` is dL/d(final features); ``grad_logits`` additionally
-    propagates a loss on the logits and fills the classifier gradients
-    (zero otherwise).  Skipped blocks get zero parameter gradients and pass
-    the feature gradient through unchanged.  Gradients that are zero by
-    construction are shared read-only arrays, so a skipped block costs no
-    allocation.
+    propagates a loss on the logits and fills the classifier gradients.
+    Without it the classifier is frozen: its gradients are shared read-only
+    zeros.
     """
     op_counter.backward_passes += 1
     feats = trace.features
@@ -361,16 +364,8 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
         d_cls_b = _frozen_zeros(network.classifier_bias.shape)
         g = np.array(grad_features, dtype=np.float64, copy=True)
 
-    block_grads: list[BlockGradients] = [None] * network.n_blocks  # type: ignore[list-item]
+    block_grads: list[BlockGradients] = []
     for block in reversed(network.blocks):
-        if block.block_id in trace.skip:
-            block_grads[block.block_id - 1] = BlockGradients(
-                _frozen_zeros(block.weight1.shape),
-                _frozen_zeros(block.bias1.shape),
-                _frozen_zeros(block.weight2.shape),
-                _frozen_zeros(block.bias2.shape),
-            )
-            continue
         x_in = trace.block_inputs[block.block_id]
         z = trace.block_preacts[block.block_id]
         hidden = trace.block_hidden[block.block_id]
@@ -380,24 +375,23 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) 
         d_z = d_hidden * (z > 0.0)
         d_w1 = x_in.T @ d_z
         d_b1 = d_z.sum(axis=0)
-        block_grads[block.block_id - 1] = BlockGradients(d_w1, d_b1, d_w2, d_b2)
+        block_grads.append(BlockGradients(d_w1, d_b1, d_w2, d_b2))
         g = g + d_z @ block.weight1.T  # identity path plus branch path
+    block_grads.reverse()
 
     d_stem_w = trace.batch.T @ g
     d_stem_b = g.sum(axis=0)
-    return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b, trace.skip)
+    return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b)
 
 
 def sgd_step(network, grads, lr):
     """Plain SGD update ``p -= lr * grad(p)`` applied in place.
 
     No momentum, no weight decay.  Frozen parameters are realized by zero
-    gradients.  Every gradient tensor is shape-checked, and every trained
-    one is checked for finiteness before any parameter changes.  Blocks in
-    ``grads.skip`` are not trained: their gradients are zero by
-    construction, and leaving them untouched is bitwise what subtracting
-    ``lr * 0`` would give.  A zero learning rate is a no-op that leaves
-    every parameter bitwise unchanged.
+    gradients.  Every gradient tensor is shape-checked and checked for
+    finiteness before any parameter changes.  A zero learning rate is a
+    no-op that leaves every parameter bitwise unchanged.  To train some
+    blocks of a network only, step its :func:`compact` view.
     """
     params = list(network.parameter_arrays())
     grad_arrays = list(grads.parameter_arrays())
@@ -406,13 +400,12 @@ def sgd_step(network, grads, lr):
     for p, g in zip(params, grad_arrays):
         if p.shape != g.shape:
             raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    trained = list(zip(network.parameter_arrays(grads.skip), grads.parameter_arrays(grads.skip)))
-    for _, g in trained:
+    for g in grad_arrays:
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient")
     if lr == 0.0:
         return network
-    for p, g in trained:
+    for p, g in zip(params, grad_arrays):
         p -= lr * g
     return network
 

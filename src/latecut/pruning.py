@@ -32,6 +32,7 @@ from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, Numeri
 from .network import (
     block_param_count,
     clone_network,
+    compact,
     feature_mse,
     forward,
     forward_trace,
@@ -223,13 +224,13 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     _, teacher_features = forward(network, batch)
     rows = []
     for block in network.blocks:
-        student = clone_network(network)
+        student = clone_network(compact(network, {block.block_id}))
         config = DistillConfig(steps=k_steps, lr0=lr0, seed=seed,
                                batch_size=min(64, cache.size))
-        run = DistillRun(student, {block.block_id}, cache, config)
+        run = DistillRun(student, cache, config)
         while not run.done:
             run.step()
-        _, student_features = forward(student, batch, {block.block_id})
+        _, student_features = forward(student, batch)
         tuned_loss = feature_mse(teacher_features, student_features)
         delta_t = latency_saving(latency_profile, {block.block_id})
         if delta_t == 0.0:

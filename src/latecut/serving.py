@@ -14,7 +14,11 @@ Each unit calls the offline pipeline's own code: ``pruning.score_block``
 and ``pruning.decide`` rank the blocks as ``rank_and_prune`` does,
 ``distill.teacher_labels`` labels one cache sample as ``build_cache`` does,
 and ``DistillRun`` steps the student as ``distill`` does, so the final
-model is bitwise the offline pipeline's.
+model is bitwise the offline pipeline's.  Once the blocks are ranked, the
+pruned model Mbar is ``compact(student, pruned)``: a network of n - n_p
+blocks that shares its parameters with the full clone ``student``.  It is
+what distillation trains, what serves after switchover and what
+:func:`serve` returns.
 
 The first ``prune_batch_size`` streamed samples seed the prune batch and
 the next ``cache_size`` seed the pseudo-label cache, so background work
@@ -42,7 +46,7 @@ from .distill import (
 )
 from .errors import ConfigError, PartialRunError
 from .formats import network_fingerprint
-from .network import ResidualNetwork, clone_network, forward
+from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, decide, initial_noise, score_block
 from .profiling import network_cost_macs, profile
 
@@ -142,7 +146,8 @@ class ServingState:
         self.baseline_features: np.ndarray | None = None
         self.score_rows: list[BlockProfile] = []
         self.decision: PruneDecision | None = None
-        self.student: ResidualNetwork | None = None
+        self.student: ResidualNetwork | None = None  # full clone of M
+        self.pruned_model: ResidualNetwork | None = None  # compact(student, pruned)
         self.cache_labels: list[np.ndarray] = []
         self.distill_run: DistillRun | None = None
         self._full_cost = network_cost_macs(pretrained, 1)
@@ -167,11 +172,11 @@ class ServingState:
     # -- active model ----------------------------------------------------
 
     def active_model(self):
-        """``(network, skip, model_id, cost_macs)`` of the model that
-        answers arrivals now."""
+        """``(network, model_id, cost_macs)`` of the model that answers
+        arrivals now."""
         if self.phase is Phase.SERVING:
-            return self.student, self.decision.pruned, MODEL_PRUNED, self._pruned_cost
-        return self.network, frozenset(), MODEL_FULL, self._full_cost
+            return self.pruned_model, MODEL_PRUNED, self._pruned_cost
+        return self.network, MODEL_FULL, self._full_cost
 
     # -- background work -------------------------------------------------
 
@@ -210,7 +215,8 @@ class ServingState:
         if len(self.score_rows) == self.network.n_blocks:
             self.decision = decide("proposed", self.config.n_p, self.score_rows)
             self.student = clone_network(self.network)
-            self._pruned_cost = network_cost_macs(self.network, 1, self.decision.pruned)
+            self.pruned_model = compact(self.student, self.decision.pruned)
+            self._pruned_cost = network_cost_macs(self.pruned_model, 1)
             self.phase = Phase.DISTILLING
             self.timings.prune_done_tick = self.tick_index
             self.timings.prune_done_seconds = time.perf_counter() - self.start_time
@@ -228,9 +234,7 @@ class ServingState:
                 network_fingerprint(self.network),
                 self.config.feature_source,
             )
-            self.distill_run = DistillRun(
-                self.student, self.decision.pruned, cache, self.config.distill
-            )
+            self.distill_run = DistillRun(self.pruned_model, cache, self.config.distill)
             if self.distill_run.done:  # steps == 0
                 self._finish_distilling()
             return
@@ -253,10 +257,10 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     model answers every arrival of a tick.  A unit that raises moves the
     loop to the Failed phase; the tick still returns its records."""
     records = []
-    net, skip, model_id, cost = state.active_model()
+    net, model_id, cost = state.active_model()
     for sample in arrivals:
         x, label = _split_sample(sample)
-        logits, _ = forward(net, x[None, :], skip)
+        logits, _ = forward(net, x[None, :])
         predicted = int(logits.argmax())
         records.append(
             ServingRecord(
@@ -305,7 +309,9 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
     """Run the full test-time loop over ``stream``.
 
     Returns ``(final_model, timeline, timings)`` where ``final_model`` is
-    the pruned, fine-tuned network that serves the tail of the stream.
+    Mbar, the pruned, fine-tuned network that serves the tail of the
+    stream: n - n_p blocks, numbered 1..n - n_p as a checkpoint numbers
+    them.
     Raises :class:`PartialRunError`, carrying the timeline, if the stream
     ends before the prune batch and cache can be seeded, or, once the whole
     stream has been answered, if background work failed (the unit's
@@ -343,4 +349,4 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
             f"all {state.samples_seen} samples were answered",
             timeline,
         ) from state.failure
-    return state.student, timeline, state.timings
+    return state.pruned_model, timeline, state.timings

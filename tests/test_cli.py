@@ -5,9 +5,18 @@ import sys
 import numpy as np
 import pytest
 
+from latecut import serving
 from latecut.cli import main
-from latecut.formats import load_checkpoint, save_cache_file, save_checkpoint, save_samples
-from latecut.network import random_network
+from latecut.distill import DistillConfig, build_cache, distill
+from latecut.formats import (
+    checkpoint_bytes,
+    load_checkpoint,
+    load_samples,
+    save_cache_file,
+    save_checkpoint,
+    save_samples,
+)
+from latecut.network import clone_network, compact, forward, random_network
 
 
 @pytest.fixture()
@@ -86,6 +95,54 @@ def test_profile_prune_distill_serve_pipeline(workspace):
     assert len(rows) == 120
     assert set(rows[0]) == {"index", "tick", "phase", "model", "predicted_class", "correct"}
     assert rows[0]["model"] == "M" and rows[-1]["model"] == "Mbar"
+
+
+def test_serve_out_is_the_model_that_served(workspace, monkeypatch):
+    tmp, net, ckpt, data = workspace
+    states = []
+
+    class RecordingState(serving.ServingState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(serving, "ServingState", RecordingState)
+    timeline_json = tmp / "timeline.json"
+    served = tmp / "served.ckpt"
+    assert main([
+        "serve", "--checkpoint", str(ckpt), "--stream", str(data),
+        "--np", "2", "--prune-batch", "10", "--cache-size", "10",
+        "--steps", "8", "--batch", "8", "--budget", "4",
+        "--timeline", str(timeline_json), "--out", str(served),
+    ]) == 0
+    (state,) = states
+    mbar = load_checkpoint(served)
+    assert mbar.n_blocks == net.n_blocks - 2
+    rows = [r for r in json.loads(timeline_json.read_text()) if r["model"] == "Mbar"]
+    assert rows
+    inputs, _ = load_samples(data)
+    x = inputs[[r["index"] for r in rows]]
+    logits, _ = forward(mbar, x)  # no skip set
+    expected, _ = forward(state.student, x, state.decision.pruned)
+    assert np.array_equal(logits, expected)
+    assert np.argmax(logits, axis=1).tolist() == [r["predicted_class"] for r in rows]
+
+
+def test_distill_out_is_the_compact_student(workspace):
+    tmp, net, ckpt, data = workspace
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [2]}))
+    out = tmp / "tuned.ckpt"
+    assert main([
+        "distill", "--student", str(ckpt), "--decision", str(decision),
+        "--teacher", str(ckpt), "--samples", str(data), "--steps", "6",
+        "--batch", "8", "--out", str(out),
+    ]) == 0
+    inputs, _ = load_samples(data)
+    config = DistillConfig(steps=6, batch_size=8, seed=0)
+    student, _ = distill(clone_network(net), {2}, build_cache(net, inputs), config)
+    assert out.read_bytes() == checkpoint_bytes(compact(student, {2}))
+    assert load_checkpoint(out).n_blocks == net.n_blocks - 1
 
 
 def test_oracle_prune_via_saved_cache(workspace):
@@ -325,6 +382,33 @@ def test_experiment_grid_runs_compare_methods(workspace):
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
     # aggregates report_*.json too, into the experiment's own table
     assert table.read_bytes() == (results / "results.csv").read_bytes()
+
+
+def test_seed_env_overrides_grid_seeds(workspace, monkeypatch):
+    tmp, _, _, _ = workspace
+    config = {
+        "dataset": {
+            "num_classes": 3, "input_dim": 8, "samples_per_split": 300,
+            "class_sep": 2.0, "shift": {"kind": "additive_noise", "severity": 0.5},
+            "seed": 2,
+        },
+        "arch": {"width": 8, "n_blocks": 2},
+        "n_p": 1,
+        "prune_batch_size": 16,
+        "cache_size": 16,
+        "distill": {"steps": 2, "batch_size": 8},
+        "pretrain_epochs": 2,
+        "seed": 2,
+        "grid": {"methods": ["random"], "seeds": [2]},
+    }
+    config_path = tmp / "grid.json"
+    config_path.write_text(json.dumps(config))
+    results = tmp / "grid_results"
+    monkeypatch.setenv("LATECUT_SEED", "5")
+    assert main(["experiment", "--config", str(config_path), "--out", str(results)]) == 0
+    reports = sorted(results.glob("report_*.json"))
+    assert len(reports) == 1
+    assert json.loads(reports[0].read_text())["seed"] == 5
 
 
 def test_console_script_installed():

@@ -225,9 +225,9 @@ class TestPooledDistillation:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 3))
         targets = rng.standard_normal((4, 1))
-        _, grads = feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)
+        _, grads = feature_loss_and_grads(teacher, x, targets, SOURCE_POOLED)
         numeric = finite_difference_grads(
-            lambda: feature_loss_and_grads(teacher, frozenset(), x, targets, SOURCE_POOLED)[0],
+            lambda: feature_loss_and_grads(teacher, x, targets, SOURCE_POOLED)[0],
             teacher,
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4

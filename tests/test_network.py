@@ -7,12 +7,14 @@ from latecut import network
 from latecut.distill import feature_loss_and_grads
 from latecut.errors import DimensionError, InvalidBlockError, NumericError
 from latecut.network import (
+    BlockGradients,
     Gradients,
     ResidualBlock,
     ResidualNetwork,
     TILE_ROWS,
     block_param_count,
     clone_network,
+    compact,
     feature_mse,
     forward,
     forward_trace,
@@ -103,7 +105,7 @@ class TestForward:
         net = random_network(4, 4, 2, 2, seed=11)
         x = np.random.default_rng(11).standard_normal((3, 4))
         logits, feats = forward(net, x, {1})
-        trace = forward_trace(net, x, {1})
+        trace = forward_trace(compact(net, {1}), x)
         assert np.array_equal(trace.logits, logits)
         assert np.array_equal(trace.features, feats)
 
@@ -208,7 +210,7 @@ class TestInPlacePipeline:
             batch.flags.writeable = False  # an in-place write would raise
             for skip in PIPELINE_SKIPS:
                 logits, feats = forward(net, batch, skip)
-                trace = forward_trace(net, batch, skip)
+                trace = forward_trace(compact(net, skip), batch)
                 assert np.array_equal(batch, original), (rows, skip)
                 for out in (logits, feats, trace.features, trace.logits):
                     assert out.flags.writeable and not np.shares_memory(out, batch)
@@ -219,19 +221,18 @@ class TestInPlacePipeline:
         for rows in PIPELINE_ROWS:
             batch = rng.standard_normal((rows, 6))
             for skip in PIPELINE_SKIPS:
-                trace = forward_trace(net, batch, skip)
-                kept = [b.block_id for b in net.blocks if b.block_id not in skip]
-                assert list(trace.block_inputs) == list(trace.block_preacts) == kept
-                assert list(trace.block_hidden) == kept
+                trace = forward_trace(compact(net, skip), batch)
+                kept = [b for b in net.blocks if b.block_id not in skip]
+                view_ids = list(range(1, len(kept) + 1))
+                assert list(trace.block_inputs) == list(trace.block_preacts) == view_ids
+                assert list(trace.block_hidden) == view_ids
                 x = reference_affine(batch, net.stem_weight, net.stem_bias)
-                for block in net.blocks:
-                    if block.block_id in skip:
-                        continue
+                for view_id, block in zip(view_ids, kept):
                     z = reference_affine(x, block.weight1, block.bias1)
                     hidden = np.maximum(z, 0.0)
-                    assert np.array_equal(trace.block_inputs[block.block_id], x)
-                    assert np.array_equal(trace.block_preacts[block.block_id], z)
-                    assert np.array_equal(trace.block_hidden[block.block_id], hidden)
+                    assert np.array_equal(trace.block_inputs[view_id], x)
+                    assert np.array_equal(trace.block_preacts[view_id], z)
+                    assert np.array_equal(trace.block_hidden[view_id], hidden)
                     x = x + reference_affine(hidden, block.weight2, block.bias2)
                 logits = reference_affine(x, net.classifier_weight, net.classifier_bias)
                 assert np.array_equal(trace.features, x), (rows, skip)
@@ -244,7 +245,7 @@ class TestInPlacePipeline:
             batch = rng.standard_normal((rows, 6))
             for skip in PIPELINE_SKIPS:
                 logits, feats = forward(net, batch, skip)
-                trace = forward_trace(net, batch, skip)
+                trace = forward_trace(compact(net, skip), batch)
                 assert np.array_equal(trace.logits, logits), (rows, skip)
                 assert np.array_equal(trace.features, feats), (rows, skip)
             ref_logits, ref_feats = reference_forward(net, batch)
@@ -259,8 +260,67 @@ class TestInPlacePipeline:
                 before = op_counter.forward_passes
                 forward(net, batch, skip)
                 assert op_counter.forward_passes == before + 1, rows
-                forward_trace(net, batch, skip)
+                forward_trace(compact(net, skip), batch)
                 assert op_counter.forward_passes == before + 2, rows
+
+
+class TestCompact:
+    """``compact(net, skip)`` is the pruned network as a view of ``net``."""
+
+    def test_view_shares_parameters_and_renumbers_blocks(self):
+        net = _net_with_biases(5)
+        for skip in PIPELINE_SKIPS:
+            view = compact(net, skip)
+            kept = [b for b in net.blocks if b.block_id not in skip]
+            assert view.n_blocks == net.n_blocks - len(skip)
+            assert [b.block_id for b in view.blocks] == list(range(1, len(kept) + 1))
+            shared = list(net.parameter_arrays())
+            for p in view.parameter_arrays():
+                assert any(p is q for q in shared)
+            assert parameter_count(view) == parameter_count(net, skip)
+
+    def test_forward_and_trace_bitwise_equal_to_skip_forward(self, tile_kernel_impl):
+        net = _net_with_biases(6)
+        rng = np.random.default_rng(6)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            for skip in PIPELINE_SKIPS:
+                logits, feats = forward(net, batch, skip)
+                view = compact(net, skip)
+                view_logits, view_feats = forward(view, batch)
+                trace = forward_trace(view, batch)
+                for got in (view_logits, trace.logits):
+                    assert np.array_equal(got, logits), (rows, skip)
+                for got in (view_feats, trace.features):
+                    assert np.array_equal(got, feats), (rows, skip)
+
+    def test_sgd_step_on_view_trains_kept_blocks_in_place(self, tile_kernel_impl):
+        rng = np.random.default_rng(7)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            for skip in PIPELINE_SKIPS:
+                net = _net_with_biases(7)
+                before = clone_network(net)
+                view = compact(net, skip)
+                _, feats = forward(view, batch)
+                _, grads = feature_loss_and_grads(view, batch, feats + 1.0)
+                sgd_step(view, grads, 0.1)
+                for block, old in zip(net.blocks, before.blocks):
+                    pairs = [(getattr(block, name), getattr(old, name))
+                             for name in ("weight1", "bias1", "weight2", "bias2")]
+                    changed = [not np.array_equal(a, b) for a, b in pairs]
+                    if block.block_id in skip:
+                        assert not any(changed), (rows, skip, block.block_id)
+                    else:
+                        assert any(changed), (rows, skip, block.block_id)
+                assert not np.array_equal(net.stem_weight, before.stem_weight)
+                assert np.array_equal(net.classifier_weight, before.classifier_weight)
+
+    def test_out_of_range_block_id_raises(self):
+        net = _net_with_biases(8)
+        for bad in ({0}, {4}, {1, 4}, [-1]):
+            with pytest.raises(InvalidBlockError):
+                compact(net, bad)
 
 
 INVARIANCE_BATCH_SIZES = list(range(1, 71)) + [128, 200, 256]
@@ -343,7 +403,7 @@ class TestBackward:
         net = random_network(4, 3, 2, 2, seed=1)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, feats = forward(net, x)
-        loss, grads = feature_loss_and_grads(net, None, x, feats)
+        loss, grads = feature_loss_and_grads(net, x, feats)
         assert loss == 0.0
         for g in grads.parameter_arrays():
             assert np.all(g == 0.0)
@@ -352,16 +412,16 @@ class TestBackward:
         net = random_network(4, 3, 2, 2, seed=2)
         x = np.random.default_rng(2).standard_normal((5, 4))
         _, feats = forward(net, x)
-        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, x, feats + 1.0)
         assert np.all(grads.classifier_weight == 0.0)
         assert np.all(grads.classifier_bias == 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_match_finite_differences(self, seed):
         net, batch, target = make_gradcheck_case(seed)
-        _, grads = feature_loss_and_grads(net, None, batch, target)
+        _, grads = feature_loss_and_grads(net, batch, target)
         numeric = finite_difference_grads(
-            lambda: feature_loss_and_grads(net, None, batch, target)[0], net
+            lambda: feature_loss_and_grads(net, batch, target)[0], net
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
 
@@ -370,22 +430,20 @@ class TestBackward:
         if net.n_blocks < 2:
             net, batch, target = make_gradcheck_case(103, max_blocks=3)
         assert net.n_blocks >= 2
-        skip = {1}
-        _, feats = forward(net, batch, skip)
+        view = compact(net, {1})
+        _, feats = forward(view, batch)
         target = feats + 0.5
-        _, grads = feature_loss_and_grads(net, skip, batch, target)
+        _, grads = feature_loss_and_grads(view, batch, target)
         numeric = finite_difference_grads(
-            lambda: feature_loss_and_grads(net, skip, batch, target)[0], net
+            lambda: feature_loss_and_grads(view, batch, target)[0], view
         )
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
-        skipped = grads.blocks[0]
-        for g in (skipped.weight1, skipped.bias1, skipped.weight2, skipped.bias2):
-            assert np.all(g == 0.0)
+        assert len(grads.blocks) == net.n_blocks - 1  # the pruned block has no gradient
 
     def test_target_shape_mismatch(self):
         net = random_network(4, 3, 1, 2, seed=0)
         with pytest.raises(DimensionError):
-            feature_loss_and_grads(net, None, np.zeros((2, 4)), np.zeros((2, 4)))
+            feature_loss_and_grads(net, np.zeros((2, 4)), np.zeros((2, 4)))
 
 
 class TestSgd:
@@ -394,7 +452,7 @@ class TestSgd:
         x = np.random.default_rng(4).standard_normal((3, 4))
         _, feats = forward(net, x)
         before = [p.copy() for p in net.parameter_arrays()]
-        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, x, feats + 1.0)
         sgd_step(net, grads, 0.0)
         for p, b in zip(net.parameter_arrays(), before):
             assert np.array_equal(p, b)
@@ -418,23 +476,27 @@ class TestSgd:
         target = feats + rng.standard_normal(feats.shape)
         losses = []
         for _ in range(10):
-            loss, grads = feature_loss_and_grads(net, None, x, target)
+            loss, grads = feature_loss_and_grads(net, x, target)
             losses.append(loss)
             sgd_step(net, grads, 0.01)
-        final, _ = feature_loss_and_grads(net, None, x, target)
+        final, _ = feature_loss_and_grads(net, x, target)
         assert final < losses[0]
 
     def test_skipped_blocks_untouched_and_bitwise_like_zero_update(self):
         net = random_network(5, 4, 3, 2, seed=8)
         x = np.random.default_rng(8).standard_normal((6, 5))
-        _, feats = forward(net, x, {2})
-        _, grads = feature_loss_and_grads(net, {2}, x, feats + 1.0)
-        assert grads.skip == {2}
+        view = compact(net, {2})
+        _, feats = forward(view, x)
+        _, grads = feature_loss_and_grads(view, x, feats + 1.0)
+        assert len(grads.blocks) == 2  # the kept blocks only
         before = clone_network(net)
         explicit = clone_network(net)
-        sgd_step(net, grads, 0.1)
-        # the same zero gradients, applied as ordinary trained tensors
-        sgd_step(explicit, dataclasses.replace(grads, skip=frozenset()), 0.1)
+        sgd_step(view, grads, 0.1)
+        # the same step on the full network, with explicit zeros for block 2
+        zeros = BlockGradients(*(np.zeros_like(getattr(net.blocks[1], name))
+                                 for name in ("weight1", "bias1", "weight2", "bias2")))
+        full = dataclasses.replace(grads, blocks=[grads.blocks[0], zeros, grads.blocks[1]])
+        sgd_step(explicit, full, 0.1)
         for p, q in zip(net.parameter_arrays(), explicit.parameter_arrays()):
             assert np.array_equal(p, q)
         for name in ("weight1", "bias1", "weight2", "bias2"):
@@ -444,22 +506,28 @@ class TestSgd:
     def test_skip_keeps_nan_and_shape_checks(self):
         net = random_network(4, 3, 3, 2, seed=9)
         x = np.random.default_rng(9).standard_normal((4, 4))
-        _, feats = forward(net, x, {2})
-        _, grads = feature_loss_and_grads(net, {2}, x, feats + 1.0)
+        view = compact(net, {2})
+        _, feats = forward(view, x)
+        _, grads = feature_loss_and_grads(view, x, feats + 1.0)
         before = [p.copy() for p in net.parameter_arrays()]
 
         kept_nan = dataclasses.replace(grads, blocks=list(grads.blocks))
-        kept_nan.blocks[2] = dataclasses.replace(grads.blocks[2], bias1=grads.blocks[2].bias1.copy())
-        kept_nan.blocks[2].bias1[0] = np.nan
+        kept_nan.blocks[1] = dataclasses.replace(grads.blocks[1], bias1=grads.blocks[1].bias1.copy())
+        kept_nan.blocks[1].bias1[0] = np.nan
         with pytest.raises(NumericError):
-            sgd_step(net, kept_nan, 0.1)
+            sgd_step(view, kept_nan, 0.1)
 
-        for index in (0, 1):  # a kept block and the skipped one
+        for index in (0, 1):  # each kept block
             bad_shape = dataclasses.replace(grads, blocks=list(grads.blocks))
             bad_shape.blocks[index] = dataclasses.replace(grads.blocks[index],
                                                           weight2=np.zeros((3, 4)))
             with pytest.raises(DimensionError):
-                sgd_step(net, bad_shape, 0.1)
+                sgd_step(view, bad_shape, 0.1)
+        # the full network's gradients do not fit its view
+        _, full_feats = forward(net, x)
+        _, full_grads = feature_loss_and_grads(net, x, full_feats + 1.0)
+        with pytest.raises(DimensionError):
+            sgd_step(view, full_grads, 0.1)
         for p, b in zip(net.parameter_arrays(), before):
             assert np.array_equal(p, b)
 
@@ -467,7 +535,7 @@ class TestSgd:
         net = random_network(2, 2, 1, 2, seed=0)
         x = np.random.default_rng(0).standard_normal((2, 2))
         _, feats = forward(net, x)
-        _, grads = feature_loss_and_grads(net, None, x, feats + 1.0)
+        _, grads = feature_loss_and_grads(net, x, feats + 1.0)
         grads.stem_weight[0, 0] = np.nan
         with pytest.raises(NumericError):
             sgd_step(net, grads, 0.1)
@@ -512,5 +580,5 @@ class TestPlumbing:
         forward_trace(net, x)
         assert op_counter.forward_passes == 2
         _, feats = forward(net, x)
-        feature_loss_and_grads(net, None, x, feats)
+        feature_loss_and_grads(net, x, feats)
         assert op_counter.backward_passes == 1
