@@ -151,6 +151,10 @@ def cross_entropy_loss_and_grads(network, x, y):
 # Rows per forward in evaluate_accuracy; bounds its temporaries.
 EVAL_CHUNK_ROWS = 1024
 
+# Cross-entropy SGD settings of pretrain_source.
+PRETRAIN_LR = 0.05
+PRETRAIN_BATCH = 64
+
 
 def evaluate_accuracy(network, x, y, skip=None) -> float:
     """Top-1 accuracy, evaluated in chunks of ``EVAL_CHUNK_ROWS`` rows.  The
@@ -164,8 +168,9 @@ def evaluate_accuracy(network, x, y, skip=None) -> float:
     return float((np.concatenate(predictions) == y).mean())
 
 
-def pretrain_source(train_split, arch, epochs=30, seed=0, lr=0.05, batch_size=64) -> ResidualNetwork:
-    """Cross-entropy SGD pretraining of a fresh source model.
+def pretrain_source(train_split, arch, epochs=30, seed=0) -> ResidualNetwork:
+    """Cross-entropy SGD pretraining of a fresh source model, at rate
+    ``PRETRAIN_LR`` in shuffled batches of ``PRETRAIN_BATCH``.
 
     ``arch`` is ``{"width": w, "n_blocks": n}``.  Raises
     :class:`TrainingDivergedError` if, after at least one epoch, train
@@ -180,10 +185,10 @@ def pretrain_source(train_split, arch, epochs=30, seed=0, lr=0.05, batch_size=64
     n = x.shape[0]
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, PRETRAIN_BATCH):
+            idx = order[start : start + PRETRAIN_BATCH]
             _, grads = cross_entropy_loss_and_grads(network, x[idx], y[idx])
-            sgd_step(network, grads, lr)
+            sgd_step(network, grads, PRETRAIN_LR)
     if epochs > 0:
         accuracy = evaluate_accuracy(network, x, y)
         if accuracy < 0.60:

@@ -440,16 +440,20 @@ def clone_network(network: ResidualNetwork) -> ResidualNetwork:
     )
 
 
+# Damping of each residual branch's output weights at initialization: deep
+# stacks start near the identity, which keeps the feature scale small enough
+# for distillation at the standard 0.02 learning rate.
+BRANCH_SCALE = 0.5
+
+
 def random_network(
-    input_dim, width, n_blocks, num_classes, seed=0, hidden_widths=None, branch_scale=0.5
+    input_dim, width, n_blocks, num_classes, seed=0, hidden_widths=None
 ) -> ResidualNetwork:
     """Seeded network with 1/sqrt(fan_in)-scaled weights and zero biases.
 
     ``hidden_widths`` overrides the per-block hidden width (defaults to
     square ``width x width`` blocks, the only layout checkpoints support).
-    ``branch_scale`` damps each residual branch's output weights so deep
-    stacks start near the identity; that keeps the feature scale small
-    enough for distillation at the standard 0.02 learning rate.
+    ``BRANCH_SCALE`` damps each residual branch's output weights.
     """
     rng = np.random.default_rng(seed)
     if hidden_widths is None:
@@ -461,7 +465,7 @@ def random_network(
     blocks = []
     for i, hidden in enumerate(hidden_widths):
         w1 = rng.normal(0.0, width ** -0.5, (width, hidden))
-        w2 = branch_scale * rng.normal(0.0, hidden ** -0.5, (hidden, width))
+        w2 = BRANCH_SCALE * rng.normal(0.0, hidden ** -0.5, (hidden, width))
         blocks.append(ResidualBlock(w1, np.zeros(hidden), w2, np.zeros(width), i + 1))
     cls_w = rng.normal(0.0, width ** -0.5, (width, num_classes))
     cls_b = np.zeros(num_classes)

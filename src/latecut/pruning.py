@@ -77,7 +77,12 @@ def _check_n_p(network, n_p: int) -> None:
 
 def decide(method, n_p, rows, seed=None) -> PruneDecision:
     """Rank ``rows`` ascending by ``(importance, block_id)`` and prune the
-    first ``n_p``: the one sort every scored method shares."""
+    first ``n_p``: the one sort every scored method shares.  A non-finite
+    importance (a NaN or inf input in the prune batch, say) would sort
+    arbitrarily, so it raises NumericError instead."""
+    for row in rows:
+        if not np.isfinite(row.importance):
+            raise NumericError(f"block {row.block_id}: non-finite importance {row.importance}")
     ranked = sorted(rows, key=lambda r: (r.importance, r.block_id))
     pruned = frozenset(row.block_id for row in ranked[:n_p])
     return PruneDecision(method, n_p, ranked, pruned, seed)
@@ -210,11 +215,12 @@ def baseline_curl(network, prune_batch, n_p) -> PruneDecision:
 
 
 def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
-                             k_steps, latency_profile=None, lr0=0.02, seed=0) -> PruneDecision:
+                             k_steps, latency_profile=None, seed=0) -> PruneDecision:
     """Expensive reference the proxy approximates: actually skip each block,
     distill it for ``k_steps`` against the cache, and score by the residual
     post-fine-tuning feature noise on the prune batch divided by the block's
-    latency saving (small loss and large saving rank first)."""
+    latency saving (small loss and large saving rank first).  Each candidate
+    is distilled with :class:`DistillConfig`'s default rate and batch."""
     _check_n_p(network, n_p)
     if k_steps < 1:
         raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
@@ -225,9 +231,7 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     rows = []
     for block in network.blocks:
         student = clone_network(compact(network, {block.block_id}))
-        config = DistillConfig(steps=k_steps, lr0=lr0, seed=seed,
-                               batch_size=min(64, cache.size))
-        run = DistillRun(student, cache, config)
+        run = DistillRun(student, cache, DistillConfig(steps=k_steps, seed=seed))
         while not run.done:
             run.step()
         _, student_features = forward(student, batch)

@@ -23,15 +23,13 @@ what distillation trains, what serves after switchover and what
 The first ``prune_batch_size`` streamed samples seed the prune batch and
 the next ``cache_size`` seed the pseudo-label cache, so background work
 stalls (never the serving of arrivals) until enough samples have arrived.
-Each record's ``latency`` is the serving model's modeled cost in
-multiply-accumulates per sample.  The whole loop is single-threaded and
-bitwise deterministic for a fixed stream and seed.
+The whole loop is single-threaded and bitwise deterministic for a fixed
+stream and seed.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +46,7 @@ from .errors import ConfigError, PartialRunError
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, decide, initial_noise, score_block
-from .profiling import network_cost_macs, profile
+from .profiling import profile
 
 
 class Phase(enum.Enum):
@@ -69,7 +67,6 @@ class ServingRecord:
     phase: Phase
     model_id: str
     predicted_class: int
-    latency: float
     correct: bool | None = None
 
 
@@ -116,9 +113,6 @@ class ExperimentTimings:
     distill_done_tick: int | None = None
     failed_tick: int | None = None
     total_ticks: int = 0
-    prune_done_seconds: float | None = None
-    finetune_done_seconds: float | None = None
-    inference_done_seconds: float | None = None
     teacher_query_count: int = 0
     inference_count: int = 0
 
@@ -136,7 +130,6 @@ class ServingState:
         self.phase = Phase.PRUNING
         self.tick_index = 0
         self.samples_seen = 0
-        self.start_time = time.perf_counter()
         self.timings = ExperimentTimings()
         # Modeled profile for the prune decision; free of forward passes.
         self.latency_profile = profile(pretrained, config.prune_batch_size, mode="modeled")
@@ -150,8 +143,6 @@ class ServingState:
         self.pruned_model: ResidualNetwork | None = None  # compact(student, pruned)
         self.cache_labels: list[np.ndarray] = []
         self.distill_run: DistillRun | None = None
-        self._full_cost = network_cost_macs(pretrained, 1)
-        self._pruned_cost: float | None = None
         self.failure: Exception | None = None  # what ended background work early
 
     # -- sample intake -------------------------------------------------
@@ -162,21 +153,13 @@ class ServingState:
         elif len(self.cache_samples) < self.config.cache_size:
             self.cache_samples.append(sample)
 
-    @property
-    def seeds_filled(self) -> bool:
-        return (
-            len(self.prune_samples) >= self.config.prune_batch_size
-            and len(self.cache_samples) >= self.config.cache_size
-        )
-
     # -- active model ----------------------------------------------------
 
     def active_model(self):
-        """``(network, model_id, cost_macs)`` of the model that answers
-        arrivals now."""
+        """``(network, model_id)`` of the model that answers arrivals now."""
         if self.phase is Phase.SERVING:
-            return self.pruned_model, MODEL_PRUNED, self._pruned_cost
-        return self.network, MODEL_FULL, self._full_cost
+            return self.pruned_model, MODEL_PRUNED
+        return self.network, MODEL_FULL
 
     # -- background work -------------------------------------------------
 
@@ -216,10 +199,8 @@ class ServingState:
             self.decision = decide("proposed", self.config.n_p, self.score_rows)
             self.student = clone_network(self.network)
             self.pruned_model = compact(self.student, self.decision.pruned)
-            self._pruned_cost = network_cost_macs(self.pruned_model, 1)
             self.phase = Phase.DISTILLING
             self.timings.prune_done_tick = self.tick_index
-            self.timings.prune_done_seconds = time.perf_counter() - self.start_time
 
     def _distill_unit(self) -> None:
         if len(self.cache_labels) < self.config.cache_size:
@@ -247,7 +228,6 @@ class ServingState:
     def _finish_distilling(self) -> None:
         self.phase = Phase.SERVING
         self.timings.distill_done_tick = self.tick_index
-        self.timings.finetune_done_seconds = time.perf_counter() - self.start_time
 
 
 def tick(state: ServingState, arrivals) -> list[ServingRecord]:
@@ -257,7 +237,7 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     model answers every arrival of a tick.  A unit that raises moves the
     loop to the Failed phase; the tick still returns its records."""
     records = []
-    net, model_id, cost = state.active_model()
+    net, model_id = state.active_model()
     for sample in arrivals:
         x, label = _split_sample(sample)
         logits, _ = forward(net, x[None, :])
@@ -269,15 +249,12 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
                 phase=state.phase,
                 model_id=model_id,
                 predicted_class=predicted,
-                latency=cost,
                 correct=None if label is None else predicted == label,
             )
         )
         state.admit(x)
         state.samples_seen += 1
-    if records:
-        state.timings.inference_count += len(records)
-        state.timings.inference_done_seconds = time.perf_counter() - state.start_time
+    state.timings.inference_count += len(records)
     budget = state.config.budget_per_tick
     while budget > 0 and state._work_available():
         state._do_one_unit()
@@ -335,7 +312,9 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
         if exhausted:
             if state.phase is Phase.SERVING or state.phase is Phase.FAILED:
                 break
-            if not state._work_available() and not state.seeds_filled:
+            # Pruning and Distilling run out of work only while their seed
+            # samples are missing, and the stream will bring no more.
+            if not state._work_available():
                 raise PartialRunError(
                     f"stream exhausted after {state.samples_seen} samples, before the "
                     f"prune batch ({config.prune_batch_size}) and cache "

@@ -148,6 +148,19 @@ def naive_prune_ranking(network, prune_batch, full_latency, block_latencies):
     return rows
 
 
+def kept_block_changed(student, teacher, skip):
+    """Whether some block outside ``skip`` holds a parameter that differs
+    from the teacher's: two students compared bitwise are then trained
+    models, not two untouched copies of the teacher."""
+    return any(
+        not np.array_equal(s, t)
+        for sb, tb in zip(student.blocks, teacher.blocks)
+        if sb.block_id not in skip
+        for s, t in zip((sb.weight1, sb.bias1, sb.weight2, sb.bias2),
+                        (tb.weight1, tb.bias1, tb.weight2, tb.bias2))
+    )
+
+
 def spearman_rank_correlation(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -35,6 +35,7 @@ from latecut.serving import MODEL_FULL, MODEL_PRUNED, Phase, ServeConfig, serve
 from conftest import make_gradcheck_case
 from oracles import (
     finite_difference_grads,
+    kept_block_changed,
     max_relative_gradient_error,
     naive_prune_ranking,
     spearman_rank_correlation,
@@ -122,6 +123,7 @@ def test_criterion_03_cached_distillation_speedup():
             live_times.append(time.perf_counter() - t0)
             for a, b in zip(cached_student.parameter_arrays(), live_student.parameter_arrays()):
                 assert np.array_equal(a, b)
+            assert kept_block_changed(cached_student, teacher, skip)
         ratio = statistics.median(cached_times) / statistics.median(live_times)
         assert ratio <= 0.75, f"cached/live wall-time ratio {ratio:.3f} > 0.75"
 

@@ -247,6 +247,22 @@ def test_numeric_failure_exits_3(workspace, capsys):
     assert "kind=numeric" in capsys.readouterr().err
 
 
+def test_prune_nan_sample_exits_3(workspace, capsys):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    inputs, labels = load_samples(data)
+    inputs[5, 2] = np.nan
+    save_samples(data, inputs, labels)
+    capsys.readouterr()
+    code = main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--np", "1", "--prune-batch", "16", "--samples", str(data),
+                 "--out", str(tmp / "decision.json")])
+    assert code == 3
+    assert "kind=numeric" in capsys.readouterr().err
+    assert not (tmp / "decision.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_serve_numeric_failure_exits_3(workspace, capsys):

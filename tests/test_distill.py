@@ -18,6 +18,8 @@ from latecut.errors import ConfigError, NumericError
 from latecut.formats import network_fingerprint
 from latecut.network import clone_network, forward, op_counter, random_network
 
+from oracles import kept_block_changed
+
 
 def make_teacher(seed=0, width=4, n_blocks=3, input_dim=5):
     return random_network(input_dim, width, n_blocks, 3, seed=seed)
@@ -182,6 +184,7 @@ class TestCacheLiveEquivalence:
         for a, b in zip(cached_student.parameter_arrays(), live_student.parameter_arrays()):
             assert np.array_equal(a, b)
         assert cached_report.loss_trace == live_report.loss_trace
+        assert kept_block_changed(cached_student, teacher, {3})
 
     def test_teacher_query_accounting(self):
         teacher = make_teacher(seed=6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latecut.distill import build_cache
-from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError
+from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
 from latecut.network import op_counter, random_network, zero_block
 from latecut.profiling import profile
 from latecut.pruning import (
@@ -17,6 +17,7 @@ from latecut.pruning import (
     importance,
     initial_noise,
     kl_divergence,
+    prune_by_method,
     rank_and_prune,
     softmax,
 )
@@ -164,6 +165,16 @@ class TestRankAndPrune:
             rank_and_prune(net, toy_batch(net), prof, 4)
         with pytest.raises(ConfigError):
             rank_and_prune(net, toy_batch(net), prof, -1)
+
+
+@pytest.mark.parametrize("method", ["proposed", "l2ratio", "curl", "oracle"])
+def test_nan_in_prune_batch_raises_instead_of_ranking(method):
+    net = random_network(4, 4, 3, 2, seed=0)
+    batch = toy_batch(net, size=8)
+    batch[3, 1] = np.nan
+    cache = build_cache(net, toy_batch(net, size=8, seed=1))
+    with pytest.raises(NumericError, match="non-finite importance"):
+        prune_by_method(method, net, batch, profile(net, 8), 1, cache, k_steps=2)
 
 
 class TestBaselineRandom:

@@ -27,6 +27,8 @@ from latecut.serving import (
     tick,
 )
 
+from oracles import kept_block_changed
+
 
 def make_stream(net, count, seed=0, with_labels=False):
     rng = np.random.default_rng(seed)
@@ -181,24 +183,26 @@ class TestServe:
         student, _ = distill(student, decision.pruned, cache, config.distill)
         for a, b in zip(state.student.parameter_arrays(), student.parameter_arrays()):
             assert np.array_equal(a, b)
+        assert kept_block_changed(state.student, net, decision.pruned)
 
     def test_serving_cost_lower_by_exact_delta_t(self):
         net = random_network(5, 4, 3, 3, seed=11)
         config = small_config(n_p=2, prune_batch_size=6, cache_size=6,
                               distill=DistillConfig(steps=5, batch_size=4, seed=0))
-        stream = make_stream(net, 60, seed=11)
-        _, timeline, _ = serve(iter(stream), net, config)
-        pruning_costs = [r.latency for r in timeline.records if r.phase is Phase.PRUNING]
-        serving_costs = [r.latency for r in timeline.records if r.phase is Phase.SERVING]
-        assert pruning_costs and serving_costs
+        state = ServingState(net, config)
+        served = {}  # model id -> the network that answered under it
+        for sample in make_stream(net, 60, seed=11):
+            model, model_id = state.active_model()
+            served.setdefault(model_id, model)
+            for record in tick(state, [sample]):
+                assert record.model_id == model_id
+        assert state.phase is Phase.SERVING
+        assert served[MODEL_FULL] is net and served[MODEL_PRUNED] is state.pruned_model
         full_cost = network_cost_macs(net, 1)
-        assert set(pruning_costs) == {full_cost}
-        prof = profile(net, 1, mode="modeled")
-        pruned = {r for r in serving_costs}
-        assert len(pruned) == 1
-        saving = latency_saving(prof, _served_skip(net, timeline))
-        assert serving_costs[0] == pytest.approx(full_cost * (1.0 - saving), rel=1e-12)
-        assert serving_costs[0] < pruning_costs[0]
+        saving = latency_saving(profile(net, 1, mode="modeled"), state.decision.pruned)
+        pruned_cost = network_cost_macs(state.pruned_model, 1)
+        assert pruned_cost == pytest.approx(full_cost * (1.0 - saving), rel=1e-12)
+        assert pruned_cost < full_cost
 
     def test_correctness_flags_with_labeled_stream(self):
         net = random_network(4, 4, 2, 3, seed=12)
@@ -273,6 +277,18 @@ class TestServe:
         assert state.distill_run.steps_done == 0  # no work after the failure
         assert state.timings.inference_count == 17
 
+    def test_nan_sample_in_prune_batch_fails_instead_of_pruning(self):
+        net = random_network(4, 4, 3, 3, seed=17)
+        stream = make_stream(net, 80, seed=17)
+        stream[2][1] = np.nan  # inside the prune batch of 6
+        with pytest.raises(PartialRunError) as excinfo:
+            serve(iter(stream), net, small_config())
+        assert isinstance(excinfo.value.__cause__, NumericError)
+        records = excinfo.value.timeline.records
+        assert [r.sample_index for r in records] == list(range(80))
+        assert all(r.model_id == MODEL_FULL for r in records)
+        assert records[-1].phase is Phase.FAILED
+
     def test_config_validation(self):
         net = random_network(4, 4, 2, 3, seed=0)
         with pytest.raises(ConfigError):
@@ -289,17 +305,3 @@ def _row_bits(row):
         struct.pack("<d", v) if isinstance(v, (float, np.floating)) else v
         for v in astuple(row)
     ]
-
-
-def _served_skip(net, timeline):
-    """Recover the pruned set exercised in the serving phase from latencies."""
-    serving = next(r for r in timeline.records if r.phase is Phase.SERVING)
-    target = serving.latency
-    from itertools import combinations
-
-    ids = range(1, net.n_blocks + 1)
-    for size in range(net.n_blocks + 1):
-        for combo in combinations(ids, size):
-            if network_cost_macs(net, 1, set(combo)) == target:
-                return set(combo)
-    raise AssertionError("no skip set matches the served latency")
