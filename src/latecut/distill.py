@@ -38,6 +38,7 @@ from .network import (
     feature_mse,
     forward,
     forward_trace,
+    packed_gradients,
     sgd_step,
 )
 
@@ -161,10 +162,12 @@ def build_cache(teacher, samples, feature_source=SOURCE_FINAL_BLOCK) -> PseudoLa
     return PseudoLabelCache(inputs, labels, network_fingerprint(teacher), feature_source)
 
 
-def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_BLOCK):
+def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_BLOCK,
+                           out=None):
     """``(loss, Gradients)``: :func:`feature_mse` between the student's
     labels for ``batch`` (its final-block features under ``feature_source``)
-    and ``targets``, and the loss's exact gradients.
+    and ``targets``, and the loss's exact gradients, written into ``out``
+    when given (see :func:`~latecut.network.backprop_from_outputs`).
 
     The loss never touches the classifier, so its gradients are identically
     zero: the classifier is frozen by construction.  A non-finite loss
@@ -176,28 +179,32 @@ def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != predicted.shape:
         raise DimensionError(f"labels {targets.shape} != student labels {predicted.shape}")
-    loss = feature_mse(predicted, targets)
+    # feature_mse's arithmetic, on a difference the gradient then reuses
+    diff = predicted - targets
+    rows, pixels = diff.shape
+    loss = float(np.add.reduce(np.add.reduce(diff * diff, axis=1) / pixels) / rows)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite feature loss {loss}")
-    grad = (2.0 / predicted.size) * (predicted - targets)
+    diff *= 2.0 / diff.size
+    grad = diff
     if predicted is not feats:
         # pooled: d(mean)/d(feature pixel) = 1/width, broadcast over the pixels
-        grad = np.broadcast_to(grad / feats.shape[1], feats.shape)
-    return loss, backprop_from_outputs(student, trace, grad_features=grad)
+        grad = np.broadcast_to(diff / feats.shape[1], feats.shape)
+    return loss, backprop_from_outputs(student, trace, grad_features=grad, out=out)
 
 
 def _batch_indices(size: int, batch_size: int, seed: int):
     """Endless index stream: per-epoch shuffles (epoch e reseeded from
     (seed, e)) concatenated and sliced into fixed-size batches."""
     epoch = 0
-    buffer: list[int] = []
+    buffer = np.empty(0, dtype=np.intp)
     while True:
         while len(buffer) < batch_size:
             rng = np.random.default_rng([seed, epoch])
-            buffer.extend(rng.permutation(size).tolist())
+            buffer = np.concatenate((buffer, rng.permutation(size)))
             epoch += 1
-        yield np.array(buffer[:batch_size], dtype=np.intp)
-        del buffer[:batch_size]
+        yield buffer[:batch_size]
+        buffer = buffer[batch_size:]
 
 
 class DistillRun:
@@ -224,6 +231,8 @@ class DistillRun:
         self.teacher_query_count = 0
         self.loss_trace: list[float] = []
         self._indices = _batch_indices(cache.size, self.batch_size, config.seed)
+        # Every step's gradients are written into this one set.
+        self.gradients = packed_gradients(student)
 
     def step(self) -> float:
         if self.steps_done >= self.config.steps:
@@ -237,7 +246,7 @@ class DistillRun:
             targets = self.cache.labels[idx]
         try:
             loss, grads = feature_loss_and_grads(self.student, x, targets,
-                                                 self.cache.feature_source)
+                                                 self.cache.feature_source, self.gradients)
         except NumericError as exc:
             raise NumericError(f"{exc} at distillation step {self.steps_done}") from exc
         sgd_step(self.student, grads, lr_at(self.steps_done, self.config))

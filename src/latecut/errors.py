@@ -30,7 +30,8 @@ class NumericError(LatecutError):
 
 
 class DegenerateBlockError(LatecutError):
-    """A block has zero latency saving, so its importance score is undefined."""
+    """A block has no positive latency saving, so its importance score is
+    undefined."""
 
 
 class TrainingDivergedError(LatecutError):

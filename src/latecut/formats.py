@@ -28,6 +28,7 @@ Sample set (magic ``LCDT``, version 1)
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -35,7 +36,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .network import ResidualBlock, ResidualNetwork
+from .network import ResidualNetwork, packed_network
 
 CHECKPOINT_MAGIC = b"LCUT"
 CACHE_MAGIC = b"LCCH"
@@ -114,22 +115,11 @@ def network_from_bytes(data: bytes, source="<bytes>") -> ResidualNetwork:
     for _ in range(n_blocks):
         shapes += [(width, width), (width,), (width, width), (width,)]
     shapes += [(width, num_classes), (num_classes,)]
-    n_values = sum(int(np.prod(s)) for s in shapes)
-    expected = header_size + 8 * n_values
+    expected = header_size + 8 * sum(math.prod(s) for s in shapes)
     if len(data) != expected:
         raise FormatError(f"{source}: expected {expected} bytes, found {len(data)}")
-    flat = np.frombuffer(data, dtype="<f8", offset=header_size)
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[pos : pos + size].reshape(shape).astype(np.float64))
-        pos += size
-    blocks = [
-        ResidualBlock(arrays[2 + 4 * i], arrays[3 + 4 * i], arrays[4 + 4 * i], arrays[5 + 4 * i], i + 1)
-        for i in range(n_blocks)
-    ]
-    return ResidualNetwork(arrays[0], arrays[1], blocks, arrays[-2], arrays[-1])
+    # One copy of the payload, into the network's own buffer.
+    return packed_network([np.frombuffer(data, dtype="<f8", offset=header_size)], shapes)
 
 
 def network_fingerprint(network: ResidualNetwork) -> int:

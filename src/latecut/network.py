@@ -37,15 +37,42 @@ on the operand widths but which runs several times slower on batches.
 Gradient math uses plain matmul; it has no such contract and is verified
 against finite differences instead.
 
+Storage is packed.  :func:`packed_network` copies a network's tensors, in
+checkpoint order, into one float64 buffer and hands them out as views;
+:func:`clone_network`, :func:`random_network` and checkpoint loading all go
+through it.  The buffer starts on a ``BUFFER_ALIGN`` (64) byte boundary,
+which is measured, not cosmetic: at width 128 a batch-64 forward over a
+packed buffer that started 16 bytes past a boundary ran 4% slower than
+separate arrays, an aligned one 7-14% faster.  The tensors of a
+:func:`compact` view of a packed network then lie in a few contiguous runs:
+the stem with any kept blocks right after it, each further group of
+adjacent kept blocks, and the classifier with the last block if it is
+kept.  :func:`packed_gradients` makes a gradient set of views into one
+buffer of its own, which :func:`backprop_from_outputs` overwrites in place
+(``out=``) step after step, so distillation allocates no gradient tensor
+per step.
+
+:func:`sgd_step` is the only SGD.  It checks every gradient tensor's shape
+and every gradient element it applies for finiteness before any parameter
+changes, then applies ``p -= lr * g``.  For a gradient set from
+:func:`packed_gradients` applied to the network it was made for, the
+finiteness check is one pass over the gradient buffer and the update one
+scaled subtraction per contiguous run of parameters; any other gradient set,
+including one with a tensor swapped in, is checked and applied tensor by
+tensor.  Both compute the same elementwise values, so the results are
+bitwise equal.
+
 Every operation here is pure except :func:`sgd_step`, which updates its
-network in place.  Networks and arrays can be handed between threads, but
-one network must not be mutated concurrently.
+network in place, and :func:`backprop_from_outputs` with ``out=``, which
+overwrites that gradient set.  Networks and arrays can be handed between
+threads, but one network must not be mutated concurrently.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+import math
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,13 +150,18 @@ class BlockGradients:
 
 @dataclass
 class Gradients:
-    """One array per trainable parameter tensor, congruent with a network."""
+    """One array per trainable parameter tensor, congruent with a network.
+
+    ``layout`` is set by :func:`packed_gradients` only; :func:`sgd_step`
+    uses it while the tensors are still the ones it was built for.
+    """
 
     stem_weight: np.ndarray
     stem_bias: np.ndarray
     blocks: list[BlockGradients]
     classifier_weight: np.ndarray
     classifier_bias: np.ndarray
+    layout: _UpdateLayout | None = field(default=None, repr=False, compare=False)
 
     def parameter_arrays(self):
         return _parameter_arrays(self)
@@ -148,13 +180,127 @@ def _parameter_arrays(owner):
     yield owner.classifier_bias
 
 
-@functools.lru_cache(maxsize=64)
-def _frozen_zeros(shape) -> np.ndarray:
-    """A read-only zero array, shared by every frozen-classifier gradient of
-    this shape."""
-    zeros = np.zeros(shape)
-    zeros.flags.writeable = False
-    return zeros
+# Byte boundary every packed parameter and gradient buffer starts on (see
+# the module docstring for the measurement behind it).
+BUFFER_ALIGN = 64
+
+
+def _aligned_zeros(size: int) -> np.ndarray:
+    """A new 1-D float64 zero array of ``size`` elements whose data starts
+    on a ``BUFFER_ALIGN``-byte boundary."""
+    raw = np.zeros(size + BUFFER_ALIGN // 8)
+    start = (-raw.ctypes.data % BUFFER_ALIGN) // raw.itemsize
+    return raw[start : start + size]
+
+
+def _views(buffer, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``buffer``, one per shape, in order."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[pos : pos + size].reshape(shape))
+        pos += size
+    return views
+
+
+def _block_groups(views):
+    """The per-block quadruples of a checkpoint-ordered tensor list."""
+    if len(views) < 4 or len(views) % 4:
+        raise DimensionError(f"{len(views)} tensors do not form a network")
+    return [views[i : i + 4] for i in range(2, len(views) - 2, 4)]
+
+
+def packed_network(values, shapes) -> ResidualNetwork:
+    """A network whose tensors, with ``shapes`` in checkpoint order (stem
+    weight and bias, each block's weight1, bias1, weight2 and bias2,
+    classifier weight and bias), are writable views into one new buffer that
+    starts on a ``BUFFER_ALIGN``-byte boundary.  The buffer is filled with
+    one ``concatenate`` of ``values``, arrays whose elements, flattened and
+    in order, are the tensors' elements.  Blocks are numbered 1..n."""
+    shapes = list(shapes)
+    buffer = _aligned_zeros(sum(math.prod(s) for s in shapes))
+    np.concatenate([np.ravel(v) for v in values], out=buffer)
+    views = _views(buffer, shapes)
+    blocks = [ResidualBlock(*group, block_id=j)
+              for j, group in enumerate(_block_groups(views), start=1)]
+    return ResidualNetwork(views[0], views[1], blocks, views[-2], views[-1])
+
+
+def _zero_gradients(network, with_layout=False) -> Gradients:
+    """Zero gradients congruent with ``network`` as views into one new
+    aligned buffer, carrying the fused update layout for ``network`` if
+    ``with_layout``."""
+    params = tuple(network.parameter_arrays())
+    buffer = _aligned_zeros(sum(p.size for p in params))
+    views = _views(buffer, [p.shape for p in params])
+    blocks = [BlockGradients(*group) for group in _block_groups(views)]
+    grads = Gradients(views[0], views[1], blocks, views[-2], views[-1])
+    if with_layout:
+        grads.layout = _UpdateLayout.build(params, tuple(views), buffer)
+    return grads
+
+
+def packed_gradients(network) -> Gradients:
+    """A zero gradient set congruent with ``network`` whose tensors are views
+    into one new buffer in checkpoint order, for
+    :func:`backprop_from_outputs` to overwrite (``out=``) step after step.
+    It carries the layout that lets :func:`sgd_step` check the buffer once
+    and update ``network`` one contiguous run of parameters at a time; the
+    layout is computed here, once."""
+    return _zero_gradients(network, with_layout=True)
+
+
+def _buffer_offset(p):
+    """``(owner, element offset)`` if ``p`` is a C-contiguous float64 view
+    of a 1-D float64 array, such as a packed buffer, else ``(None, 0)``."""
+    base = p.base
+    if (not isinstance(base, np.ndarray) or base.ndim != 1 or base.dtype != np.float64
+            or p.dtype != np.float64 or not base.flags.c_contiguous
+            or not p.flags.c_contiguous):
+        return None, 0
+    return base, (p.ctypes.data - base.ctypes.data) // p.itemsize
+
+
+@dataclass(frozen=True)
+class _UpdateLayout:
+    """How :func:`sgd_step` applies one buffer-backed gradient set to one
+    network: the tensors it was built for (matched by identity on every
+    call), the gradient buffer with a mask for its one finiteness check and
+    a scratch buffer for ``lr * gradients``, and one ``(parameters, scaled
+    gradients)`` pair per run of parameter tensors that lie back to back in
+    one buffer."""
+
+    params: tuple
+    grads: tuple
+    buffer: np.ndarray
+    finite: np.ndarray
+    scaled: np.ndarray
+    runs: tuple
+
+    @classmethod
+    def build(cls, params, grads, buffer):
+        spans = []  # [owner, start, stop, tensor]; owner None: the tensor alone
+        for p in params:
+            owner, start = _buffer_offset(p)
+            if owner is not None and spans and spans[-1][0] is owner and spans[-1][2] == start:
+                spans[-1][2] += p.size
+            else:
+                spans.append([owner, start, start + p.size, p])
+        scaled = np.empty_like(buffer)
+        runs, pos = [], 0
+        for owner, start, stop, tensor in spans:
+            target = tensor if owner is None else owner[start:stop]
+            runs.append((target, scaled[pos : pos + target.size].reshape(target.shape)))
+            pos += target.size
+        finite = np.empty(buffer.shape, dtype=bool)
+        return cls(params, grads, buffer, finite, scaled, tuple(runs))
+
+    def fits(self, params, grads) -> bool:
+        """Whether ``params`` and ``grads`` are the very tensors this layout
+        was built for."""
+        return (len(params) == len(grads) == len(self.params)
+                and all(map(operator.is_, params, self.params))
+                and all(map(operator.is_, grads, self.grads)))
 
 
 @dataclass
@@ -343,63 +489,81 @@ def feature_mse(a, b) -> float:
     return float(per_sample.mean())
 
 
-def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None) -> Gradients:
+def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None,
+                          out=None) -> Gradients:
     """Hand-derived backward sweep from output-side gradients.
 
     ``grad_features`` is dL/d(final features); ``grad_logits`` additionally
     propagates a loss on the logits and fills the classifier gradients.
-    Without it the classifier is frozen: its gradients are shared read-only
-    zeros.
+    Without it the classifier is frozen: its gradients are zeros.  The
+    gradients are written into ``out``, a gradient set congruent with
+    ``network`` such as :func:`packed_gradients` makes, which is returned;
+    without it a new set is allocated.  Both give bitwise the same values.
     """
+    if out is None:
+        out = _zero_gradients(network)
+    elif len(out.blocks) != network.n_blocks:
+        raise DimensionError("gradient set not congruent with network")
     op_counter.backward_passes += 1
     feats = trace.features
     if grad_logits is not None:
-        d_cls_w = feats.T @ grad_logits
-        d_cls_b = grad_logits.sum(axis=0)
+        np.matmul(feats.T, grad_logits, out=out.classifier_weight)
+        np.add.reduce(grad_logits, axis=0, out=out.classifier_bias)
         g = grad_logits @ network.classifier_weight.T
         if grad_features is not None:
-            g = g + grad_features
+            g += grad_features
     else:
-        d_cls_w = _frozen_zeros(network.classifier_weight.shape)
-        d_cls_b = _frozen_zeros(network.classifier_bias.shape)
+        out.classifier_weight.fill(0.0)
+        out.classifier_bias.fill(0.0)
         g = np.array(grad_features, dtype=np.float64, copy=True)
 
-    block_grads: list[BlockGradients] = []
-    for block in reversed(network.blocks):
+    for block, grads in zip(reversed(network.blocks), reversed(out.blocks)):
         x_in = trace.block_inputs[block.block_id]
         z = trace.block_preacts[block.block_id]
         hidden = trace.block_hidden[block.block_id]
-        d_w2 = hidden.T @ g
-        d_b2 = g.sum(axis=0)
-        d_hidden = g @ block.weight2.T
-        d_z = d_hidden * (z > 0.0)
-        d_w1 = x_in.T @ d_z
-        d_b1 = d_z.sum(axis=0)
-        block_grads.append(BlockGradients(d_w1, d_b1, d_w2, d_b2))
-        g = g + d_z @ block.weight1.T  # identity path plus branch path
-    block_grads.reverse()
+        np.matmul(hidden.T, g, out=grads.weight2)
+        np.add.reduce(g, axis=0, out=grads.bias2)
+        d_z = g @ block.weight2.T
+        d_z *= z > 0.0
+        np.matmul(x_in.T, d_z, out=grads.weight1)
+        np.add.reduce(d_z, axis=0, out=grads.bias1)
+        g += d_z @ block.weight1.T  # identity path plus branch path
 
-    d_stem_w = trace.batch.T @ g
-    d_stem_b = g.sum(axis=0)
-    return Gradients(d_stem_w, d_stem_b, block_grads, d_cls_w, d_cls_b)
+    np.matmul(trace.batch.T, g, out=out.stem_weight)
+    np.add.reduce(g, axis=0, out=out.stem_bias)
+    return out
 
 
 def sgd_step(network, grads, lr):
     """Plain SGD update ``p -= lr * grad(p)`` applied in place.
 
     No momentum, no weight decay.  Frozen parameters are realized by zero
-    gradients.  Every gradient tensor is shape-checked and checked for
-    finiteness before any parameter changes.  A zero learning rate is a
-    no-op that leaves every parameter bitwise unchanged.  To train some
-    blocks of a network only, step its :func:`compact` view.
+    gradients.  Every gradient tensor is shape-checked and every gradient
+    element applied is checked for finiteness before any parameter changes.
+    A zero learning rate is a no-op that leaves every parameter bitwise
+    unchanged.  To train some blocks of a network only, step its
+    :func:`compact` view.  A gradient set from :func:`packed_gradients`,
+    applied to the network it was made for, is checked in one pass over its
+    buffer and applied one contiguous run of parameters at a time; the
+    values are bitwise those of the tensor-by-tensor update.
     """
-    params = list(network.parameter_arrays())
-    grad_arrays = list(grads.parameter_arrays())
+    params = tuple(network.parameter_arrays())
+    grad_arrays = tuple(grads.parameter_arrays())
     if len(params) != len(grad_arrays):
         raise DimensionError("gradient set not congruent with network")
     for p, g in zip(params, grad_arrays):
         if p.shape != g.shape:
             raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    layout = grads.layout
+    if layout is not None and layout.fits(params, grad_arrays):
+        if not np.isfinite(layout.buffer, out=layout.finite).all():
+            raise NumericError("non-finite gradient")
+        if lr == 0.0:
+            return network
+        np.multiply(lr, layout.buffer, out=layout.scaled)
+        for p, scaled in layout.runs:
+            p -= scaled
+        return network
     for g in grad_arrays:
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient")
@@ -426,18 +590,9 @@ def block_param_count(block: ResidualBlock) -> int:
 
 
 def clone_network(network: ResidualNetwork) -> ResidualNetwork:
-    return ResidualNetwork(
-        network.stem_weight.copy(),
-        network.stem_bias.copy(),
-        [
-            ResidualBlock(
-                b.weight1.copy(), b.bias1.copy(), b.weight2.copy(), b.bias2.copy(), b.block_id
-            )
-            for b in network.blocks
-        ],
-        network.classifier_weight.copy(),
-        network.classifier_bias.copy(),
-    )
+    """A deep copy of ``network`` in packed storage (:func:`packed_network`)."""
+    params = list(network.parameter_arrays())
+    return packed_network(params, [p.shape for p in params])
 
 
 # Damping of each residual branch's output weights at initialization: deep
@@ -453,7 +608,8 @@ def random_network(
 
     ``hidden_widths`` overrides the per-block hidden width (defaults to
     square ``width x width`` blocks, the only layout checkpoints support).
-    ``BRANCH_SCALE`` damps each residual branch's output weights.
+    ``BRANCH_SCALE`` damps each residual branch's output weights.  The
+    network is in packed storage (:func:`packed_network`).
     """
     rng = np.random.default_rng(seed)
     if hidden_widths is None:
@@ -469,7 +625,7 @@ def random_network(
         blocks.append(ResidualBlock(w1, np.zeros(hidden), w2, np.zeros(width), i + 1))
     cls_w = rng.normal(0.0, width ** -0.5, (width, num_classes))
     cls_b = np.zeros(num_classes)
-    return ResidualNetwork(stem_w, stem_b, blocks, cls_w, cls_b)
+    return clone_network(ResidualNetwork(stem_w, stem_b, blocks, cls_w, cls_b))
 
 
 def zero_block(network: ResidualNetwork, block_id: int) -> None:

@@ -111,9 +111,13 @@ def importance(row: BlockProfile) -> float:
     """I = epsilon_ini * G / delta_T from a profile row's stored fields."""
     if row.delta_t is None or row.epsilon_ini is None or row.capacity_gap is None:
         raise ConfigError(f"block {row.block_id}: importance needs epsilon, G and delta_T")
-    if row.delta_t == 0.0:
+    if row.delta_t <= 0.0:
+        # A negative saving (a skipped latency measured above T) would make
+        # the importance negative and prune the block first whatever its
+        # epsilon.
         raise DegenerateBlockError(
-            f"block {row.block_id} has zero latency saving; importance undefined"
+            f"block {row.block_id} has latency saving {row.delta_t}, not positive; "
+            "importance undefined"
         )
     return row.epsilon_ini * row.capacity_gap / row.delta_t
 
@@ -237,9 +241,10 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
         _, student_features = forward(student, batch)
         tuned_loss = feature_mse(teacher_features, student_features)
         delta_t = latency_saving(latency_profile, {block.block_id})
-        if delta_t == 0.0:
+        if delta_t <= 0.0:
             raise DegenerateBlockError(
-                f"block {block.block_id} has zero latency saving; oracle score undefined"
+                f"block {block.block_id} has latency saving {delta_t}, not positive; "
+                "oracle score undefined"
             )
         rows.append(
             BlockProfile(

@@ -181,3 +181,36 @@ def spearman_rank_correlation(a, b):
     rb -= rb.mean()
     denom = np.sqrt((ra ** 2).sum() * (rb ** 2).sum())
     return float((ra * rb).sum() / denom) if denom else 0.0
+
+
+def reference_sgd_step(network, grads, lr):
+    """The tensor-by-tensor update ``p -= lr * g`` that the fused
+    ``sgd_step`` must match bitwise."""
+    for p, g in zip(network.parameter_arrays(), grads.parameter_arrays()):
+        p -= lr * g
+
+
+def separate_copy(network):
+    """A deep copy with every tensor in its own allocation (unpacked)."""
+    return _network.ResidualNetwork(
+        network.stem_weight.copy(),
+        network.stem_bias.copy(),
+        [_network.ResidualBlock(b.weight1.copy(), b.bias1.copy(), b.weight2.copy(),
+                                b.bias2.copy(), b.block_id) for b in network.blocks],
+        network.classifier_weight.copy(),
+        network.classifier_bias.copy(),
+    )
+
+
+def assert_packed(network, align=64):
+    """Every tensor is a writable view into one buffer, in checkpoint order
+    and back to back, and the first starts on an ``align``-byte boundary."""
+    arrays = list(network.parameter_arrays())
+    owner = arrays[0].base
+    assert owner is not None
+    address = arrays[0].ctypes.data
+    assert address % align == 0
+    for p in arrays:
+        assert p.base is owner and p.flags.writeable and p.flags.c_contiguous
+        assert p.ctypes.data == address
+        address += p.nbytes

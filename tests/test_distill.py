@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from latecut.distill import (
     DistillConfig,
+    DistillRun,
     PseudoLabelCache,
     SOURCE_FINAL_BLOCK,
     SOURCE_POOLED,
@@ -16,9 +19,12 @@ from latecut.distill import (
 )
 from latecut.errors import ConfigError, NumericError
 from latecut.formats import network_fingerprint
-from latecut.network import clone_network, forward, op_counter, random_network
+from latecut.network import clone_network, compact, forward, op_counter, random_network
 
-from oracles import kept_block_changed
+from oracles import assert_packed, kept_block_changed
+
+# By module path: the package re-exports a function named ``distill``.
+distill_module = importlib.import_module("latecut.distill")
 
 
 def make_teacher(seed=0, width=4, n_blocks=3, input_dim=5):
@@ -158,6 +164,26 @@ class TestDistill:
         student = clone_network(teacher)
         with pytest.raises(NumericError, match="step"):
             distill(student, {1}, cache, DistillConfig(steps=10, batch_size=8))
+
+    def test_run_writes_every_step_into_one_gradient_set(self, monkeypatch):
+        teacher = make_teacher(seed=5, n_blocks=4)
+        cache = build_cache(teacher, make_samples(teacher, 16, seed=5))
+        seen = []
+        real_sgd_step = distill_module.sgd_step
+
+        def recording_sgd_step(network, grads, lr):
+            seen.append(list(grads.parameter_arrays()))
+            return real_sgd_step(network, grads, lr)
+
+        monkeypatch.setattr(distill_module, "sgd_step", recording_sgd_step)
+        student = compact(clone_network(teacher), {2})
+        run = DistillRun(student, cache, DistillConfig(steps=4, batch_size=8))
+        while not run.done:
+            run.step()
+        assert len(seen) == 4
+        assert all(a is b for arrays in seen[1:] for a, b in zip(seen[0], arrays))
+        assert all(a is b for a, b in zip(seen[0], run.gradients.parameter_arrays()))
+        assert_packed(run.gradients)
 
     def test_empty_cache_rejected(self):
         teacher = make_teacher()

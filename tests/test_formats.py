@@ -19,6 +19,8 @@ from latecut.formats import (
 )
 from latecut.network import random_network
 
+from oracles import assert_packed
+
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     net = random_network(7, 5, 3, 4, seed=13)
@@ -33,6 +35,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert original.dtype == restored.dtype == np.float64
     # save -> load -> save is byte-identical
     assert checkpoint_bytes(loaded) == checkpoint_bytes(net)
+
+
+def test_loaded_checkpoint_is_one_aligned_writable_buffer(tmp_path):
+    net = random_network(7, 5, 3, 4, seed=14)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(net, path)
+    loaded = load_checkpoint(path)
+    assert_packed(loaded)
+    loaded.blocks[0].weight1[0, 0] += 1.0
+    assert loaded.blocks[0].weight1[0, 0] != net.blocks[0].weight1[0, 0]
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -18,7 +18,9 @@ from latecut.network import (
     feature_mse,
     forward,
     forward_trace,
+    backprop_from_outputs,
     op_counter,
+    packed_gradients,
     parameter_count,
     normalize_skip,
     random_network,
@@ -28,6 +30,7 @@ from latecut.network import (
 
 from conftest import make_gradcheck_case
 from oracles import (
+    assert_packed,
     finite_difference_grads,
     loop_feature_mse,
     loop_forward,
@@ -35,6 +38,8 @@ from oracles import (
     max_relative_gradient_error,
     reference_affine,
     reference_forward,
+    reference_sgd_step,
+    separate_copy,
 )
 
 
@@ -541,6 +546,96 @@ class TestSgd:
             sgd_step(net, grads, 0.1)
 
 
+def _filled_gradients(view, seed):
+    """A :func:`packed_gradients` set for ``view`` holding a feature loss's
+    gradients."""
+    x = np.random.default_rng(seed).standard_normal((6, view.input_dim))
+    _, feats = forward(view, x)
+    grads = packed_gradients(view)
+    assert feature_loss_and_grads(view, x, feats + 1.0, out=grads)[1] is grads
+    return grads
+
+
+class TestFusedSgd:
+    """``sgd_step`` on a :func:`packed_gradients` set: one finiteness check
+    over the buffer and one update per contiguous run of parameters."""
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "hand_built"])
+    def test_bitwise_equal_to_per_tensor_update(self, packed):
+        base = random_network(6, 5, 5, 3, seed=21)
+        net = clone_network(base) if packed else separate_copy(base)
+        reference = separate_copy(base)
+        view = compact(net, {2, 4})
+        grads = _filled_gradients(view, 21)
+        runs = len(grads.layout.runs)
+        # stem + block 1 | block 3 | block 5 + classifier, or one per tensor
+        assert runs == (3 if packed else len(list(view.parameter_arrays())))
+        for lr in (0.1, 0.02):
+            reference_sgd_step(compact(reference, {2, 4}), grads, lr)
+            assert sgd_step(view, grads, lr) is view
+            for p, q in zip(net.parameter_arrays(), reference.parameter_arrays()):
+                assert np.array_equal(p, q)
+        for j in (2, 4):
+            for name in ("weight1", "bias1", "weight2", "bias2"):
+                assert np.array_equal(getattr(net.blocks[j - 1], name),
+                                      getattr(base.blocks[j - 1], name))
+        for j in (1, 3, 5):
+            assert not np.array_equal(net.blocks[j - 1].weight1, base.blocks[j - 1].weight1)
+
+    @pytest.mark.parametrize("how", ["in_place", "swapped"])
+    def test_nan_in_one_tensor_raises_with_parameters_unchanged(self, how):
+        net = clone_network(random_network(6, 5, 5, 3, seed=22))
+        view = compact(net, {2, 4})
+        grads = _filled_gradients(view, 22)
+        before = [p.copy() for p in net.parameter_arrays()]
+        if how == "swapped":
+            grads = dataclasses.replace(grads, blocks=list(grads.blocks))
+            grads.blocks[2] = dataclasses.replace(grads.blocks[2],
+                                                  bias1=grads.blocks[2].bias1.copy())
+        grads.blocks[2].bias1[1] = np.nan
+        with pytest.raises(NumericError):
+            sgd_step(view, grads, 0.1)
+        for p, b in zip(net.parameter_arrays(), before):
+            assert np.array_equal(p, b)
+
+    def test_swapped_in_tensor_is_the_one_applied(self):
+        net = clone_network(random_network(6, 5, 5, 3, seed=23))
+        reference = separate_copy(net)
+        view = compact(net, {2, 4})
+        grads = _filled_gradients(view, 23)
+        swapped = dataclasses.replace(grads, stem_weight=np.ones_like(grads.stem_weight))
+        reference_sgd_step(compact(reference, {2, 4}), swapped, 0.1)
+        sgd_step(view, swapped, 0.1)
+        for p, q in zip(net.parameter_arrays(), reference.parameter_arrays()):
+            assert np.array_equal(p, q)
+
+    def test_layout_is_for_its_own_network_only(self):
+        net = clone_network(random_network(6, 5, 5, 3, seed=24))
+        other = clone_network(net)
+        grads = _filled_gradients(compact(net, {2, 4}), 24)
+        reference = separate_copy(other)
+        reference_sgd_step(compact(reference, {2, 4}), grads, 0.1)
+        sgd_step(compact(other, {2, 4}), grads, 0.1)
+        for p, q in zip(other.parameter_arrays(), reference.parameter_arrays()):
+            assert np.array_equal(p, q)
+
+    def test_backprop_into_out_equals_allocating_form(self):
+        net = _net_with_biases(25)
+        rng = np.random.default_rng(25)
+        trace = forward_trace(net, rng.standard_normal((9, 6)))
+        grad_features = rng.standard_normal(trace.features.shape)
+        grad_logits = rng.standard_normal(trace.logits.shape)
+        for kwargs in ({"grad_features": grad_features}, {"grad_logits": grad_logits},
+                       {"grad_features": grad_features, "grad_logits": grad_logits}):
+            fresh = backprop_from_outputs(net, trace, **kwargs)
+            out = packed_gradients(net)
+            for g in out.parameter_arrays():
+                g.fill(np.nan)  # every tensor must be overwritten
+            assert backprop_from_outputs(net, trace, out=out, **kwargs) is out
+            for a, b in zip(out.parameter_arrays(), fresh.parameter_arrays()):
+                assert np.array_equal(a, b), kwargs
+
+
 class TestParameterCount:
     def test_full_count_matches_tensor_sizes(self):
         net = random_network(5, 4, 3, 2, seed=0)
@@ -571,6 +666,12 @@ class TestPlumbing:
         twin = clone_network(net)
         twin.blocks[0].weight1[0, 0] += 1.0
         assert net.blocks[0].weight1[0, 0] != twin.blocks[0].weight1[0, 0]
+
+    def test_clone_and_random_network_are_packed(self):
+        net = random_network(3, 4, 3, 2, seed=0, hidden_widths=[4, 6, 4])
+        assert_packed(net)
+        assert_packed(clone_network(compact(net, {2})))
+        assert_packed(clone_network(separate_copy(net)))
 
     def test_op_counter_tracks_passes(self):
         net = random_network(3, 3, 1, 2, seed=0)

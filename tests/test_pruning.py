@@ -6,7 +6,7 @@ import pytest
 from latecut.distill import build_cache
 from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
 from latecut.network import op_counter, random_network, zero_block
-from latecut.profiling import profile
+from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
     BlockProfile,
     baseline_curl,
@@ -94,8 +94,10 @@ class TestImportance:
         row = BlockProfile(1, epsilon_ini=0.2, capacity_gap=0.1, delta_t=0.25)
         assert importance(row) == pytest.approx(0.08, abs=1e-15)
 
-    def test_zero_delta_t_is_degenerate(self):
-        row = BlockProfile(1, epsilon_ini=0.2, capacity_gap=0.1, delta_t=0.0)
+    @pytest.mark.parametrize("delta_t", [pytest.param(0.0, id="zero"),
+                                         pytest.param(-0.005, id="negative")])
+    def test_zero_delta_t_is_degenerate(self, delta_t):
+        row = BlockProfile(1, epsilon_ini=0.2, capacity_gap=0.1, delta_t=delta_t)
         with pytest.raises(DegenerateBlockError):
             importance(row)
 
@@ -157,6 +159,22 @@ class TestRankAndPrune:
             again = rank_and_prune(net, batch, scaled, 2)
             assert [r.block_id for r in again.ranked] == [r.block_id for r in base.ranked]
             assert again.pruned == base.pruned
+
+    def test_negative_latency_saving_raises_and_names_the_block(self):
+        # A measured skipped latency above T (host noise) must not turn into
+        # a negative importance that prunes the block first.
+        net = random_network(8, 8, 4, 2, seed=0)
+        prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 1.005, 3: 0.8, 4: 0.8})
+        with pytest.raises(DegenerateBlockError, match="block 2 "):
+            rank_and_prune(net, toy_batch(net), prof, 1)
+
+    @pytest.mark.parametrize("method", ["proposed", "oracle"])
+    def test_negative_latency_saving_raises_for_every_latency_rule(self, method):
+        net = random_network(4, 4, 3, 2, seed=0)
+        prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 0.8, 3: 1.01})
+        cache = build_cache(net, toy_batch(net, size=8, seed=1))
+        with pytest.raises(DegenerateBlockError, match="block 3 "):
+            prune_by_method(method, net, toy_batch(net, size=8), prof, 1, cache, k_steps=2)
 
     def test_n_p_out_of_range(self):
         net = random_network(4, 4, 3, 2, seed=0)
