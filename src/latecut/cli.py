@@ -5,7 +5,8 @@ codes: 0 success, 1 usage error, 2 data/config error, 3 numeric failure.
 Errors print one machine-parseable line on stderr.  Every run writes its
 resolved configuration into the output directory, and all file outputs are
 written atomically (temp file + rename).  The LATECUT_SEED environment
-variable overrides any configured seed.
+variable overrides any configured seed, and the logged configuration shows
+the seed that ran.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _cmd_profile(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     prof = profile(
         network, args.batch, mode=args.mode, warmup_runs=args.warmup,
-        timed_runs=args.runs, seed=_resolve_seed(args.seed),
+        timed_runs=args.runs, seed=args.seed,
     )
     _write_json(args.out, profile_to_dict(prof))
     log.info("profiled %d blocks in %s mode -> %s", network.n_blocks, args.mode, args.out)
@@ -139,15 +140,15 @@ def _cmd_prune(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
-    seed = _resolve_seed(args.seed)
     prune_batch = None
     if args.method != "random":
         if args.samples is None:
             raise ConfigError(f"method {args.method!r} needs --samples for its prune batch")
         inputs, _ = formats.load_samples(args.samples)
-        if args.prune_batch > inputs.shape[0]:
+        if not 1 <= args.prune_batch <= inputs.shape[0]:
             raise ConfigError(
-                f"--prune-batch {args.prune_batch} exceeds {inputs.shape[0]} samples"
+                f"--prune-batch {args.prune_batch} must be within 1..{inputs.shape[0]}, "
+                f"the number of samples"
             )
         prune_batch = inputs[: args.prune_batch]
     cache = None
@@ -156,7 +157,7 @@ def _cmd_prune(args) -> int:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
     decision = prune_by_method(
-        args.method, network, prune_batch, prof, args.np, cache, args.k_steps, seed
+        args.method, network, prune_batch, prof, args.np, cache, args.k_steps, args.seed
     )
     _write_json(args.out, _decision_to_dict(decision))
     log.info("%s pruned blocks %s -> %s", args.method, sorted(decision.pruned), args.out)
@@ -166,8 +167,7 @@ def _cmd_prune(args) -> int:
 def _cmd_distill(args) -> int:
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
-    seed = _resolve_seed(args.seed)
-    config = DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=seed)
+    config = DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=args.seed)
     if args.mode == "cached":
         if args.cache is not None:
             cache = PseudoLabelCache.load(args.cache)
@@ -213,7 +213,6 @@ def _cmd_distill(args) -> int:
 def _cmd_serve(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
     inputs, labels = formats.load_samples(args.stream)
-    seed = _resolve_seed(args.seed)
     stream = (
         (inputs[i], int(labels[i])) if labels is not None else inputs[i]
         for i in range(inputs.shape[0])
@@ -222,7 +221,8 @@ def _cmd_serve(args) -> int:
         n_p=args.np,
         prune_batch_size=args.prune_batch,
         cache_size=args.cache_size,
-        distill=DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=seed),
+        distill=DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr,
+                              seed=args.seed),
         budget_per_tick=args.budget,
     )
     final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
@@ -385,6 +385,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(message)s")
     try:
+        if "seed" in vars(args):  # experiment resolves its config's seed
+            args.seed = _resolve_seed(args.seed)
         _log_resolved_config(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -20,6 +20,7 @@ from .network import (
     backprop_from_outputs,
     forward,
     forward_trace,
+    packed_gradients,
     random_network,
     sgd_step,
 )
@@ -135,9 +136,10 @@ def log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy_loss_and_grads(network, x, y):
+def cross_entropy_loss_and_grads(network, x, y, out=None):
     """Softmax cross-entropy and exact gradients for all parameters,
-    classifier included (used only for source pretraining)."""
+    classifier included (used only for source pretraining), written into
+    ``out`` when given (see :func:`~latecut.network.backprop_from_outputs`)."""
     trace = forward_trace(network, x)
     logp = log_softmax(trace.logits)
     n = x.shape[0]
@@ -145,7 +147,7 @@ def cross_entropy_loss_and_grads(network, x, y):
     probs = np.exp(logp)
     probs[np.arange(n), y] -= 1.0
     grad_logits = probs / n
-    return loss, backprop_from_outputs(network, trace, grad_logits=grad_logits)
+    return loss, backprop_from_outputs(network, trace, grad_logits=grad_logits, out=out)
 
 
 # Rows per forward in evaluate_accuracy; bounds its temporaries.
@@ -170,7 +172,8 @@ def evaluate_accuracy(network, x, y, skip=None) -> float:
 
 def pretrain_source(train_split, arch, epochs=30, seed=0) -> ResidualNetwork:
     """Cross-entropy SGD pretraining of a fresh source model, at rate
-    ``PRETRAIN_LR`` in shuffled batches of ``PRETRAIN_BATCH``.
+    ``PRETRAIN_LR`` in shuffled batches of ``PRETRAIN_BATCH``, with one
+    gradient set overwritten every batch.
 
     ``arch`` is ``{"width": w, "n_blocks": n}``.  Raises
     :class:`TrainingDivergedError` if, after at least one epoch, train
@@ -183,11 +186,12 @@ def pretrain_source(train_split, arch, epochs=30, seed=0) -> ResidualNetwork:
     num_classes = int(y.max()) + 1
     network = random_network(x.shape[1], arch["width"], arch["n_blocks"], num_classes, seed)
     n = x.shape[0]
+    grads = packed_gradients(network)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n)
         for start in range(0, n, PRETRAIN_BATCH):
             idx = order[start : start + PRETRAIN_BATCH]
-            _, grads = cross_entropy_loss_and_grads(network, x[idx], y[idx])
+            cross_entropy_loss_and_grads(network, x[idx], y[idx], grads)
             sgd_step(network, grads, PRETRAIN_LR)
     if epochs > 0:
         accuracy = evaluate_accuracy(network, x, y)

@@ -104,8 +104,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -139,8 +139,8 @@ def required_dataset_size(student_param_count: int, pixels_per_label: int, kappa
     parameter count divided by the per-label pixel count, scaled by kappa."""
     if pixels_per_label < 1:
         raise ConfigError(f"pixels_per_label must be >= 1, got {pixels_per_label}")
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ConfigError(f"kappa must be positive and finite, got {kappa}")
     return max(1, math.ceil(kappa * student_param_count / pixels_per_label))
 
 

@@ -47,20 +47,18 @@ separate arrays, an aligned one 7-14% faster.  The tensors of a
 :func:`compact` view of a packed network then lie in a few contiguous runs:
 the stem with any kept blocks right after it, each further group of
 adjacent kept blocks, and the classifier with the last block if it is
-kept.  :func:`packed_gradients` makes a gradient set of views into one
-buffer of its own, which :func:`backprop_from_outputs` overwrites in place
-(``out=``) step after step, so distillation allocates no gradient tensor
-per step.
+kept.  :func:`packed_gradients` is the only way to make a gradient set: its
+tensors are views into one buffer of its own, and it carries the update
+layout for the network it was made for.  :func:`backprop_from_outputs`
+overwrites such a set in place (``out=``) step after step, so distillation
+allocates no gradient tensor per step; without ``out`` it makes a new one.
 
-:func:`sgd_step` is the only SGD.  It checks every gradient tensor's shape
-and every gradient element it applies for finiteness before any parameter
-changes, then applies ``p -= lr * g``.  For a gradient set from
-:func:`packed_gradients` applied to the network it was made for, the
-finiteness check is one pass over the gradient buffer and the update one
-scaled subtraction per contiguous run of parameters; any other gradient set,
-including one with a tensor swapped in, is checked and applied tensor by
-tensor.  Both compute the same elementwise values, so the results are
-bitwise equal.
+:func:`sgd_step` is the only SGD, with one update path.  It accepts only a
+gradient set made for the network it updates, still holding the tensors
+:func:`packed_gradients` made; anything else raises
+:class:`~latecut.errors.DimensionError` before any parameter changes.  It
+checks the gradient buffer for finiteness in one pass, then applies ``p -=
+lr * g`` as one scaled subtraction per contiguous run of parameters.
 
 Every operation here is pure except :func:`sgd_step`, which updates its
 network in place, and :func:`backprop_from_outputs` with ``out=``, which
@@ -151,9 +149,8 @@ class BlockGradients:
 @dataclass
 class Gradients:
     """One array per trainable parameter tensor, congruent with a network.
-
-    ``layout`` is set by :func:`packed_gradients` only; :func:`sgd_step`
-    uses it while the tensors are still the ones it was built for.
+    Made by :func:`packed_gradients` only, which sets ``layout``: how
+    :func:`sgd_step` applies these very tensors to that network.
     """
 
     stem_weight: np.ndarray
@@ -161,7 +158,7 @@ class Gradients:
     blocks: list[BlockGradients]
     classifier_weight: np.ndarray
     classifier_bias: np.ndarray
-    layout: _UpdateLayout | None = field(default=None, repr=False, compare=False)
+    layout: _UpdateLayout = field(repr=False, compare=False)
 
     def parameter_arrays(self):
         return _parameter_arrays(self)
@@ -226,28 +223,19 @@ def packed_network(values, shapes) -> ResidualNetwork:
     return ResidualNetwork(views[0], views[1], blocks, views[-2], views[-1])
 
 
-def _zero_gradients(network, with_layout=False) -> Gradients:
-    """Zero gradients congruent with ``network`` as views into one new
-    aligned buffer, carrying the fused update layout for ``network`` if
-    ``with_layout``."""
-    params = tuple(network.parameter_arrays())
-    buffer = _aligned_zeros(sum(p.size for p in params))
-    views = _views(buffer, [p.shape for p in params])
-    blocks = [BlockGradients(*group) for group in _block_groups(views)]
-    grads = Gradients(views[0], views[1], blocks, views[-2], views[-1])
-    if with_layout:
-        grads.layout = _UpdateLayout.build(params, tuple(views), buffer)
-    return grads
-
-
 def packed_gradients(network) -> Gradients:
     """A zero gradient set congruent with ``network`` whose tensors are views
-    into one new buffer in checkpoint order, for
+    into one new aligned buffer in checkpoint order, for
     :func:`backprop_from_outputs` to overwrite (``out=``) step after step.
     It carries the layout that lets :func:`sgd_step` check the buffer once
     and update ``network`` one contiguous run of parameters at a time; the
     layout is computed here, once."""
-    return _zero_gradients(network, with_layout=True)
+    params = tuple(network.parameter_arrays())
+    buffer = _aligned_zeros(sum(p.size for p in params))
+    views = _views(buffer, [p.shape for p in params])
+    blocks = [BlockGradients(*group) for group in _block_groups(views)]
+    layout = _UpdateLayout.build(params, tuple(views), buffer)
+    return Gradients(views[0], views[1], blocks, views[-2], views[-1], layout)
 
 
 def _buffer_offset(p):
@@ -309,10 +297,9 @@ class ForwardTrace:
     scoring rules that need block inputs/outputs."""
 
     batch: np.ndarray
-    block_inputs: dict[int, np.ndarray]   # x entering each block, by block id
-    block_preacts: dict[int, np.ndarray]  # z = x @ W1 + b1
-    block_hidden: dict[int, np.ndarray]   # relu(z)
-    features: np.ndarray                  # final pre-classifier features
+    block_inputs: dict[int, np.ndarray]  # x entering each block, by block id
+    block_hidden: dict[int, np.ndarray]  # relu(x @ W1 + b1)
+    features: np.ndarray                 # final pre-classifier features
     logits: np.ndarray
 
 
@@ -451,25 +438,24 @@ def forward_trace(network, batch) -> ForwardTrace:
 
     Computes the exact same expressions as :func:`forward`, so features and
     logits are bitwise identical to a plain forward on the same inputs.  The
-    recorded arrays are views, so the ReLU and the residual add allocate new
-    arrays here instead of overwriting them.
+    ReLU is applied in place, as there; the recorded block inputs are views,
+    so the residual add allocates a new array here instead of overwriting
+    them.
     """
     batch = _check_batch(network, batch)
     op_counter.forward_passes += 1
     rows = batch.shape[0]
     inputs: dict[int, np.ndarray] = {}
-    preacts: dict[int, np.ndarray] = {}
     hiddens: dict[int, np.ndarray] = {}
     h = _affine(_tile_stack(batch), network.stem_weight, network.stem_bias)
     for block in network.blocks:
-        z = _affine(h, block.weight1, block.bias1)
-        hidden = np.maximum(z, 0.0)
+        hidden = _affine(h, block.weight1, block.bias1)
+        np.maximum(hidden, 0.0, out=hidden)
         inputs[block.block_id] = _rows(h, rows)
-        preacts[block.block_id] = _rows(z, rows)
         hiddens[block.block_id] = _rows(hidden, rows)
         h = h + _affine(hidden, block.weight2, block.bias2)
     logits = _affine(h, network.classifier_weight, network.classifier_bias)
-    return ForwardTrace(batch, inputs, preacts, hiddens, _rows(h, rows), _rows(logits, rows))
+    return ForwardTrace(batch, inputs, hiddens, _rows(h, rows), _rows(logits, rows))
 
 
 def feature_mse(a, b) -> float:
@@ -497,11 +483,11 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None,
     propagates a loss on the logits and fills the classifier gradients.
     Without it the classifier is frozen: its gradients are zeros.  The
     gradients are written into ``out``, a gradient set congruent with
-    ``network`` such as :func:`packed_gradients` makes, which is returned;
-    without it a new set is allocated.  Both give bitwise the same values.
+    ``network`` made by :func:`packed_gradients`, which is returned; without
+    it a new set is made.  Both give bitwise the same values.
     """
     if out is None:
-        out = _zero_gradients(network)
+        out = packed_gradients(network)
     elif len(out.blocks) != network.n_blocks:
         raise DimensionError("gradient set not congruent with network")
     op_counter.backward_passes += 1
@@ -519,12 +505,11 @@ def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None,
 
     for block, grads in zip(reversed(network.blocks), reversed(out.blocks)):
         x_in = trace.block_inputs[block.block_id]
-        z = trace.block_preacts[block.block_id]
         hidden = trace.block_hidden[block.block_id]
         np.matmul(hidden.T, g, out=grads.weight2)
         np.add.reduce(g, axis=0, out=grads.bias2)
         d_z = g @ block.weight2.T
-        d_z *= z > 0.0
+        d_z *= hidden > 0.0  # relu(z) > 0 exactly where z > 0
         np.matmul(x_in.T, d_z, out=grads.weight1)
         np.add.reduce(d_z, axis=0, out=grads.bias1)
         g += d_z @ block.weight1.T  # identity path plus branch path
@@ -538,39 +523,27 @@ def sgd_step(network, grads, lr):
     """Plain SGD update ``p -= lr * grad(p)`` applied in place.
 
     No momentum, no weight decay.  Frozen parameters are realized by zero
-    gradients.  Every gradient tensor is shape-checked and every gradient
-    element applied is checked for finiteness before any parameter changes.
-    A zero learning rate is a no-op that leaves every parameter bitwise
-    unchanged.  To train some blocks of a network only, step its
-    :func:`compact` view.  A gradient set from :func:`packed_gradients`,
-    applied to the network it was made for, is checked in one pass over its
-    buffer and applied one contiguous run of parameters at a time; the
-    values are bitwise those of the tensor-by-tensor update.
+    gradients.  To train some blocks of a network only, step its
+    :func:`compact` view.  ``grads`` must come from
+    :func:`packed_gradients` for ``network`` and still hold the tensors it
+    made (one swapped in with ``dataclasses.replace`` does not count);
+    otherwise :class:`~latecut.errors.DimensionError` is raised.  The whole
+    gradient buffer is checked for finiteness in one pass before any
+    parameter changes, and the update is one scaled subtraction per
+    contiguous run of parameters, bitwise the values of the
+    tensor-by-tensor ``p -= lr * g``.  A zero learning rate is a no-op that
+    leaves every parameter bitwise unchanged.
     """
-    params = tuple(network.parameter_arrays())
-    grad_arrays = tuple(grads.parameter_arrays())
-    if len(params) != len(grad_arrays):
-        raise DimensionError("gradient set not congruent with network")
-    for p, g in zip(params, grad_arrays):
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     layout = grads.layout
-    if layout is not None and layout.fits(params, grad_arrays):
-        if not np.isfinite(layout.buffer, out=layout.finite).all():
-            raise NumericError("non-finite gradient")
-        if lr == 0.0:
-            return network
-        np.multiply(lr, layout.buffer, out=layout.scaled)
-        for p, scaled in layout.runs:
-            p -= scaled
-        return network
-    for g in grad_arrays:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
+    if not layout.fits(tuple(network.parameter_arrays()), tuple(grads.parameter_arrays())):
+        raise DimensionError("gradient set was not made for this network by packed_gradients")
+    if not np.isfinite(layout.buffer, out=layout.finite).all():
+        raise NumericError("non-finite gradient")
     if lr == 0.0:
         return network
-    for p, g in zip(params, grad_arrays):
-        p -= lr * g
+    np.multiply(lr, layout.buffer, out=layout.scaled)
+    for p, scaled in layout.runs:
+        p -= scaled
     return network
 
 

@@ -29,7 +29,8 @@ def make_gradcheck_case(seed, max_blocks=3, max_width=8):
             block.bias2[:] = sub.normal(0.0, 0.3, block.bias2.shape)
         batch = sub.standard_normal((batch_size, input_dim))
         trace = forward_trace(net, batch)
-        margin = min(np.abs(z).min() for z in trace.block_preacts.values())
+        margin = min(np.abs(trace.block_inputs[b.block_id] @ b.weight1 + b.bias1).min()
+                     for b in net.blocks)
         if margin > 1e-3:
             target = trace.features + sub.standard_normal(trace.features.shape)
             return net, batch, target

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -296,6 +297,58 @@ def test_seed_env_override(workspace, monkeypatch):
     assert json.loads(out_a.read_text())["pruned"] != json.loads(out_b.read_text())["pruned"]
 
 
+def test_logged_config_shows_the_seed_that_ran(workspace, monkeypatch, capsys):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)])
+    base = ["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+            "--method", "random", "--np", "1"]
+    assert main(base + ["--seed", "5", "--out", str(tmp / "a.json")]) == 0
+    monkeypatch.setenv("LATECUT_SEED", "5")
+    assert main(base + ["--seed", "0", "--out", str(tmp / "b.json")]) == 0
+    assert json.loads((tmp / "prune_config.json").read_text())["seed"] == 5
+    assert (tmp / "a.json").read_text() == (tmp / "b.json").read_text()
+    monkeypatch.setenv("LATECUT_SEED", "abc")
+    capsys.readouterr()
+    assert main(base + ["--seed", "0", "--out", str(tmp / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=data" in err and "LATECUT_SEED" in err
+    assert not (tmp / "c.json").exists()
+
+
+@pytest.mark.parametrize("prune_batch", ["-5", "0", "121"])
+def test_prune_batch_outside_sample_count_exits_2(workspace, capsys, prune_batch):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    capsys.readouterr()
+    code = main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--np", "1", "--prune-batch", prune_batch, "--samples", str(data),
+                 "--out", str(tmp / "decision.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=data" in err and "1..120" in err
+    assert not (tmp / "decision.json").exists()
+
+
+@pytest.mark.parametrize("command", ["distill", "serve"])
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_nonfinite_lr_exits_2_before_any_step(workspace, capsys, command, lr):
+    tmp, net, ckpt, data = workspace
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [1]}))
+    args = {
+        "distill": ["distill", "--student", str(ckpt), "--decision", str(decision),
+                    "--teacher", str(ckpt), "--samples", str(data)],
+        "serve": ["serve", "--checkpoint", str(ckpt), "--stream", str(data),
+                  "--timeline", str(tmp / "timeline.json")],
+    }[command]
+    assert main(args + ["--lr", lr, "--out", str(tmp / "out.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=data" in err and "lr0" in err
+    assert not (tmp / "out.ckpt").exists()
+
+
 def test_resolved_config_logged(workspace):
     tmp, net, ckpt, data = workspace
     out = tmp / "runs" / "profile.json"
@@ -428,8 +481,12 @@ def test_seed_env_overrides_grid_seeds(workspace, monkeypatch):
 
 
 def test_console_script_installed():
+    # The child imports latecut from where this process does (pytest's
+    # ``pythonpath`` setting reaches only this process's sys.path).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run(
-        [sys.executable, "-m", "latecut.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "latecut.cli", "--help"], capture_output=True, text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "profile" in result.stdout

@@ -3,6 +3,7 @@ import pytest
 
 from latecut.data import (
     EVAL_CHUNK_ROWS,
+    PRETRAIN_LR,
     DatasetSpec,
     ShiftSpec,
     cross_entropy_loss_and_grads,
@@ -10,10 +11,22 @@ from latecut.data import (
     make_dataset,
     pretrain_source,
 )
-from latecut.errors import ConfigError, TrainingDivergedError
-from latecut.network import forward, op_counter, random_network
+from latecut.errors import ConfigError, DimensionError, TrainingDivergedError
+from latecut.network import (
+    clone_network,
+    forward,
+    op_counter,
+    packed_gradients,
+    random_network,
+    sgd_step,
+)
 
-from oracles import finite_difference_grads, max_relative_gradient_error
+from oracles import (
+    finite_difference_grads,
+    max_relative_gradient_error,
+    reference_sgd_step,
+    separate_copy,
+)
 
 
 class TestMakeDataset:
@@ -99,6 +112,28 @@ class TestCrossEntropy:
             net, rng.standard_normal((5, 4)), rng.integers(0, 3, 5)
         )
         assert np.any(grads.classifier_weight != 0.0)
+
+    def test_set_is_applied_fused_to_its_own_network_only(self):
+        net = random_network(4, 3, 2, 3, seed=9)
+        twin = clone_network(net)
+        reference = separate_copy(net)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
+        _, grads = cross_entropy_loss_and_grads(net, x, y)
+        assert len(grads.layout.runs) == 1  # the packed network is one run
+        out = packed_gradients(net)
+        assert cross_entropy_loss_and_grads(net, x, y, out)[1] is out
+        for a, b in zip(out.parameter_arrays(), grads.parameter_arrays()):
+            assert np.array_equal(a, b)
+        with pytest.raises(DimensionError):
+            sgd_step(twin, grads, PRETRAIN_LR)
+        for p, q in zip(twin.parameter_arrays(), reference.parameter_arrays()):
+            assert np.array_equal(p, q)
+        reference_sgd_step(reference, grads, PRETRAIN_LR)
+        assert sgd_step(net, grads, PRETRAIN_LR) is net
+        for p, q in zip(net.parameter_arrays(), reference.parameter_arrays()):
+            assert np.array_equal(p, q)
+        assert not np.array_equal(net.stem_weight, twin.stem_weight)
 
 
 class TestPretrain:

@@ -69,6 +69,17 @@ class TestLrSchedule:
             lr_at(-1, config)
 
 
+class TestDistillConfig:
+    @pytest.mark.parametrize("change", [
+        {"steps": -1}, {"batch_size": 0}, {"lr0": 0.0}, {"lr0": -0.02},
+        {"lr0": float("nan")}, {"lr0": float("inf")}, {"lr0": float("-inf")},
+    ], ids=["steps", "batch_size", "lr0_zero", "lr0_negative", "lr0_nan", "lr0_inf",
+            "lr0_minus_inf"])
+    def test_validation(self, change):
+        with pytest.raises(ConfigError):
+            DistillConfig(**change)
+
+
 class TestRequiredDatasetSize:
     def test_doubling_pixels_halves_size(self):
         full = required_dataset_size(10000, 50)
@@ -81,8 +92,9 @@ class TestRequiredDatasetSize:
         assert required_dataset_size(3, 100) == 1
         with pytest.raises(ConfigError):
             required_dataset_size(100, 0)
-        with pytest.raises(ConfigError):
-            required_dataset_size(100, 10, kappa=0.0)
+        for kappa in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                required_dataset_size(100, 10, kappa=kappa)
 
 
 class TestBuildCache:
