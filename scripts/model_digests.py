@@ -1,0 +1,96 @@
+"""Digests of the models a benchmark workload produces, for checking that a
+change keeps the trained models bitwise the same.
+
+    PYTHONPATH=src python3 scripts/model_digests.py --workload stream-burst --seed 0
+
+Builds the workload's inputs with ``bench/inputs.py`` (read only, as the
+benchmark builds them), then trains Mbar twice at the workload's shape,
+untimed:
+
+* offline: ``build_cache`` -> ``rank_and_prune`` -> ``distill`` ->
+  ``compact``, with the first ``prune_batch`` samples as the prune batch and
+  the next ``cache`` samples as the cache;
+* serving: ``ServingState`` + ``tick`` over the same samples, one per tick,
+  then empty ticks until the loop serves with Mbar.
+
+Prints one JSON line: the ``network_fingerprint`` of M and of both Mbars,
+as 16 hex digits, and Mbar's held-out accuracy.  Exits 1 if the two Mbars
+differ.  latecut is imported from ``PYTHONPATH`` when it is there, else from
+``src/`` next to this directory, so the same script can digest another
+checkout's package: ``PYTHONPATH=<checkout>/src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.append(os.path.join(ROOT, "src"))
+
+import latecut  # noqa: E402
+from inputs import WORKLOADS, make_inputs  # noqa: E402
+from latecut.data import evaluate_accuracy  # noqa: E402
+from latecut.distill import DistillConfig, build_cache, distill  # noqa: E402
+from latecut.formats import network_fingerprint  # noqa: E402
+from latecut.network import clone_network, compact  # noqa: E402
+from latecut.profiling import profile  # noqa: E402
+from latecut.pruning import rank_and_prune  # noqa: E402
+from latecut.serving import Phase, ServeConfig, ServingState, tick  # noqa: E402
+
+
+def offline_mbar(net, samples, shape, config: DistillConfig):
+    prune_x = samples[: shape.prune_batch]
+    cache_x = samples[shape.prune_batch : shape.prune_batch + shape.cache]
+    cache = build_cache(net, cache_x)
+    prof = profile(net, shape.prune_batch, mode="modeled")
+    decision = rank_and_prune(net, prune_x, prof, shape.n_p)
+    student, _ = distill(clone_network(net), decision.pruned, cache, config)
+    return compact(student, decision.pruned)
+
+
+def serving_mbar(net, samples, shape, config: DistillConfig):
+    state = ServingState(net, ServeConfig(n_p=shape.n_p, prune_batch_size=shape.prune_batch,
+                                          cache_size=shape.cache, distill=config))
+    for x in samples[: shape.prune_batch + shape.cache]:
+        tick(state, [x])
+    while state.phase is not Phase.SERVING:
+        if state.phase is Phase.FAILED:
+            raise RuntimeError(f"serving failed: {state.failure!r}") from state.failure
+        tick(state, [])
+    return state.pruned_model
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    print(f"latecut from {os.path.dirname(latecut.__file__)}", file=sys.stderr)
+
+    shape = WORKLOADS[args.workload]
+    inputs = make_inputs(args.workload, args.seed)
+    net = inputs.pretrained
+    config = DistillConfig(steps=shape.steps, batch_size=64, lr0=shape.lr)
+    offline = offline_mbar(net, inputs.samples, shape, config)
+    served = serving_mbar(net, inputs.samples, shape, config)
+    digests = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "M": f"{network_fingerprint(net):016x}",
+        "offline_mbar": f"{network_fingerprint(offline):016x}",
+        "serving_mbar": f"{network_fingerprint(served):016x}",
+        "mbar_heldout_accuracy": evaluate_accuracy(offline, inputs.heldout_x, inputs.heldout_y),
+    }
+    print(json.dumps(digests))
+    if digests["offline_mbar"] != digests["serving_mbar"]:
+        print("offline and serving Mbar differ", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,13 +85,16 @@ def _log_resolved_config(args: argparse.Namespace) -> None:
 
 
 def _resolve_seed(seed: int) -> int:
-    """``seed``, or the LATECUT_SEED environment variable when it is set."""
+    """``seed``, or the LATECUT_SEED environment variable when it is set;
+    ConfigError unless the result is a non-negative integer."""
     env = os.environ.get("LATECUT_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"LATECUT_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -116,10 +119,12 @@ def _decision_to_dict(decision) -> dict:
 def _load_decision_skip(path) -> frozenset[int]:
     with open(path) as fh:
         payload = json.load(fh)
-    try:
-        return frozenset(int(j) for j in payload["pruned"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed decision file: {exc}") from exc
+    pruned = payload.get("pruned") if isinstance(payload, dict) else None
+    # bool is an int subclass, but true is no block id
+    if not (isinstance(pruned, list) and all(type(j) is int for j in pruned)):
+        raise ConfigError(f"{path}: malformed decision file: 'pruned' must be a list of "
+                          f"integer block ids, got {pruned!r}")
+    return frozenset(pruned)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -230,7 +235,7 @@ def _cmd_serve(args) -> int:
     _write_json(args.timeline, timeline.to_rows())
     log.info(
         "served %d samples over %d ticks (prune done tick %s, distill done tick %s)",
-        timings.inference_count, timings.total_ticks,
+        len(timeline.records), timings.total_ticks,
         timings.prune_done_tick, timings.distill_done_tick,
     )
     return EXIT_OK

@@ -28,6 +28,11 @@ from .network import (
 SHIFT_KINDS = ("none", "additive_noise", "smoothing", "scaling", "rotation_mix")
 
 
+def _check_scale(name, value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class ShiftSpec:
     kind: str = "none"
@@ -36,8 +41,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
-        if self.severity < 0:
-            raise ConfigError(f"shift severity must be >= 0, got {self.severity}")
+        _check_scale("shift severity", self.severity)
 
 
 @dataclass
@@ -50,6 +54,17 @@ class DatasetSpec:
     noise_sigma: float = 1.0
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("num_classes", "input_dim", "samples_per_split"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_scale("class_sep", self.class_sep)
+        _check_scale("noise_sigma", self.noise_sigma)
+        if self.class_means is not None and not np.isfinite(self.class_means).all():
+            raise ConfigError("class_means must be finite")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be a non-negative integer, got {self.seed}")
 
 
 def _class_means(spec: DatasetSpec) -> np.ndarray:

@@ -12,9 +12,9 @@ One label rule serves every caller.  A label is the final-block feature map
 itself (``final_block``) or its per-sample mean, one pixel wide
 (``pooled``, the ablation source); :func:`check_feature_source` rejects any
 other name.  Teacher labels, the loss, the whole-cache loss, cache sizing
-and the configs of the serving loop and of experiments all go through it.
-:func:`feature_loss_and_grads` is the one implementation of the loss and its
-gradients, and :class:`DistillRun` steps with it.
+and the experiment config go through it; serving labels final-block
+features.  :func:`feature_loss_and_grads` is the one implementation of the
+loss and its gradients, and :class:`DistillRun` steps with it.
 
 Learning-rate schedule: the rate starts at ``lr0`` (0.02 by default) and is
 multiplied by ``LR_DECAY_FACTOR`` (0.1) each time another
@@ -38,6 +38,7 @@ from .network import (
     feature_mse,
     forward,
     forward_trace,
+    mean_square,
     packed_gradients,
     sgd_step,
 )
@@ -108,6 +109,8 @@ class DistillConfig:
             raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -179,10 +182,8 @@ def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != predicted.shape:
         raise DimensionError(f"labels {targets.shape} != student labels {predicted.shape}")
-    # feature_mse's arithmetic, on a difference the gradient then reuses
-    diff = predicted - targets
-    rows, pixels = diff.shape
-    loss = float(np.add.reduce(np.add.reduce(diff * diff, axis=1) / pixels) / rows)
+    diff = predicted - targets  # the gradient reuses it
+    loss = mean_square(diff)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite feature loss {loss}")
     diff *= 2.0 / diff.size

@@ -77,6 +77,13 @@ class ExperimentConfig:
         if self.pf_source not in ("test", "train"):
             raise ConfigError(f"pf_source must be test or train, got {self.pf_source!r}")
         check_feature_source(self.feature_source)
+        arch = self.arch if isinstance(self.arch, dict) else {}
+        if not all(type(arch.get(k)) is int and arch[k] >= 1 for k in ("width", "n_blocks")):
+            raise ConfigError(f"arch needs positive integer width and n_blocks, got {self.arch!r}")
+        if self.pretrain_epochs < 0:
+            raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

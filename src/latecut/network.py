@@ -47,11 +47,15 @@ separate arrays, an aligned one 7-14% faster.  The tensors of a
 :func:`compact` view of a packed network then lie in a few contiguous runs:
 the stem with any kept blocks right after it, each further group of
 adjacent kept blocks, and the classifier with the last block if it is
-kept.  :func:`packed_gradients` is the only way to make a gradient set: its
-tensors are views into one buffer of its own, and it carries the update
-layout for the network it was made for.  :func:`backprop_from_outputs`
-overwrites such a set in place (``out=``) step after step, so distillation
-allocates no gradient tensor per step; without ``out`` it makes a new one.
+kept.
+
+A gradient set (:class:`Gradients`) is a packed network too: the same
+structure as the network it was made for, packed the same way into a
+buffer of its own, plus the update layout for that network.
+:func:`packed_gradients` is the only way to make one.
+:func:`backprop_from_outputs` overwrites such a set in place (``out=``)
+step after step, so distillation allocates no gradient tensor per step;
+without ``out`` it makes a new one.
 
 :func:`sgd_step` is the only SGD, with one update path.  It accepts only a
 gradient set made for the network it updates, still holding the tensors
@@ -135,46 +139,26 @@ class ResidualNetwork:
 
     def parameter_arrays(self):
         """All parameter tensors in declaration order (checkpoint order)."""
-        return _parameter_arrays(self)
+        yield self.stem_weight
+        yield self.stem_bias
+        for block in self.blocks:
+            yield block.weight1
+            yield block.bias1
+            yield block.weight2
+            yield block.bias2
+        yield self.classifier_weight
+        yield self.classifier_bias
 
 
 @dataclass
-class BlockGradients:
-    weight1: np.ndarray
-    bias1: np.ndarray
-    weight2: np.ndarray
-    bias2: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """One array per trainable parameter tensor, congruent with a network.
-    Made by :func:`packed_gradients` only, which sets ``layout``: how
-    :func:`sgd_step` applies these very tensors to that network.
+class Gradients(ResidualNetwork):
+    """A gradient set: a network of the same structure as the one it was
+    made for, whose tensors hold dL/d(parameter), plus ``layout``: how
+    :func:`sgd_step` applies these very tensors to that network.  Made by
+    :func:`packed_gradients` only.
     """
 
-    stem_weight: np.ndarray
-    stem_bias: np.ndarray
-    blocks: list[BlockGradients]
-    classifier_weight: np.ndarray
-    classifier_bias: np.ndarray
     layout: _UpdateLayout = field(repr=False, compare=False)
-
-    def parameter_arrays(self):
-        return _parameter_arrays(self)
-
-
-def _parameter_arrays(owner):
-    """Tensors of a network or gradient set in declaration order."""
-    yield owner.stem_weight
-    yield owner.stem_bias
-    for block in owner.blocks:
-        yield block.weight1
-        yield block.bias1
-        yield block.weight2
-        yield block.bias2
-    yield owner.classifier_weight
-    yield owner.classifier_bias
 
 
 # Byte boundary every packed parameter and gradient buffer starts on (see
@@ -190,52 +174,46 @@ def _aligned_zeros(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def _views(buffer, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``buffer``, one per shape, in order."""
+def _pack(shapes, values=None):
+    """``(buffer, views, fields)``: a new zero buffer that starts on a
+    ``BUFFER_ALIGN``-byte boundary, filled with one ``concatenate`` of
+    ``values`` when given, cut into one view per shape in checkpoint order,
+    and those views grouped as a network's fields (stem weight and bias,
+    blocks numbered 1..n, classifier weight and bias)."""
+    shapes = list(shapes)
+    buffer = _aligned_zeros(sum(math.prod(s) for s in shapes))
+    if values is not None:
+        np.concatenate([np.ravel(v) for v in values], out=buffer)
     views, pos = [], 0
     for shape in shapes:
-        size = math.prod(shape)
-        views.append(buffer[pos : pos + size].reshape(shape))
-        pos += size
-    return views
-
-
-def _block_groups(views):
-    """The per-block quadruples of a checkpoint-ordered tensor list."""
+        views.append(buffer[pos : pos + math.prod(shape)].reshape(shape))
+        pos += views[-1].size
     if len(views) < 4 or len(views) % 4:
         raise DimensionError(f"{len(views)} tensors do not form a network")
-    return [views[i : i + 4] for i in range(2, len(views) - 2, 4)]
+    blocks = [ResidualBlock(*views[i : i + 4], block_id=j)
+              for j, i in enumerate(range(2, len(views) - 2, 4), start=1)]
+    return buffer, views, (views[0], views[1], blocks, views[-2], views[-1])
 
 
 def packed_network(values, shapes) -> ResidualNetwork:
     """A network whose tensors, with ``shapes`` in checkpoint order (stem
     weight and bias, each block's weight1, bias1, weight2 and bias2,
-    classifier weight and bias), are writable views into one new buffer that
-    starts on a ``BUFFER_ALIGN``-byte boundary.  The buffer is filled with
-    one ``concatenate`` of ``values``, arrays whose elements, flattened and
-    in order, are the tensors' elements.  Blocks are numbered 1..n."""
-    shapes = list(shapes)
-    buffer = _aligned_zeros(sum(math.prod(s) for s in shapes))
-    np.concatenate([np.ravel(v) for v in values], out=buffer)
-    views = _views(buffer, shapes)
-    blocks = [ResidualBlock(*group, block_id=j)
-              for j, group in enumerate(_block_groups(views), start=1)]
-    return ResidualNetwork(views[0], views[1], blocks, views[-2], views[-1])
+    classifier weight and bias), are writable views into one new aligned
+    buffer, filled from ``values``: arrays whose elements, flattened and in
+    order, are the tensors' elements.  Blocks are numbered 1..n."""
+    return ResidualNetwork(*_pack(shapes, values)[2])
 
 
 def packed_gradients(network) -> Gradients:
-    """A zero gradient set congruent with ``network`` whose tensors are views
-    into one new aligned buffer in checkpoint order, for
+    """A zero gradient set congruent with ``network``, packed as
+    :func:`packed_network` packs a network, for
     :func:`backprop_from_outputs` to overwrite (``out=``) step after step.
     It carries the layout that lets :func:`sgd_step` check the buffer once
     and update ``network`` one contiguous run of parameters at a time; the
     layout is computed here, once."""
     params = tuple(network.parameter_arrays())
-    buffer = _aligned_zeros(sum(p.size for p in params))
-    views = _views(buffer, [p.shape for p in params])
-    blocks = [BlockGradients(*group) for group in _block_groups(views)]
-    layout = _UpdateLayout.build(params, tuple(views), buffer)
-    return Gradients(views[0], views[1], blocks, views[-2], views[-1], layout)
+    buffer, views, fields = _pack(p.shape for p in params)
+    return Gradients(*fields, layout=_UpdateLayout.build(params, tuple(views), buffer))
 
 
 def _buffer_offset(p):
@@ -458,6 +436,13 @@ def forward_trace(network, batch) -> ForwardTrace:
     return ForwardTrace(batch, inputs, hiddens, _rows(h, rows), _rows(logits, rows))
 
 
+def mean_square(diff) -> float:
+    """Mean over the rows of a 2-D ``diff`` of each row's mean square: the
+    arithmetic of :func:`feature_mse` and of the distillation loss."""
+    rows, pixels = diff.shape
+    return float(np.add.reduce(np.add.reduce(diff * diff, axis=1) / pixels) / rows)
+
+
 def feature_mse(a, b) -> float:
     """Mean over samples of each sample's pixel-mean squared error.
 
@@ -467,12 +452,8 @@ def feature_mse(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        a = a[None, :]
-        b = b[None, :]
-    sq = (a - b) ** 2
-    per_sample = sq.reshape(sq.shape[0], -1).mean(axis=1)
-    return float(per_sample.mean())
+    diff = np.atleast_2d(a - b)
+    return mean_square(diff.reshape(diff.shape[0], -1))
 
 
 def backprop_from_outputs(network, trace, grad_features=None, grad_logits=None,
@@ -547,15 +528,9 @@ def sgd_step(network, grads, lr):
     return network
 
 
-def parameter_count(network, skip=None) -> int:
-    """Total parameter elements, excluding skipped blocks."""
-    skip = normalize_skip(network, skip)
-    total = network.stem_weight.size + network.stem_bias.size
-    total += network.classifier_weight.size + network.classifier_bias.size
-    for block in network.blocks:
-        if block.block_id not in skip:
-            total += block_param_count(block)
-    return int(total)
+def parameter_count(network) -> int:
+    """Total parameter elements."""
+    return int(sum(p.size for p in network.parameter_arrays()))
 
 
 def block_param_count(block: ResidualBlock) -> int:

@@ -57,7 +57,6 @@ class BlockProfile:
     capacity_gap: float | None = None
     delta_t: float | None = None
     importance: float | None = None
-    param_count: int = 0
     tuned_loss: float | None = None  # fine-tune oracle only
 
 
@@ -70,7 +69,8 @@ class PruneDecision:
     seed: int | None = None
 
 
-def _check_n_p(network, n_p: int) -> None:
+def check_n_p(network, n_p: int) -> None:
+    """ConfigError unless ``n_p`` blocks of ``network`` can be pruned."""
     if n_p < 0 or n_p > network.n_blocks:
         raise ConfigError(f"n_p={n_p} outside 0..{network.n_blocks} removable blocks")
 
@@ -130,7 +130,6 @@ def score_block(network, block_id, epsilon, latency_profile: LatencyProfile) -> 
         epsilon_ini=epsilon,
         capacity_gap=capacity_gap(network, block_id),
         delta_t=latency_saving(latency_profile, {block_id}),
-        param_count=block_param_count(network.blocks[block_id - 1]),
     )
     row.importance = importance(row)
     return row
@@ -139,7 +138,7 @@ def score_block(network, block_id, epsilon, latency_profile: LatencyProfile) -> 
 def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: int) -> PruneDecision:
     """Score every block against the unpruned network in a single pass and
     prune the ``n_p`` lowest-importance blocks (ties broken by lower id)."""
-    _check_n_p(network, n_p)
+    check_n_p(network, n_p)
     _, baseline = forward(network, prune_batch)
     rows = [
         score_block(
@@ -154,22 +153,19 @@ def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: i
 
 def baseline_random(network, n_p, seed) -> PruneDecision:
     """Uniform block sample without replacement."""
-    _check_n_p(network, n_p)
+    check_n_p(network, n_p)
     rng = np.random.default_rng(seed)
     order = rng.permutation(network.n_blocks) + 1
     chosen = sorted(int(j) for j in order[:n_p])
     rest = sorted(int(j) for j in order[n_p:])
-    rows = [
-        BlockProfile(block_id=j, param_count=block_param_count(network.blocks[j - 1]))
-        for j in chosen + rest
-    ]
+    rows = [BlockProfile(block_id=j) for j in chosen + rest]
     return PruneDecision("random", n_p, rows, frozenset(chosen), seed)
 
 
 def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
     """Prune blocks whose output stays closest to their input: score by
     ||out - in||_2 / ||in||_2 over the prune batch, one forward pass."""
-    _check_n_p(network, n_p)
+    check_n_p(network, n_p)
     trace = forward_trace(network, prune_batch)
     rows = []
     for block in network.blocks:
@@ -178,13 +174,8 @@ def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
         denom = float(np.linalg.norm(x_in))
         if denom == 0.0:
             raise NumericError(f"block {block.block_id}: zero-norm input features")
-        rows.append(
-            BlockProfile(
-                block_id=block.block_id,
-                importance=float(np.linalg.norm(branch)) / denom,
-                param_count=block_param_count(block),
-            )
-        )
+        rows.append(BlockProfile(block_id=block.block_id,
+                                 importance=float(np.linalg.norm(branch)) / denom))
     return decide("l2ratio", n_p, rows)
 
 
@@ -203,18 +194,13 @@ def kl_divergence(p_logits, q_logits) -> float:
 def baseline_curl(network, prune_batch, n_p) -> PruneDecision:
     """Prune blocks with the least influence on the prediction probability:
     KL divergence between full and block-skipped class distributions."""
-    _check_n_p(network, n_p)
+    check_n_p(network, n_p)
     full_logits, _ = forward(network, prune_batch)
     rows = []
     for block in network.blocks:
         skipped_logits, _ = forward(network, prune_batch, {block.block_id})
-        rows.append(
-            BlockProfile(
-                block_id=block.block_id,
-                importance=kl_divergence(full_logits, skipped_logits),
-                param_count=block_param_count(block),
-            )
-        )
+        rows.append(BlockProfile(block_id=block.block_id,
+                                 importance=kl_divergence(full_logits, skipped_logits)))
     return decide("curl", n_p, rows)
 
 
@@ -225,7 +211,7 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     post-fine-tuning feature noise on the prune batch divided by the block's
     latency saving (small loss and large saving rank first).  Each candidate
     is distilled with :class:`DistillConfig`'s default rate and batch."""
-    _check_n_p(network, n_p)
+    check_n_p(network, n_p)
     if k_steps < 1:
         raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
     batch = np.asarray(prune_batch, dtype=np.float64)
@@ -251,7 +237,6 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
                 block_id=block.block_id,
                 delta_t=delta_t,
                 importance=tuned_loss / delta_t,
-                param_count=block_param_count(block),
                 tuned_loss=tuned_loss,
             )
         )

@@ -12,10 +12,11 @@ the exception as the cause.
 
 Each unit calls the offline pipeline's own code: ``pruning.score_block``
 and ``pruning.decide`` rank the blocks as ``rank_and_prune`` does,
-``distill.teacher_labels`` labels one cache sample as ``build_cache`` does,
-and ``DistillRun`` steps the student as ``distill`` does, so the final
-model is bitwise the offline pipeline's.  Once the blocks are ranked, the
-pruned model Mbar is ``compact(student, pruned)``: a network of n - n_p
+``distill.teacher_labels`` labels one cache sample as ``build_cache`` does
+(always with the teacher's final-block features, the paper's label), and
+``DistillRun`` steps the student as ``distill`` does, so the final model is
+bitwise the offline pipeline's.  Once the blocks are ranked, the pruned
+model Mbar is ``compact(student, pruned)``: a network of n - n_p
 blocks that shares its parameters with the full clone ``student``.  It is
 what distillation trains, what serves after switchover and what
 :func:`serve` returns.
@@ -39,13 +40,12 @@ from .distill import (
     DistillRun,
     PseudoLabelCache,
     SOURCE_FINAL_BLOCK,
-    check_feature_source,
     teacher_labels,
 )
 from .errors import ConfigError, PartialRunError
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
-from .pruning import BlockProfile, PruneDecision, decide, initial_noise, score_block
+from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
 from .profiling import profile
 
 
@@ -95,7 +95,6 @@ class ServeConfig:
     cache_size: int = 64
     distill: DistillConfig = field(default_factory=DistillConfig)
     budget_per_tick: int = 4
-    feature_source: str = SOURCE_FINAL_BLOCK
 
     def __post_init__(self):
         if self.prune_batch_size < 1:
@@ -104,7 +103,6 @@ class ServeConfig:
             raise ConfigError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.budget_per_tick < 1:
             raise ConfigError(f"budget_per_tick must be >= 1, got {self.budget_per_tick}")
-        check_feature_source(self.feature_source)
 
 
 @dataclass
@@ -114,17 +112,13 @@ class ExperimentTimings:
     failed_tick: int | None = None
     total_ticks: int = 0
     teacher_query_count: int = 0
-    inference_count: int = 0
 
 
 class ServingState:
     """Mutable state of one serving run; advanced one tick at a time."""
 
     def __init__(self, pretrained: ResidualNetwork, config: ServeConfig):
-        if config.n_p < 0 or config.n_p > pretrained.n_blocks:
-            raise ConfigError(
-                f"n_p={config.n_p} outside 0..{pretrained.n_blocks} removable blocks"
-            )
+        check_n_p(pretrained, config.n_p)
         self.config = config
         self.network = pretrained
         self.phase = Phase.PRUNING
@@ -205,7 +199,7 @@ class ServingState:
     def _distill_unit(self) -> None:
         if len(self.cache_labels) < self.config.cache_size:
             x = self.cache_samples[len(self.cache_labels)][None, :]
-            self.cache_labels.append(teacher_labels(self.network, x, self.config.feature_source)[0])
+            self.cache_labels.append(teacher_labels(self.network, x, SOURCE_FINAL_BLOCK)[0])
             self.timings.teacher_query_count += 1
             if len(self.cache_labels) < self.config.cache_size:
                 return
@@ -213,7 +207,6 @@ class ServingState:
                 np.array(self.cache_samples),
                 np.array(self.cache_labels),
                 network_fingerprint(self.network),
-                self.config.feature_source,
             )
             self.distill_run = DistillRun(self.pruned_model, cache, self.config.distill)
             if self.distill_run.done:  # steps == 0
@@ -254,7 +247,6 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
         )
         state.admit(x)
         state.samples_seen += 1
-    state.timings.inference_count += len(records)
     budget = state.config.budget_per_tick
     while budget > 0 and state._work_available():
         state._do_one_unit()

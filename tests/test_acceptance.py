@@ -24,6 +24,7 @@ from latecut.distill import (
 from latecut.experiment import ExperimentConfig, run_experiment
 from latecut.network import (
     clone_network,
+    compact,
     op_counter,
     parameter_count,
     random_network,
@@ -107,7 +108,7 @@ def test_criterion_03_cached_distillation_speedup():
     with criterion(3, "cached distillation <= 0.75x live wall time, bitwise equal"):
         teacher = random_network(12, 12, 16, 4, seed=0)
         skip = frozenset(range(1, 14))  # student keeps 3 of 16 blocks
-        assert parameter_count(teacher) >= 4 * parameter_count(teacher, skip)
+        assert parameter_count(teacher) >= 4 * parameter_count(compact(teacher, skip))
         samples = np.random.default_rng(0).standard_normal((128, 12))
         config = DistillConfig(steps=500, batch_size=64, seed=9)
         cache = build_cache(teacher, samples)
@@ -180,7 +181,8 @@ def test_criterion_06_label_resolution_overfitting_direction():
             prof = profile(net, 32, mode="modeled")
             ranked = rank_and_prune(net, x_test[:32], prof, 3).ranked
             skip = {ranked[-1].block_id}  # most damaging block: real repair work
-            small = max(2, required_dataset_size(parameter_count(net, skip), net.width) // 4)
+            student_params = parameter_count(compact(net, skip))
+            small = max(2, required_dataset_size(student_params, net.width) // 4)
             cache_x = x_test[32 : 32 + small]
             eval_x, eval_y = x_test[32 + small :], y_test[32 + small :]
             outcome = {}

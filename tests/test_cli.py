@@ -316,6 +316,79 @@ def test_logged_config_shows_the_seed_that_ran(workspace, monkeypatch, capsys):
     assert not (tmp / "c.json").exists()
 
 
+def _one_data_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=data" in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["profile", "prune", "distill", "serve", "env"])
+def test_negative_seed_exits_2_before_any_work(workspace, capsys, monkeypatch, command):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [1]}))
+    out = tmp / "out.bin"
+    args = {
+        "profile": ["profile", "--checkpoint", str(ckpt), "--mode", "measured"],
+        "prune": ["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                  "--method", "random", "--np", "1"],
+        "distill": ["distill", "--student", str(ckpt), "--decision", str(decision),
+                    "--teacher", str(ckpt), "--samples", str(data)],
+        "serve": ["serve", "--checkpoint", str(ckpt), "--stream", str(data),
+                  "--timeline", str(tmp / "timeline.json")],
+    }
+    if command == "env":
+        monkeypatch.setenv("LATECUT_SEED", "-3")
+        argv = args["prune"]
+    else:
+        argv = args[command] + ["--seed", "-1"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "non-negative" in _one_data_error_line(capsys)
+    assert not out.exists() and not (tmp / "timeline.json").exists()
+
+
+@pytest.mark.parametrize("pruned", ["12", [1.7], [True]], ids=["string", "float", "bool"])
+def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
+    tmp, net, ckpt, data = workspace
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": pruned}))
+    out = tmp / "student.ckpt"
+    capsys.readouterr()
+    assert main(["distill", "--student", str(ckpt), "--decision", str(decision),
+                 "--teacher", str(ckpt), "--samples", str(data), "--out", str(out)]) == 2
+    assert "pruned" in _one_data_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"seed": -1},
+    {"dataset": {"seed": -2}},
+    {"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}},
+    {"dataset": {"class_sep": float("inf")}},
+    {"arch": {"width": 0, "n_blocks": 2}},
+    {"pretrain_epochs": -1},
+], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
+        "pretrain_epochs"])
+def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
+                                                          payload):
+    from latecut import experiment
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained a source model for an invalid config")
+
+    monkeypatch.setattr(experiment, "pretrain_source", no_pretraining)
+    tmp, net, ckpt, data = workspace
+    config = tmp / "exp.json"
+    config.write_text(json.dumps(payload))  # NaN and Infinity are JSON extensions json reads
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(config), "--out", str(tmp / "exp")]) == 2
+    _one_data_error_line(capsys)
+    assert not (tmp / "exp" / "report.json").exists()
+
+
 @pytest.mark.parametrize("prune_batch", ["-5", "0", "121"])
 def test_prune_batch_outside_sample_count_exits_2(workspace, capsys, prune_batch):
     tmp, net, ckpt, data = workspace

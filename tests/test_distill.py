@@ -72,9 +72,9 @@ class TestLrSchedule:
 class TestDistillConfig:
     @pytest.mark.parametrize("change", [
         {"steps": -1}, {"batch_size": 0}, {"lr0": 0.0}, {"lr0": -0.02},
-        {"lr0": float("nan")}, {"lr0": float("inf")}, {"lr0": float("-inf")},
+        {"lr0": float("nan")}, {"lr0": float("inf")}, {"lr0": float("-inf")}, {"seed": -1},
     ], ids=["steps", "batch_size", "lr0_zero", "lr0_negative", "lr0_nan", "lr0_inf",
-            "lr0_minus_inf"])
+            "lr0_minus_inf", "seed_negative"])
     def test_validation(self, change):
         with pytest.raises(ConfigError):
             DistillConfig(**change)
@@ -238,9 +238,9 @@ class TestCacheLiveEquivalence:
         # teacher 16 blocks; student keeps 3 -> teacher > 4x student params
         teacher = make_teacher(seed=7, n_blocks=16, width=8, input_dim=8)
         skip = frozenset(range(1, 14))
-        from latecut.network import parameter_count
+        from latecut.network import compact, parameter_count
 
-        assert parameter_count(teacher) >= 4 * parameter_count(teacher, skip)
+        assert parameter_count(teacher) >= 4 * parameter_count(compact(teacher, skip))
         samples = make_samples(teacher, 32, seed=7)
         config = DistillConfig(steps=40, batch_size=16, seed=1)
         cache = build_cache(teacher, samples)

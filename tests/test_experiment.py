@@ -68,7 +68,7 @@ class TestRunExperiment:
         assert np.mean(proposed) >= np.mean(random_)
 
     def test_cached_pf_faster_than_live_with_4x_teacher(self):
-        from latecut.network import parameter_count, random_network
+        from latecut.network import compact, parameter_count, random_network
 
         teacher = random_network(8, 8, 16, 4, seed=3)
         config = small_config(
@@ -81,7 +81,7 @@ class TestRunExperiment:
         )
         cached = run_experiment(replace(config, distill_mode="cached"), teacher)
         live = run_experiment(replace(config, distill_mode="live"), teacher)
-        assert parameter_count(teacher) >= 4 * parameter_count(teacher, set(cached.pruned))
+        assert parameter_count(teacher) >= 4 * parameter_count(compact(teacher, cached.pruned))
         assert cached.pruned == live.pruned
         assert cached.pf_seconds < live.pf_seconds
 
@@ -173,6 +173,28 @@ class TestConfigParsing:
             experiment_config_from_dict({"feature_source": "pooledd", "distill_mode": "live"})
         with pytest.raises(ConfigError):  # the schedule's decay is fixed
             experiment_config_from_dict({"distill": {"decay_factor": 0.5}})
+
+    @pytest.mark.parametrize("payload", [
+        {"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}},
+        {"dataset": {"class_sep": float("inf")}},
+        {"dataset": {"noise_sigma": float("nan")}},
+        {"dataset": {"noise_sigma": -0.5}},
+        {"dataset": {"samples_per_split": 0}},
+        {"dataset": {"num_classes": 0}},
+        {"dataset": {"class_means": [[0.0, float("nan")], [1.0, 1.0]], "num_classes": 2,
+                     "input_dim": 2}},
+        {"dataset": {"seed": -2}},
+        {"arch": {"width": 0, "n_blocks": 2}},
+        {"arch": {"width": 4}},
+        {"pretrain_epochs": -1},
+        {"seed": -1},
+    ], ids=["severity_nan", "class_sep_inf", "noise_sigma_nan", "noise_sigma_negative",
+            "no_samples", "no_classes", "class_means_nan", "dataset_seed_negative",
+            "arch_width_0", "arch_without_n_blocks", "pretrain_epochs_negative",
+            "seed_negative"])
+    def test_out_of_range_values_rejected(self, payload):
+        with pytest.raises(ConfigError):
+            experiment_config_from_dict(payload)
 
     def test_json_round_trip(self, tmp_path):
         from latecut.experiment import load_experiment_config

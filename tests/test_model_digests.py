@@ -1,0 +1,23 @@
+"""``scripts/model_digests.py`` runs against this checkout and finds the
+offline and serving pipelines' Mbar bitwise equal."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_offline_and_serving_mbar_digests_agree():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "model_digests.py"),
+         "--workload", "stream-burst", "--seed", "0"],
+        capture_output=True, text=True, timeout=300, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = json.loads(result.stdout)
+    assert digests["offline_mbar"] == digests["serving_mbar"] != digests["M"]
+    assert 0.0 < digests["mbar_heldout_accuracy"] <= 1.0

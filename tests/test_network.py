@@ -278,7 +278,8 @@ class TestCompact:
             shared = list(net.parameter_arrays())
             for p in view.parameter_arrays():
                 assert any(p is q for q in shared)
-            assert parameter_count(view) == parameter_count(net, skip)
+            pruned = sum(block_param_count(b) for b in net.blocks if b.block_id in skip)
+            assert parameter_count(view) == parameter_count(net) - pruned
 
     def test_forward_and_trace_bitwise_equal_to_skip_forward(self, tile_kernel_impl):
         net = _net_with_biases(6)
@@ -641,7 +642,7 @@ class TestParameterCount:
     def test_skip_drops_exactly_one_block(self):
         net = random_network(5, 4, 3, 2, seed=1)
         per_block = block_param_count(net.blocks[0])
-        assert parameter_count(net, {2}) == parameter_count(net) - per_block
+        assert parameter_count(compact(net, {2})) == parameter_count(net) - per_block
 
     def test_width_4_block_has_40_parameters(self):
         net = random_network(4, 4, 1, 2, seed=0)
@@ -649,7 +650,7 @@ class TestParameterCount:
 
     def test_additive_and_strictly_decreasing(self):
         net = random_network(6, 5, 4, 3, seed=2)
-        sizes = [parameter_count(net, set(range(1, k + 1))) for k in range(5)]
+        sizes = [parameter_count(compact(net, range(1, k + 1))) for k in range(5)]
         for bigger, smaller in zip(sizes, sizes[1:]):
             assert smaller < bigger
         blocks_total = sum(block_param_count(b) for b in net.blocks)

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from latecut import serving
-from latecut.distill import (
-    SOURCE_FINAL_BLOCK,
-    SOURCE_POOLED,
-    DistillConfig,
-    DistillRun,
-    build_cache,
-    distill,
-)
+from latecut.distill import DistillConfig, DistillRun, build_cache, distill
 from latecut.errors import ConfigError, NumericError, PartialRunError
 from latecut.network import clone_network, forward, random_network
 from latecut.profiling import latency_saving, network_cost_macs, profile
@@ -134,9 +127,9 @@ class TestServe:
         net = random_network(4, 4, 3, 3, seed=8)
         config = small_config(prune_batch_size=5, cache_size=7)
         stream = make_stream(net, 50, seed=8)
-        _, _, timings = serve(iter(stream), net, config)
+        _, timeline, timings = serve(iter(stream), net, config)
         assert timings.teacher_query_count == (net.n_blocks + 1) + 7
-        assert timings.inference_count == 50
+        assert len(timeline.records) == 50
 
     def test_deterministic_timeline_bitwise(self):
         net = random_network(4, 4, 2, 3, seed=9)
@@ -154,10 +147,9 @@ class TestServe:
         for p, q in zip(first[0].parameter_arrays(), second[0].parameter_arrays()):
             assert np.array_equal(p, q)
 
-    @pytest.mark.parametrize("source", [SOURCE_FINAL_BLOCK, SOURCE_POOLED])
-    def test_final_model_matches_offline_pipeline_bitwise(self, source):
+    def test_final_model_matches_offline_pipeline_bitwise(self):
         net = random_network(5, 4, 3, 3, seed=10)
-        config = small_config(prune_batch_size=6, cache_size=8, feature_source=source,
+        config = small_config(prune_batch_size=6, cache_size=8,
                               distill=DistillConfig(steps=20, batch_size=4, seed=5))
         stream = make_stream(net, 40, seed=10)
         state = ServingState(net, config)
@@ -177,7 +169,7 @@ class TestServe:
             decision.method, decision.n_p, decision.pruned)
         assert [_row_bits(r) for r in state.decision.ranked] == [
             _row_bits(r) for r in decision.ranked]
-        cache = build_cache(net, cache_samples, source)
+        cache = build_cache(net, cache_samples)
         assert np.array(state.cache_labels).tobytes() == cache.labels.tobytes()
         student = clone_network(net)
         student, _ = distill(student, decision.pruned, cache, config.distill)
@@ -218,19 +210,40 @@ class TestServe:
         timeline = excinfo.value.timeline
         assert len(timeline.records) == 5
 
-    # 14 samples only just seed the prune batch (6) and cache (8), so the
-    # failure comes after the stream ended; 60 outlast the background work.
-    @pytest.mark.parametrize("count", [14, 60])
-    def test_failed_distill_step_keeps_every_answered_request(self, monkeypatch, count):
+    # The unit that raises, as (kind, index): the baseline pass, a block's
+    # score, a cache sample's label or a distillation step.  small_config on a
+    # 2-block network runs 1 baseline, 2 score, 8 label and 12 step units.
+    # In the cases "14" and "60" step 5 raises: 14 samples only just seed the
+    # prune batch (6) and cache (8), so the failure comes after the stream
+    # ended; 60 samples outlast the background work, as in the sweep.
+    @pytest.mark.parametrize("unit, count", [
+        (("step", 5), 14), (("step", 5), 60),
+        (("baseline", 0), 60), (("score", 0), 60), (("score", 1), 60),
+        (("label", 0), 60), (("label", 7), 60), (("step", 0), 60), (("step", 11), 60),
+    ], ids=["14", "60", "baseline", "first_score", "last_score", "first_label",
+            "last_label", "first_step", "last_step"])
+    def test_failed_distill_step_keeps_every_answered_request(self, monkeypatch, unit, count):
         net = random_network(4, 4, 2, 3, seed=14)
         stream = make_stream(net, count, seed=14)
-        injected = NumericError("non-finite distillation loss (injected)")
-        real_step = DistillRun.step
+        injected = NumericError(f"{unit} failed (injected)")
+        failed_ticks = []
 
-        def failing_step(run):
-            if run.steps_done == 5:
-                raise injected
-            return real_step(run)
+        def next_unit(state):
+            if state.phase is Phase.PRUNING:
+                if state.baseline_features is None:
+                    return "baseline", 0
+                return "score", len(state.score_rows)
+            if len(state.cache_labels) < state.config.cache_size:
+                return "label", len(state.cache_labels)
+            return "step", state.distill_run.steps_done
+
+        def failing(real_unit):
+            def unit_or_failure(state):
+                if next_unit(state) == unit:
+                    failed_ticks.append(state.tick_index)
+                    raise injected
+                return real_unit(state)
+            return unit_or_failure
 
         real_tick = serving.tick
         ticks = []
@@ -240,16 +253,22 @@ class TestServe:
             assert len(ticks) < 1000, "serve kept ticking after the stream ended"
             return real_tick(state, arrivals)
 
-        monkeypatch.setattr(DistillRun, "step", failing_step)
+        for name in ("_prune_unit", "_distill_unit"):
+            monkeypatch.setattr(ServingState, name, failing(getattr(ServingState, name)))
         monkeypatch.setattr(serving, "tick", bounded_tick)
         with pytest.raises(PartialRunError) as excinfo:
             serve(iter(stream), net, small_config(), arrival_schedule=2)
         assert excinfo.value.__cause__ is injected
+        assert len(failed_ticks) == 1
         records = excinfo.value.timeline.records
         assert [r.sample_index for r in records] == list(range(count))
         order = {Phase.PRUNING: 0, Phase.DISTILLING: 1, Phase.FAILED: 2}
         ranks = [order[r.phase] for r in records]
         assert ranks == sorted(ranks)
+        # A tick answers its arrivals before its background work.
+        for record in records:
+            failed = record.arrival_tick > failed_ticks[0]
+            assert (record.phase is Phase.FAILED) == failed, record
         assert all(r.model_id == MODEL_FULL for r in records)
         for record, x in zip(records, stream):
             logits, _ = forward(net, x[None, :])
@@ -275,7 +294,7 @@ class TestServe:
         assert [r.sample_index for r in late] == [14, 15, 16]
         assert all(r.phase is Phase.FAILED and r.model_id == MODEL_FULL for r in late)
         assert state.distill_run.steps_done == 0  # no work after the failure
-        assert state.timings.inference_count == 17
+        assert state.samples_seen == 17
 
     def test_nan_sample_in_prune_batch_fails_instead_of_pruning(self):
         net = random_network(4, 4, 3, 3, seed=17)
@@ -295,8 +314,6 @@ class TestServe:
             ServingState(net, small_config(n_p=5))
         with pytest.raises(ConfigError):
             small_config(budget_per_tick=0)
-        with pytest.raises(ConfigError, match="pooledd"):
-            small_config(feature_source="pooledd")
 
 
 def _row_bits(row):
