@@ -80,6 +80,8 @@ class ExperimentConfig:
         arch = self.arch if isinstance(self.arch, dict) else {}
         if not all(type(arch.get(k)) is int and arch[k] >= 1 for k in ("width", "n_blocks")):
             raise ConfigError(f"arch needs positive integer width and n_blocks, got {self.arch!r}")
+        if type(self.n_p) is not int or not 0 <= self.n_p <= arch["n_blocks"]:
+            raise ConfigError(f"n_p={self.n_p!r} outside 0..{arch['n_blocks']} removable blocks")
         if self.pretrain_epochs < 0:
             raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.seed < 0:
@@ -223,19 +225,20 @@ def compare_methods(base: ExperimentConfig, methods=METHODS, n_p_values=(1,), se
     PF time is normalized to the proposed method's within each
     (n_p, seed) group, mirroring how the reference tables report it.
     """
+    # Every config is built, and so checked, before the first pretraining.
+    configs = [
+        replace(base, method=method, n_p=n_p, seed=seed, dataset=replace(base.dataset, seed=seed))
+        for seed in seeds for n_p in n_p_values for method in methods
+    ]
     reports: list[ExperimentReport] = []
     pretrained_by_seed = {}
-    for seed in seeds:
-        cfg_seed = replace(base, seed=seed, dataset=replace(base.dataset, seed=seed))
-        if seed not in pretrained_by_seed:
-            train_split, _ = make_dataset(cfg_seed.dataset)
-            pretrained_by_seed[seed] = pretrain_source(
-                train_split, cfg_seed.arch, cfg_seed.pretrain_epochs, seed
+    for cfg in configs:
+        if cfg.seed not in pretrained_by_seed:
+            train_split, _ = make_dataset(cfg.dataset)
+            pretrained_by_seed[cfg.seed] = pretrain_source(
+                train_split, cfg.arch, cfg.pretrain_epochs, cfg.seed
             )
-        for n_p in n_p_values:
-            for method in methods:
-                cfg = replace(cfg_seed, method=method, n_p=n_p)
-                reports.append(run_experiment(cfg, pretrained_by_seed[seed]))
+        reports.append(run_experiment(cfg, pretrained_by_seed[cfg.seed]))
     by_group = {}
     for report in reports:
         if report.method == "proposed":

@@ -1,7 +1,13 @@
 """Binary file layouts and atomic file writing.
 
 All integers are little-endian; all floats are little-endian IEEE-754
-float64.  Three formats live here:
+float64, on any host.  Each loader checks the header and then reads the
+file once, straight into the arrays it returns: a checkpoint into the
+packed buffer of a new network, a cache into one array of records whose
+columns are its inputs and labels, a sample set into its inputs.  No
+loader holds its payload twice.  A header or payload that is short, a
+trailing byte, a bad magic or version, or sizes no array can hold raise
+:class:`~latecut.errors.FormatError`.  Three formats live here:
 
 Checkpoint (magic ``LCUT``, version 1)
     magic[4] | version u32 | input_dim u32 | width u32 | n_blocks u32 |
@@ -28,21 +34,24 @@ Sample set (magic ``LCDT``, version 1)
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .network import ResidualNetwork, packed_network
+from .network import ResidualNetwork, packed_zeros
 
 CHECKPOINT_MAGIC = b"LCUT"
 CACHE_MAGIC = b"LCCH"
 SAMPLES_MAGIC = b"LCDT"
 FORMAT_VERSION = 1  # checkpoint and sample set
 CACHE_VERSION = 2
+# magic, version, then the u32 size fields listed in the module docstring
+_CHECKPOINT_HEADER = struct.Struct("<4sIIIII")
+_RECORDS_HEADER = struct.Struct("<4sIIII")  # cache and sample set
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -77,15 +86,8 @@ def checkpoint_bytes(network: ResidualNetwork) -> bytes:
                 f"block {block.block_id} hidden width {block.weight1.shape[1]} != network "
                 f"width {width}; the checkpoint layout only covers square blocks"
             )
-    header = struct.pack(
-        "<4sIIIII",
-        CHECKPOINT_MAGIC,
-        FORMAT_VERSION,
-        network.input_dim,
-        width,
-        network.n_blocks,
-        network.num_classes,
-    )
+    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, network.input_dim, width,
+                                    network.n_blocks, network.num_classes)
     body = b"".join(_f64_bytes(p) for p in network.parameter_arrays())
     return header + body
 
@@ -95,31 +97,46 @@ def save_checkpoint(network: ResidualNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> ResidualNetwork:
+    def allocate(input_dim, width, n_blocks, num_classes):
+        shapes = [(input_dim, width), (width,)]
+        shapes += [(width, width), (width,)] * 2 * n_blocks
+        shapes += [(width, num_classes), (num_classes,)]
+        network, buffer = packed_zeros(shapes)
+        return network, [buffer]
+
+    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, allocate)
+
+
+def _load(path, kind, header, magic, version, allocate):
+    """Check the ``kind`` file's ``header`` (magic, version, size fields),
+    read its payload once, in order and in place, into the arrays of
+    ``allocate(*size_fields) -> (result, arrays)``, and return ``result``.
+    Sizes are counted on the bytes read, plus a one-byte probe for a
+    trailing byte, so a pipe loads like a file."""
+    source = os.fspath(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    return network_from_bytes(data, source=os.fspath(path))
-
-
-def network_from_bytes(data: bytes, source="<bytes>") -> ResidualNetwork:
-    header_size = struct.calcsize("<4sIIIII")
-    if len(data) < header_size:
-        raise FormatError(f"{source}: truncated checkpoint header")
-    magic, version, input_dim, width, n_blocks, num_classes = struct.unpack_from(
-        "<4sIIIII", data
-    )
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{source}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{source}: unsupported checkpoint version {version}")
-    shapes = [(input_dim, width), (width,)]
-    for _ in range(n_blocks):
-        shapes += [(width, width), (width,), (width, width), (width,)]
-    shapes += [(width, num_classes), (num_classes,)]
-    expected = header_size + 8 * sum(math.prod(s) for s in shapes)
-    if len(data) != expected:
-        raise FormatError(f"{source}: expected {expected} bytes, found {len(data)}")
-    # One copy of the payload, into the network's own buffer.
-    return packed_network([np.frombuffer(data, dtype="<f8", offset=header_size)], shapes)
+        data = fh.read(header.size)
+        if len(data) < header.size:
+            raise FormatError(f"{source}: truncated {kind} header")
+        found_magic, found_version, *fields = header.unpack(data)
+        if found_magic != magic:
+            raise FormatError(f"{source}: bad magic {found_magic!r}, expected {magic!r}")
+        if found_version != version:
+            raise FormatError(f"{source}: unsupported {kind} version {found_version}")
+        try:
+            result, arrays = allocate(*fields)
+        except (MemoryError, ValueError) as exc:
+            raise FormatError(f"{source}: header sizes {fields} cannot be allocated") from exc
+        expected = header.size + sum(a.nbytes for a in arrays)
+        found = header.size + sum(fh.readinto(a) for a in arrays)
+        if found < expected:
+            raise FormatError(f"{source}: expected {expected} bytes, found {found}")
+        if fh.read(1):
+            raise FormatError(f"{source}: expected {expected} bytes, found more")
+    if sys.byteorder == "big":
+        for array in arrays:
+            array.byteswap(inplace=True)
+    return result
 
 
 def network_fingerprint(network: ResidualNetwork) -> int:
@@ -136,7 +153,7 @@ def network_fingerprint(network: ResidualNetwork) -> int:
 def cache_bytes(inputs: np.ndarray, labels: np.ndarray, teacher_fingerprint: int) -> bytes:
     count, input_dim = inputs.shape
     pixels = labels.shape[1]
-    header = struct.pack("<4sIIII", CACHE_MAGIC, CACHE_VERSION, count, input_dim, pixels)
+    header = _RECORDS_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, count, input_dim, pixels)
     records = np.concatenate((inputs, labels), axis=1)  # one input+label row per record
     return header + _f64_bytes(records) + struct.pack("<Q", teacher_fingerprint)
 
@@ -146,26 +163,16 @@ def save_cache_file(path, inputs, labels, teacher_fingerprint) -> None:
 
 
 def load_cache_file(path):
-    """Returns ``(inputs, labels, teacher_fingerprint)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header_size = struct.calcsize("<4sIIII")
-    if len(data) < header_size + 8:
-        raise FormatError(f"{path}: truncated cache file")
-    magic, version, count, input_dim, pixels = struct.unpack_from("<4sIIII", data)
-    if magic != CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    expected = header_size + 8 * count * (input_dim + pixels) + 8
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    interleaved = np.frombuffer(data, dtype="<f8", offset=header_size, count=count * (input_dim + pixels))
-    interleaved = interleaved.reshape(count, input_dim + pixels)
-    inputs = interleaved[:, :input_dim].astype(np.float64)
-    labels = interleaved[:, input_dim:].astype(np.float64)
-    (fingerprint,) = struct.unpack_from("<Q", data, len(data) - 8)
-    return inputs, labels, fingerprint
+    """Returns ``(inputs, labels, teacher_fingerprint)``; ``inputs`` and
+    ``labels`` are column views of the one array the records were read into."""
+    def allocate(count, input_dim, pixels):
+        records = np.empty((count, input_dim + pixels))
+        fingerprint = np.empty(1, np.uint64)
+        return (records[:, :input_dim], records[:, input_dim:], fingerprint), [records, fingerprint]
+
+    inputs, labels, fingerprint = _load(path, "cache", _RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION,
+                                        allocate)
+    return inputs, labels, int(fingerprint[0])
 
 
 def save_samples(path, inputs, labels=None) -> None:
@@ -174,9 +181,7 @@ def save_samples(path, inputs, labels=None) -> None:
         raise FormatError(f"sample inputs must be 2-D, got shape {inputs.shape}")
     count, input_dim = inputs.shape
     has_labels = labels is not None
-    header = struct.pack(
-        "<4sIIII", SAMPLES_MAGIC, FORMAT_VERSION, count, input_dim, 1 if has_labels else 0
-    )
+    header = _RECORDS_HEADER.pack(SAMPLES_MAGIC, FORMAT_VERSION, count, input_dim, int(has_labels))
     parts = [header, _f64_bytes(inputs)]
     if has_labels:
         labels = np.ascontiguousarray(labels, dtype="<u4")
@@ -187,28 +192,14 @@ def save_samples(path, inputs, labels=None) -> None:
 
 
 def load_samples(path):
-    """Returns ``(inputs, labels_or_None)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header_size = struct.calcsize("<4sIIII")
-    if len(data) < header_size:
-        raise FormatError(f"{path}: truncated sample file")
-    magic, version, count, input_dim, has_labels = struct.unpack_from("<4sIIII", data)
-    if magic != SAMPLES_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {SAMPLES_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported sample-file version {version}")
-    expected = header_size + 8 * count * input_dim + (4 * count if has_labels else 0)
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    inputs = (
-        np.frombuffer(data, dtype="<f8", offset=header_size, count=count * input_dim)
-        .reshape(count, input_dim)
-        .astype(np.float64)
-    )
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(
-            data, dtype="<u4", offset=header_size + 8 * count * input_dim, count=count
-        ).astype(np.int64)
-    return inputs, labels
+    """Returns ``(inputs, labels_or_None)``: C-contiguous float64 inputs and
+    int64 labels."""
+    def allocate(count, input_dim, has_labels):
+        arrays = [np.empty((count, input_dim))]
+        if has_labels:
+            arrays.append(np.empty(count, np.uint32))
+        return arrays, arrays
+
+    inputs, *labels = _load(path, "sample file", _RECORDS_HEADER, SAMPLES_MAGIC, FORMAT_VERSION,
+                            allocate)
+    return inputs, labels[0].astype(np.int64) if labels else None

@@ -39,9 +39,10 @@ against finite differences instead.
 
 Storage is packed.  :func:`packed_network` copies a network's tensors, in
 checkpoint order, into one float64 buffer and hands them out as views;
-:func:`clone_network`, :func:`random_network` and checkpoint loading all go
-through it.  The buffer starts on a ``BUFFER_ALIGN`` (64) byte boundary,
-which is measured, not cosmetic: at width 128 a batch-64 forward over a
+:func:`clone_network` and :func:`random_network` go through it, and
+checkpoint loading reads straight into the buffer of :func:`packed_zeros`.
+The buffer starts on a ``BUFFER_ALIGN`` (64) byte boundary, which is
+measured, not cosmetic: at width 128 a batch-64 forward over a
 packed buffer that started 16 bytes past a boundary ran 4% slower than
 separate arrays, an aligned one 7-14% faster.  The tensors of a
 :func:`compact` view of a packed network then lie in a few contiguous runs:
@@ -202,6 +203,15 @@ def packed_network(values, shapes) -> ResidualNetwork:
     buffer, filled from ``values``: arrays whose elements, flattened and in
     order, are the tensors' elements.  Blocks are numbered 1..n."""
     return ResidualNetwork(*_pack(shapes, values)[2])
+
+
+def packed_zeros(shapes) -> tuple[ResidualNetwork, np.ndarray]:
+    """A zero network packed as :func:`packed_network` packs one, and its
+    buffer: one 1-D array of all the tensors' elements in checkpoint order,
+    for a caller to fill in place (checkpoint loading reads its payload
+    straight into it)."""
+    buffer, _, fields = _pack(shapes)
+    return ResidualNetwork(*fields), buffer
 
 
 def packed_gradients(network) -> Gradients:

@@ -370,8 +370,12 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     {"dataset": {"class_sep": float("inf")}},
     {"arch": {"width": 0, "n_blocks": 2}},
     {"pretrain_epochs": -1},
+    # A grid is checked whole: its valid first entry must not start work either.
+    {"grid": {"methods": ["proposed", "bogus"]}},
+    {"grid": {"seeds": [2, -1]}},
+    {"grid": {"n_p_values": [1, 5]}},  # the default arch has 4 blocks
 ], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
-        "pretrain_epochs"])
+        "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
                                                           payload):
     from latecut import experiment
@@ -386,7 +390,8 @@ def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, mon
     capsys.readouterr()
     assert main(["experiment", "--config", str(config), "--out", str(tmp / "exp")]) == 2
     _one_data_error_line(capsys)
-    assert not (tmp / "exp" / "report.json").exists()
+    assert not list((tmp / "exp").glob("report*.json"))
+    assert not (tmp / "exp" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("prune_batch", ["-5", "0", "121"])

@@ -188,10 +188,12 @@ class TestConfigParsing:
         {"arch": {"width": 4}},
         {"pretrain_epochs": -1},
         {"seed": -1},
+        {"n_p": -1},
+        {"n_p": 5, "arch": {"width": 4, "n_blocks": 4}},
     ], ids=["severity_nan", "class_sep_inf", "noise_sigma_nan", "noise_sigma_negative",
             "no_samples", "no_classes", "class_means_nan", "dataset_seed_negative",
             "arch_width_0", "arch_without_n_blocks", "pretrain_epochs_negative",
-            "seed_negative"])
+            "seed_negative", "n_p_negative", "n_p_above_n_blocks"])
     def test_out_of_range_values_rejected(self, payload):
         with pytest.raises(ConfigError):
             experiment_config_from_dict(payload)

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from latecut.formats import (
     save_checkpoint,
     save_samples,
 )
-from latecut.network import random_network
+from latecut.network import ResidualNetwork, random_network
 
 from oracles import assert_packed
 
@@ -156,8 +158,10 @@ def test_samples_roundtrip(tmp_path, with_labels):
     save_samples(path, inputs, labels)
     got_inputs, got_labels = load_samples(path)
     assert np.array_equal(got_inputs, inputs)
+    assert got_inputs.dtype == np.float64 and got_inputs.flags.c_contiguous
     if with_labels:
         assert np.array_equal(got_labels, labels)
+        assert got_labels.dtype == np.int64 and got_labels.flags.c_contiguous
     else:
         assert got_labels is None
 
@@ -166,3 +170,77 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     net = random_network(2, 2, 1, 2, seed=0)
     save_checkpoint(net, tmp_path / "m.ckpt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+# One valid small file per format: (writer, loader, header size in bytes).
+FORMATS = {
+    "checkpoint": (lambda path: save_checkpoint(random_network(3, 2, 1, 2, seed=0), path),
+                   load_checkpoint, 24),
+    "cache": (lambda path: save_cache_file(path, np.ones((2, 3)), np.ones((2, 1)), 7),
+              load_cache_file, 20),
+    "samples": (lambda path: save_samples(path, np.ones((2, 3)), [0, 1]), load_samples, 20),
+}
+
+CORRUPTIONS = {
+    "header_short": lambda data, n: data[: n - 1],
+    "header_only": lambda data, n: data[:n],
+    "payload_one_byte_short": lambda data, n: data[:-1],
+    "one_trailing_byte": lambda data, n: data + b"\0",
+    "bad_magic": lambda data, n: b"XXXX" + data[4:],
+    "bad_version": lambda data, n: data[:4] + struct.pack("<I", 99) + data[8:],
+    # the first two size fields at 2**32 - 1: no array of that many elements exists
+    "unallocatable_sizes": lambda data, n: data[:8] + b"\xff" * 8 + data[16:],
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("kind", FORMATS)
+def test_malformed_file_raises_format_error(tmp_path, kind, corruption):
+    write, load, header_size = FORMATS[kind]
+    path = tmp_path / kind
+    write(path)
+    load(path)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes(), header_size))
+    with pytest.raises(FormatError):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_loads_from_a_pipe(tmp_path, kind):
+    # Sizes come from the bytes read, not from the file's size on disk.
+    write, load, _ = FORMATS[kind]
+    write(tmp_path / kind)
+    data = (tmp_path / kind).read_bytes()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # far below a pipe's capacity
+        os.close(write_end)
+        write_end = None
+        piped = load(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    assert _payload(piped) == _payload(load(tmp_path / kind))
+
+
+def _payload(loaded) -> bytes:
+    """The bytes of every array a loader returned."""
+    arrays = loaded.parameter_arrays() if isinstance(loaded, ResidualNetwork) else loaded
+    return b"".join(np.asarray(a).tobytes() for a in arrays if a is not None)
+
+
+def test_big_endian_host_swaps_every_payload_array(tmp_path, monkeypatch):
+    net = random_network(3, 2, 2, 2, seed=0)
+    save_checkpoint(net, tmp_path / "m.ckpt")
+    save_cache_file(tmp_path / "c.bin", np.ones((2, 3)), np.ones((2, 1)), 7)
+    save_samples(tmp_path / "d.bin", np.ones((2, 3)), [0, 1])
+    monkeypatch.setattr(sys, "byteorder", "big")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    for original, swapped in zip(net.parameter_arrays(), loaded.parameter_arrays()):
+        assert swapped.tobytes() == original.byteswap().tobytes()
+    inputs, labels, fingerprint = load_cache_file(tmp_path / "c.bin")
+    assert inputs.tobytes() == np.ones((2, 3)).byteswap().tobytes()
+    assert fingerprint == 7 << 56
+    inputs, labels = load_samples(tmp_path / "d.bin")
+    assert labels.tolist() == [0, 1 << 24]

@@ -102,8 +102,11 @@ class TestMeasured:
             profile(net, 8, mode="measured", warmup_runs=0)
 
     def test_skipping_blocks_saves_wall_time(self):
+        # 41 rounds, not 11: on a 2-core host with one core kept busy, 11 let
+        # a skipped network's median ratio exceed the 2% margin about once in
+        # 150 runs (with both cores busy, once in 10); 41 failed none of 500.
         net = random_network(96, 96, 6, 8, seed=0)
-        prof = profile(net, 96, mode="measured", warmup_runs=3, timed_runs=11, seed=1)
+        prof = profile(net, 96, mode="measured", warmup_runs=3, timed_runs=41, seed=1)
         assert prof.full_latency > 0
         for latency in prof.skipped_latency.values():
             assert latency <= prof.full_latency * 1.02
