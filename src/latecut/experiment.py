@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -284,8 +283,3 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         return ExperimentConfig(dataset=dataset, distill=distill_config, **payload)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return experiment_config_from_dict(json.load(fh))

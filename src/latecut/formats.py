@@ -7,7 +7,10 @@ packed buffer of a new network, a cache into one array of records whose
 columns are its inputs and labels, a sample set into its inputs.  No
 loader holds its payload twice.  A header or payload that is short, a
 trailing byte, a bad magic or version, or sizes no array can hold raise
-:class:`~latecut.errors.FormatError`.  Three formats live here:
+:class:`~latecut.errors.FormatError`.  Sizes are counted on the bytes read,
+so a pipe loads like a file; a checkpoint in a regular file is first sized
+from its header against ``fstat``, so a false header allocates nothing.
+Three formats live here:
 
 Checkpoint (magic ``LCUT``, version 1)
     magic[4] | version u32 | input_dim u32 | width u32 | n_blocks u32 |
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import struct
 import sys
 import tempfile
@@ -97,6 +101,10 @@ def save_checkpoint(network: ResidualNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> ResidualNetwork:
+    def payload_size(input_dim, width, n_blocks, num_classes):
+        floats = (input_dim + 1 + 2 * n_blocks * (width + 1) + num_classes) * width + num_classes
+        return 8 * floats
+
     def allocate(input_dim, width, n_blocks, num_classes):
         shapes = [(input_dim, width), (width,)]
         shapes += [(width, width), (width,)] * 2 * n_blocks
@@ -104,15 +112,17 @@ def load_checkpoint(path) -> ResidualNetwork:
         network, buffer = packed_zeros(shapes)
         return network, [buffer]
 
-    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, allocate)
+    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, allocate,
+                 payload_size)
 
 
-def _load(path, kind, header, magic, version, allocate):
+def _load(path, kind, header, magic, version, allocate, payload_size=None):
     """Check the ``kind`` file's ``header`` (magic, version, size fields),
     read its payload once, in order and in place, into the arrays of
     ``allocate(*size_fields) -> (result, arrays)``, and return ``result``.
     Sizes are counted on the bytes read, plus a one-byte probe for a
-    trailing byte, so a pipe loads like a file."""
+    trailing byte, so a pipe loads like a file; a regular file's size must
+    first equal the header's plus ``payload_size(*size_fields)``, if given."""
     source = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read(header.size)
@@ -123,6 +133,11 @@ def _load(path, kind, header, magic, version, allocate):
             raise FormatError(f"{source}: bad magic {found_magic!r}, expected {magic!r}")
         if found_version != version:
             raise FormatError(f"{source}: unsupported {kind} version {found_version}")
+        if payload_size is not None:
+            st = os.fstat(fh.fileno())
+            expected = header.size + payload_size(*fields)
+            if stat.S_ISREG(st.st_mode) and st.st_size != expected:
+                raise FormatError(f"{source}: expected {expected} bytes, found {st.st_size}")
         try:
             result, arrays = allocate(*fields)
         except (MemoryError, ValueError) as exc:

@@ -129,7 +129,7 @@ def profile_to_dict(prof: LatencyProfile) -> dict:
             {
                 "block_id": block_id,
                 "latency": latency,
-                "delta_t": (prof.full_latency - latency) / prof.full_latency,
+                "delta_t": prof.block_saving(block_id),
             }
             for block_id, latency in sorted(prof.skipped_latency.items())
         ],

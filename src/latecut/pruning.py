@@ -179,10 +179,6 @@ def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
     return decide("l2ratio", n_p, rows)
 
 
-def softmax(logits):
-    return np.exp(log_softmax(logits))
-
-
 def kl_divergence(p_logits, q_logits) -> float:
     """Mean over the batch of KL(softmax(p) || softmax(q))."""
     log_p = log_softmax(p_logits)

@@ -3,12 +3,13 @@
 Every incoming sample gets exactly one prediction from whichever model the
 loop currently trusts: the pretrained network M while pruning and
 distillation are in flight, the pruned-and-fine-tuned network afterwards.
-Between arrivals the loop spends a bounded budget of work units per tick:
-score one block, generate one pseudo-label, or run one distillation step.
-Phases advance Pruning -> Distilling -> Serving, each exactly once.  If a
-unit raises, the loop enters the terminal Failed phase instead: it keeps
-answering every arrival with M, does no more background work, and keeps
-the exception as the cause.
+Between arrivals the loop spends a bounded budget of work units per tick,
+pulled from one generator that runs the offline pipeline in order: the
+baseline pass, one block score per unit, one cache label per unit, then one
+distillation step per unit.  Phases advance Pruning -> Distilling ->
+Serving, each exactly once.  If a unit raises, the loop enters the
+terminal Failed phase instead: it keeps answering every arrival with M,
+does no more background work, and keeps the exception as the cause.
 
 Each unit calls the offline pipeline's own code: ``pruning.score_block``
 and ``pruning.decide`` rank the blocks as ``rank_and_prune`` does,
@@ -31,6 +32,7 @@ stream and seed.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,10 +127,7 @@ class ServingState:
         self.tick_index = 0
         self.samples_seen = 0
         self.timings = ExperimentTimings()
-        # Modeled profile for the prune decision; free of forward passes.
-        self.latency_profile = profile(pretrained, config.prune_batch_size, mode="modeled")
         self.prune_samples: list[np.ndarray] = []
-        self.prune_batch: np.ndarray | None = None  # prune_samples stacked once full
         self.cache_samples: list[np.ndarray] = []
         self.baseline_features: np.ndarray | None = None
         self.score_rows: list[BlockProfile] = []
@@ -138,6 +137,10 @@ class ServingState:
         self.cache_labels: list[np.ndarray] = []
         self.distill_run: DistillRun | None = None
         self.failure: Exception | None = None  # what ended background work early
+        self.waiting = False  # the last unit pulled waits for a sample
+        # Modeled profile for the prune decision; free of forward passes.
+        self._work = _background_work(
+            weakref.proxy(self), profile(pretrained, config.prune_batch_size, mode="modeled"))
 
     # -- sample intake -------------------------------------------------
 
@@ -157,70 +160,61 @@ class ServingState:
 
     # -- background work -------------------------------------------------
 
-    def _work_available(self) -> bool:
-        if self.phase is Phase.PRUNING:
-            return len(self.prune_samples) >= self.config.prune_batch_size
-        if self.phase is Phase.DISTILLING:
-            if len(self.cache_labels) < self.config.cache_size:
-                return len(self.cache_samples) > len(self.cache_labels)
-            return True
-        return False
-
-    def _do_one_unit(self) -> None:
+    def _do_one_unit(self) -> bool:
+        """Run the next unit of background work.  Returns False, having done
+        nothing, when the unit waits for a sample or no work is left."""
         # The loop must keep answering arrivals whatever a unit raises, so
         # every failure is kept as the cause and ends background work.
         try:
-            if self.phase is Phase.PRUNING:
-                self._prune_unit()
-            elif self.phase is Phase.DISTILLING:
-                self._distill_unit()
+            unit = next(self._work, None)
         except Exception as exc:
             self.failure = exc
             self.phase = Phase.FAILED
             self.timings.failed_tick = self.tick_index
+            return False
+        self.waiting = unit is False
+        return bool(unit)
 
-    def _prune_unit(self) -> None:
-        if self.baseline_features is None:
-            self.prune_batch = np.array(self.prune_samples)
-            _, self.baseline_features = forward(self.network, self.prune_batch)
-            self.timings.teacher_query_count += 1
-            return
-        block_id = len(self.score_rows) + 1
-        eps = initial_noise(self.network, self.prune_batch, block_id, self.baseline_features)
-        self.timings.teacher_query_count += 1
-        self.score_rows.append(score_block(self.network, block_id, eps, self.latency_profile))
-        if len(self.score_rows) == self.network.n_blocks:
-            self.decision = decide("proposed", self.config.n_p, self.score_rows)
-            self.student = clone_network(self.network)
-            self.pruned_model = compact(self.student, self.decision.pruned)
-            self.phase = Phase.DISTILLING
-            self.timings.prune_done_tick = self.tick_index
 
-    def _distill_unit(self) -> None:
-        if len(self.cache_labels) < self.config.cache_size:
-            x = self.cache_samples[len(self.cache_labels)][None, :]
-            self.cache_labels.append(teacher_labels(self.network, x, SOURCE_FINAL_BLOCK)[0])
-            self.timings.teacher_query_count += 1
-            if len(self.cache_labels) < self.config.cache_size:
-                return
-            cache = PseudoLabelCache(
-                np.array(self.cache_samples),
-                np.array(self.cache_labels),
-                network_fingerprint(self.network),
-            )
-            self.distill_run = DistillRun(self.pruned_model, cache, self.config.distill)
-            if self.distill_run.done:  # steps == 0
-                self._finish_distilling()
-            return
-        assert self.distill_run is not None
-        if not self.distill_run.done:
-            self.distill_run.step()
-        if self.distill_run.done:
-            self._finish_distilling()
-
-    def _finish_distilling(self) -> None:
-        self.phase = Phase.SERVING
-        self.timings.distill_done_tick = self.tick_index
+def _background_work(state: ServingState, latency_profile):
+    """The offline pipeline, one unit per ``next``: yields True after a
+    unit, False while the next unit waits for a sample, and returns on the
+    unit that switches to Serving.  ``state`` is a weak proxy, so the
+    generator, which the state holds, never keeps the state alive."""
+    network, config, timings = state.network, state.config, state.timings
+    while len(state.prune_samples) < config.prune_batch_size:
+        yield False
+    prune_batch = np.array(state.prune_samples)
+    _, state.baseline_features = forward(network, prune_batch)
+    timings.teacher_query_count += 1
+    for block_id in range(1, network.n_blocks + 1):
+        yield True
+        eps = initial_noise(network, prune_batch, block_id, state.baseline_features)
+        timings.teacher_query_count += 1
+        state.score_rows.append(score_block(network, block_id, eps, latency_profile))
+    state.decision = decide("proposed", config.n_p, state.score_rows)
+    state.student = clone_network(network)
+    state.pruned_model = compact(state.student, state.decision.pruned)
+    state.phase = Phase.DISTILLING
+    timings.prune_done_tick = state.tick_index
+    for i in range(config.cache_size):
+        yield True
+        while len(state.cache_samples) <= i:
+            yield False
+        x = state.cache_samples[i][None, :]
+        state.cache_labels.append(teacher_labels(network, x, SOURCE_FINAL_BLOCK)[0])
+        timings.teacher_query_count += 1
+    cache = PseudoLabelCache(
+        np.array(state.cache_samples),
+        np.array(state.cache_labels),
+        network_fingerprint(network),
+    )
+    state.distill_run = run = DistillRun(state.pruned_model, cache, config.distill)
+    while not run.done:  # steps == 0 switches in the last label unit
+        yield True
+        run.step()
+    state.phase = Phase.SERVING
+    timings.distill_done_tick = state.tick_index
 
 
 def tick(state: ServingState, arrivals) -> list[ServingRecord]:
@@ -247,10 +241,9 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
         )
         state.admit(x)
         state.samples_seen += 1
-    budget = state.config.budget_per_tick
-    while budget > 0 and state._work_available():
-        state._do_one_unit()
-        budget -= 1
+    for _ in range(state.config.budget_per_tick):
+        if not state._do_one_unit():
+            break
     state.tick_index += 1
     return records
 
@@ -306,7 +299,7 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
                 break
             # Pruning and Distilling run out of work only while their seed
             # samples are missing, and the stream will bring no more.
-            if not state._work_available():
+            if state.waiting:
                 raise PartialRunError(
                     f"stream exhausted after {state.samples_seen} samples, before the "
                     f"prune batch ({config.prune_batch_size}) and cache "

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -197,13 +196,3 @@ class TestConfigParsing:
     def test_out_of_range_values_rejected(self, payload):
         with pytest.raises(ConfigError):
             experiment_config_from_dict(payload)
-
-    def test_json_round_trip(self, tmp_path):
-        from latecut.experiment import load_experiment_config
-
-        payload = {"dataset": {"seed": 3}, "n_p": 1, "seed": 3,
-                   "distill": {"steps": 4}}
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps(payload))
-        config = load_experiment_config(path)
-        assert config.n_p == 1 and config.distill.steps == 4

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from latecut import formats
 from latecut.errors import ConfigError, FormatError
 from latecut.formats import (
     CACHE_MAGIC,
@@ -60,6 +61,17 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     short.write_bytes(data[:-8])
     with pytest.raises(FormatError):
         load_checkpoint(short)
+
+
+def test_checkpoint_header_sizes_checked_before_allocation(tmp_path, monkeypatch):
+    def no_allocation(shapes):
+        raise AssertionError(f"allocated {len(shapes)} tensors")
+
+    monkeypatch.setattr(formats, "packed_zeros", no_allocation)
+    path = tmp_path / "claims.ckpt"
+    path.write_bytes(struct.pack("<4sIIIII", b"LCUT", 1, 1, 1, 100000, 1))
+    with pytest.raises(FormatError, match="expected"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_rectangular_blocks():

@@ -1,5 +1,6 @@
 """``scripts/model_digests.py`` runs against this checkout and finds the
-offline and serving pipelines' Mbar bitwise equal."""
+offline and serving pipelines' Mbar bitwise equal at both benchmark
+workload shapes."""
 
 import json
 import os
@@ -7,14 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_offline_and_serving_mbar_digests_agree():
+@pytest.mark.parametrize("workload", ["stream-burst", "offline-pf"])
+def test_offline_and_serving_mbar_digests_agree(workload):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "model_digests.py"),
-         "--workload", "stream-burst", "--seed", "0"],
+         "--workload", workload, "--seed", "0"],
         capture_output=True, text=True, timeout=300, env=env, check=False,
     )
     assert result.returncode == 0, result.stderr

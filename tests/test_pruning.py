@@ -19,7 +19,6 @@ from latecut.pruning import (
     kl_divergence,
     prune_by_method,
     rank_and_prune,
-    softmax,
 )
 
 from oracles import naive_prune_ranking
@@ -275,10 +274,6 @@ class TestBaselineCurl:
         q = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
         by_hand = p[0] * math.log(p[0] / q[0]) + p[1] * math.log(p[1] / q[1])
         assert kl_divergence(p_logits, q_logits) == pytest.approx(by_hand, rel=1e-12)
-
-    def test_softmax_rows_sum_to_one(self):
-        logits = np.random.default_rng(0).standard_normal((6, 4)) * 10
-        np.testing.assert_allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestFinetuneOracle:

@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -227,23 +229,32 @@ class TestServe:
         stream = make_stream(net, count, seed=14)
         injected = NumericError(f"{unit} failed (injected)")
         failed_ticks = []
+        states = []
 
-        def next_unit(state):
-            if state.phase is Phase.PRUNING:
-                if state.baseline_features is None:
-                    return "baseline", 0
-                return "score", len(state.score_rows)
-            if len(state.cache_labels) < state.config.cache_size:
-                return "label", len(state.cache_labels)
-            return "step", state.distill_run.steps_done
+        class RecordingState(ServingState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
 
-        def failing(real_unit):
-            def unit_or_failure(state):
-                if next_unit(state) == unit:
-                    failed_ticks.append(state.tick_index)
+        # Each unit kind is one call of what the unit runs; the baseline is
+        # the one forward on the whole prune batch, not a batch-1 answer.
+        kind, index = unit
+        owner, name, is_unit = {
+            "baseline": (serving, "forward", lambda net, x: len(x) > 1),
+            "score": (serving, "initial_noise", lambda *args: True),
+            "label": (serving, "teacher_labels", lambda *args: True),
+            "step": (DistillRun, "step", lambda run: True),
+        }[kind]
+        real_unit = getattr(owner, name)
+        calls = []
+
+        def unit_or_failure(*args):
+            if is_unit(*args):
+                calls.append(args)
+                if len(calls) == index + 1:
+                    failed_ticks.append(states[0].tick_index)
                     raise injected
-                return real_unit(state)
-            return unit_or_failure
+            return real_unit(*args)
 
         real_tick = serving.tick
         ticks = []
@@ -253,8 +264,8 @@ class TestServe:
             assert len(ticks) < 1000, "serve kept ticking after the stream ended"
             return real_tick(state, arrivals)
 
-        for name in ("_prune_unit", "_distill_unit"):
-            monkeypatch.setattr(ServingState, name, failing(getattr(ServingState, name)))
+        monkeypatch.setattr(owner, name, unit_or_failure)
+        monkeypatch.setattr(serving, "ServingState", RecordingState)
         monkeypatch.setattr(serving, "tick", bounded_tick)
         with pytest.raises(PartialRunError) as excinfo:
             serve(iter(stream), net, small_config(), arrival_schedule=2)
@@ -307,6 +318,27 @@ class TestServe:
         assert [r.sample_index for r in records] == list(range(80))
         assert all(r.model_id == MODEL_FULL for r in records)
         assert records[-1].phase is Phase.FAILED
+
+    # A state is freed by reference counting alone in every phase but
+    # Failed, where the kept exception's traceback holds a frame of it.
+    @pytest.mark.parametrize("samples, phase", [
+        (0, Phase.PRUNING), (3, Phase.PRUNING), (10, Phase.DISTILLING), (14, Phase.SERVING),
+    ], ids=["unstarted", "waiting", "distilling", "served"])
+    def test_state_is_freed_without_the_cyclic_gc(self, samples, phase):
+        net = random_network(4, 4, 2, 3, seed=18)
+        state = ServingState(net, small_config(budget_per_tick=100))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if samples:
+                tick(state, make_stream(net, samples, seed=18))
+            assert state.phase is phase
+            ref = weakref.ref(state)
+            del state
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_config_validation(self):
         net = random_network(4, 4, 2, 3, seed=0)
