@@ -4,8 +4,9 @@ change keeps the trained models bitwise the same.
     PYTHONPATH=src python3 scripts/model_digests.py --workload stream-burst --seed 0
 
 Builds the workload's inputs with ``bench/inputs.py`` (read only, as the
-benchmark builds them), then trains Mbar twice at the workload's shape,
-untimed:
+benchmark builds them), saves M with ``save_checkpoint`` and loads it back
+with ``load_checkpoint``, as the benchmark does before it serves, then
+trains Mbar twice from the loaded M at the workload's shape, untimed:
 
 * offline: ``build_cache`` -> ``rank_and_prune`` -> ``distill`` ->
   ``compact``, with the first ``prune_batch`` samples as the prune batch and
@@ -13,11 +14,12 @@ untimed:
 * serving: ``ServingState`` + ``tick`` over the same samples, one per tick,
   then empty ticks until the loop serves with Mbar.
 
-Prints one JSON line: the ``network_fingerprint`` of M and of both Mbars,
-as 16 hex digits, and Mbar's held-out accuracy.  Exits 1 if the two Mbars
-differ.  latecut is imported from ``PYTHONPATH`` when it is there, else from
-``src/`` next to this directory, so the same script can digest another
-checkout's package: ``PYTHONPATH=<checkout>/src``.
+Prints one JSON line: the ``network_fingerprint`` of M, of the loaded M
+and of both Mbars, as 16 hex digits, and Mbar's held-out accuracy.  Exits 1
+if the loaded M differs from M or the two Mbars differ.  latecut is
+imported from ``PYTHONPATH`` when it is there, else from ``src/`` next to
+this directory, so the same script can digest another checkout's package:
+``PYTHONPATH=<checkout>/src``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -35,7 +38,7 @@ import latecut  # noqa: E402
 from inputs import WORKLOADS, make_inputs  # noqa: E402
 from latecut.data import evaluate_accuracy  # noqa: E402
 from latecut.distill import DistillConfig, build_cache, distill  # noqa: E402
-from latecut.formats import network_fingerprint  # noqa: E402
+from latecut.formats import load_checkpoint, network_fingerprint, save_checkpoint  # noqa: E402
 from latecut.network import clone_network, compact  # noqa: E402
 from latecut.profiling import profile  # noqa: E402
 from latecut.pruning import rank_and_prune  # noqa: E402
@@ -73,19 +76,25 @@ def main(argv=None) -> int:
 
     shape = WORKLOADS[args.workload]
     inputs = make_inputs(args.workload, args.seed)
-    net = inputs.pretrained
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(inputs.pretrained, os.path.join(tmp, "pretrained.ckpt"))
+        net = load_checkpoint(os.path.join(tmp, "pretrained.ckpt"))
     config = DistillConfig(steps=shape.steps, batch_size=64, lr0=shape.lr)
     offline = offline_mbar(net, inputs.samples, shape, config)
     served = serving_mbar(net, inputs.samples, shape, config)
     digests = {
         "workload": args.workload,
         "seed": args.seed,
-        "M": f"{network_fingerprint(net):016x}",
+        "M": f"{network_fingerprint(inputs.pretrained):016x}",
+        "M_loaded": f"{network_fingerprint(net):016x}",
         "offline_mbar": f"{network_fingerprint(offline):016x}",
         "serving_mbar": f"{network_fingerprint(served):016x}",
         "mbar_heldout_accuracy": evaluate_accuracy(offline, inputs.heldout_x, inputs.heldout_y),
     }
     print(json.dumps(digests))
+    if digests["M_loaded"] != digests["M"]:
+        print("M loaded from its checkpoint differs from M", file=sys.stderr)
+        return 1
     if digests["offline_mbar"] != digests["serving_mbar"]:
         print("offline and serving Mbar differ", file=sys.stderr)
         return 1

@@ -32,6 +32,7 @@ from .experiment import (
     ExperimentReport,
     compare_methods,
     experiment_config_from_dict,
+    experiment_grid_from_dict,
     reports_to_csv,
     run_experiment,
 )
@@ -244,20 +245,14 @@ def _cmd_serve(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         payload = json.load(fh)
-    grid = payload.pop("grid", None)
     config = experiment_config_from_dict(payload)
     config = replace(config, seed=_resolve_seed(config.seed))
+    grid = experiment_grid_from_dict(payload, config)
     os.makedirs(args.out, exist_ok=True)
     if grid is not None:
-        seeds = grid.get("seeds", [config.seed])
         if "LATECUT_SEED" in os.environ:  # overrides the grid's seeds too
-            seeds = [config.seed]
-        reports = compare_methods(
-            config,
-            methods=tuple(grid.get("methods", ["proposed"])),
-            n_p_values=tuple(grid.get("n_p_values", [config.n_p])),
-            seeds=tuple(seeds),
-        )
+            grid["seeds"] = (config.seed,)
+        reports = compare_methods(config, **grid)
         for i, report in enumerate(reports):
             _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
     else:

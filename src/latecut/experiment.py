@@ -270,11 +270,21 @@ def reports_to_csv(reports) -> str:
     return buffer.getvalue()
 
 
+def _require_json(value, kind, name):
+    """``value`` if it is a JSON object (dict) or list, as ``kind`` says."""
+    if not isinstance(value, kind):
+        noun = "object" if kind is dict else "list"
+        raise ConfigError(f"{name} must be a JSON {noun}, got {type(value).__name__}")
+    return value
+
+
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON (the `experiment --config` schema)."""
-    payload = dict(payload)
-    dataset_payload = dict(payload.pop("dataset", {}))
-    shift_payload = dict(dataset_payload.pop("shift", {}))
+    """Build a config from parsed JSON (the `experiment --config` schema;
+    its ``grid`` is read by :func:`experiment_grid_from_dict`)."""
+    payload = dict(_require_json(payload, dict, "experiment config"))
+    payload.pop("grid", None)
+    dataset_payload = dict(_require_json(payload.pop("dataset", {}), dict, "dataset"))
+    shift_payload = _require_json(dataset_payload.pop("shift", {}), dict, "dataset.shift")
     if "class_means" in dataset_payload and dataset_payload["class_means"] is not None:
         dataset_payload["class_means"] = np.asarray(dataset_payload["class_means"], dtype=np.float64)
     try:
@@ -283,3 +293,14 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         return ExperimentConfig(dataset=dataset, distill=distill_config, **payload)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
+
+
+def experiment_grid_from_dict(payload: dict, config: ExperimentConfig) -> dict | None:
+    """:func:`compare_methods`'s keyword arguments from the config file's
+    ``grid`` (methods default to proposed, the rest to ``config``'s), or None."""
+    if payload.get("grid") is None:
+        return None
+    grid = _require_json(payload["grid"], dict, "grid")
+    defaults = {"methods": ["proposed"], "n_p_values": [config.n_p], "seeds": [config.seed]}
+    return {key: tuple(_require_json(grid.get(key, default), list, f"grid.{key}"))
+            for key, default in defaults.items()}

@@ -1,16 +1,16 @@
 """Binary file layouts and atomic file writing.
 
 All integers are little-endian; all floats are little-endian IEEE-754
-float64, on any host.  Each loader checks the header and then reads the
-file once, straight into the arrays it returns: a checkpoint into the
-packed buffer of a new network, a cache into one array of records whose
-columns are its inputs and labels, a sample set into its inputs.  No
+float64, on any host.  Each loader checks the header, reads the file once,
+straight into the arrays the header sizes, and only then builds its result
+on them: a checkpoint's network is cut from the one aligned buffer its
+payload filled, a cache's inputs and labels are the columns of one array
+of records, a sample set's inputs are the array they were read into.  No
 loader holds its payload twice.  A header or payload that is short, a
 trailing byte, a bad magic or version, or sizes no array can hold raise
 :class:`~latecut.errors.FormatError`.  Sizes are counted on the bytes read,
-so a pipe loads like a file; a checkpoint in a regular file is first sized
-from its header against ``fstat``, so a false header allocates nothing.
-Three formats live here:
+so a pipe loads like a file, and a false header fails after one allocation
+and one short read, whatever file it comes from.  Three formats live here:
 
 Checkpoint (magic ``LCUT``, version 1)
     magic[4] | version u32 | input_dim u32 | width u32 | n_blocks u32 |
@@ -31,14 +31,13 @@ Pseudo-label cache (magic ``LCCH``, version 2)
 Sample set (magic ``LCDT``, version 1)
     magic[4] | version u32 | count u32 | input_dim u32 | has_labels u32 |
     inputs f64[count*input_dim] row-major | labels u32[count] if
-    has_labels is 1.
+    has_labels is 1 (any has_labels but 0 or 1 is rejected).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import stat
 import struct
 import sys
 import tempfile
@@ -46,7 +45,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .network import ResidualNetwork, packed_zeros
+from .network import ResidualNetwork, aligned_zeros, packed_network
 
 CHECKPOINT_MAGIC = b"LCUT"
 CACHE_MAGIC = b"LCCH"
@@ -101,28 +100,26 @@ def save_checkpoint(network: ResidualNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> ResidualNetwork:
-    def payload_size(input_dim, width, n_blocks, num_classes):
-        floats = (input_dim + 1 + 2 * n_blocks * (width + 1) + num_classes) * width + num_classes
-        return 8 * floats
-
-    def allocate(input_dim, width, n_blocks, num_classes):
+    def build(read, input_dim, width, n_blocks, num_classes):
+        size = (input_dim + 1 + 2 * n_blocks * (width + 1) + num_classes) * width + num_classes
+        [buffer] = read(lambda: [aligned_zeros(size)])
         shapes = [(input_dim, width), (width,)]
         shapes += [(width, width), (width,)] * 2 * n_blocks
         shapes += [(width, num_classes), (num_classes,)]
-        network, buffer = packed_zeros(shapes)
-        return network, [buffer]
+        return packed_network(shapes, buffer)
 
-    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, allocate,
-                 payload_size)
+    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, build)
 
 
-def _load(path, kind, header, magic, version, allocate, payload_size=None):
-    """Check the ``kind`` file's ``header`` (magic, version, size fields),
-    read its payload once, in order and in place, into the arrays of
-    ``allocate(*size_fields) -> (result, arrays)``, and return ``result``.
-    Sizes are counted on the bytes read, plus a one-byte probe for a
-    trailing byte, so a pipe loads like a file; a regular file's size must
-    first equal the header's plus ``payload_size(*size_fields)``, if given."""
+def _load(path, kind, header, magic, version, build):
+    """Check the ``kind`` file's ``header`` (magic, version, size fields)
+    and return ``build(read, *size_fields)``.  ``build`` calls
+    ``read(allocate)`` before it makes anything else: ``read`` makes the
+    arrays ``allocate()`` returns, reads the payload into them once, in
+    order and in place, checks its size and returns them.  Sizes are
+    counted on the bytes read, plus a one-byte probe for a trailing byte,
+    so a pipe loads like a file, and a header that claims more than its
+    file holds fails before anything is built from the claim."""
     source = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read(header.size)
@@ -133,25 +130,24 @@ def _load(path, kind, header, magic, version, allocate, payload_size=None):
             raise FormatError(f"{source}: bad magic {found_magic!r}, expected {magic!r}")
         if found_version != version:
             raise FormatError(f"{source}: unsupported {kind} version {found_version}")
-        if payload_size is not None:
-            st = os.fstat(fh.fileno())
-            expected = header.size + payload_size(*fields)
-            if stat.S_ISREG(st.st_mode) and st.st_size != expected:
-                raise FormatError(f"{source}: expected {expected} bytes, found {st.st_size}")
-        try:
-            result, arrays = allocate(*fields)
-        except (MemoryError, ValueError) as exc:
-            raise FormatError(f"{source}: header sizes {fields} cannot be allocated") from exc
-        expected = header.size + sum(a.nbytes for a in arrays)
-        found = header.size + sum(fh.readinto(a) for a in arrays)
-        if found < expected:
-            raise FormatError(f"{source}: expected {expected} bytes, found {found}")
-        if fh.read(1):
-            raise FormatError(f"{source}: expected {expected} bytes, found more")
-    if sys.byteorder == "big":
-        for array in arrays:
-            array.byteswap(inplace=True)
-    return result
+
+        def read(allocate):
+            try:
+                arrays = allocate()
+            except (MemoryError, ValueError) as exc:
+                raise FormatError(f"{source}: header sizes {fields} cannot be allocated") from exc
+            expected = header.size + sum(a.nbytes for a in arrays)
+            found = header.size + sum(fh.readinto(a) for a in arrays)
+            if found < expected:
+                raise FormatError(f"{source}: expected {expected} bytes, found {found}")
+            if fh.read(1):
+                raise FormatError(f"{source}: expected {expected} bytes, found more")
+            if sys.byteorder == "big":
+                for array in arrays:
+                    array.byteswap(inplace=True)
+            return arrays
+
+        return build(read, *fields)
 
 
 def network_fingerprint(network: ResidualNetwork) -> int:
@@ -180,14 +176,12 @@ def save_cache_file(path, inputs, labels, teacher_fingerprint) -> None:
 def load_cache_file(path):
     """Returns ``(inputs, labels, teacher_fingerprint)``; ``inputs`` and
     ``labels`` are column views of the one array the records were read into."""
-    def allocate(count, input_dim, pixels):
-        records = np.empty((count, input_dim + pixels))
-        fingerprint = np.empty(1, np.uint64)
-        return (records[:, :input_dim], records[:, input_dim:], fingerprint), [records, fingerprint]
+    def build(read, count, input_dim, pixels):
+        records, fingerprint = read(lambda: [np.empty((count, input_dim + pixels)),
+                                             np.empty(1, np.uint64)])
+        return records[:, :input_dim], records[:, input_dim:], int(fingerprint[0])
 
-    inputs, labels, fingerprint = _load(path, "cache", _RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION,
-                                        allocate)
-    return inputs, labels, int(fingerprint[0])
+    return _load(path, "cache", _RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION, build)
 
 
 def save_samples(path, inputs, labels=None) -> None:
@@ -209,12 +203,11 @@ def save_samples(path, inputs, labels=None) -> None:
 def load_samples(path):
     """Returns ``(inputs, labels_or_None)``: C-contiguous float64 inputs and
     int64 labels."""
-    def allocate(count, input_dim, has_labels):
-        arrays = [np.empty((count, input_dim))]
-        if has_labels:
-            arrays.append(np.empty(count, np.uint32))
-        return arrays, arrays
+    def build(read, count, input_dim, has_labels):
+        if has_labels not in (0, 1):
+            raise FormatError(f"{os.fspath(path)}: has_labels is {has_labels}, not 0 or 1")
+        inputs, *labels = read(lambda: [np.empty((count, input_dim))]
+                               + ([np.empty(count, np.uint32)] if has_labels else []))
+        return inputs, labels[0].astype(np.int64) if labels else None
 
-    inputs, *labels = _load(path, "sample file", _RECORDS_HEADER, SAMPLES_MAGIC, FORMAT_VERSION,
-                            allocate)
-    return inputs, labels[0].astype(np.int64) if labels else None
+    return _load(path, "sample file", _RECORDS_HEADER, SAMPLES_MAGIC, FORMAT_VERSION, build)

@@ -14,10 +14,11 @@ skipping a block leaves the identity in its place.  Blocks are indexed
 feature width (the standard constructors always use square blocks; the
 checkpoint format only supports those).
 
-Only ranking and profiling skip blocks, through :func:`forward`.  A pruned
-model is a :func:`compact` view that shares its parameter arrays with the
-full network; tracing, backprop and :func:`sgd_step` take no skip set, and
-training the view trains the full network's kept blocks in place.
+Ranking, profiling, ``evaluate_accuracy``, ``distill`` and ``distill_live``
+take skip sets.  A pruned model is a :func:`compact` view that shares its
+parameter arrays with the full network; tracing, backprop and
+:func:`sgd_step` take no skip set, and training the view trains the full
+network's kept blocks in place.
 
 The forward path is one tile pipeline.  It pads the batch once with zero
 rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map on
@@ -37,18 +38,17 @@ on the operand widths but which runs several times slower on batches.
 Gradient math uses plain matmul; it has no such contract and is verified
 against finite differences instead.
 
-Storage is packed.  :func:`packed_network` copies a network's tensors, in
-checkpoint order, into one float64 buffer and hands them out as views;
-:func:`clone_network` and :func:`random_network` go through it, and
-checkpoint loading reads straight into the buffer of :func:`packed_zeros`.
-The buffer starts on a ``BUFFER_ALIGN`` (64) byte boundary, which is
-measured, not cosmetic: at width 128 a batch-64 forward over a
-packed buffer that started 16 bytes past a boundary ran 4% slower than
-separate arrays, an aligned one 7-14% faster.  The tensors of a
-:func:`compact` view of a packed network then lie in a few contiguous runs:
-the stem with any kept blocks right after it, each further group of
-adjacent kept blocks, and the classifier with the last block if it is
-kept.
+Storage is packed.  :func:`packed_network` cuts a network's tensors, in
+checkpoint order, as views from one :func:`aligned_zeros` buffer, given
+filled or new; :func:`clone_network` fills one with a copy, and checkpoint
+loading reads the payload into one before the network is cut.  The buffer
+starts on a ``BUFFER_ALIGN`` (64) byte boundary, which is measured, not
+cosmetic: at width 128 a batch-64 forward over a packed buffer that
+started 16 bytes past a boundary ran 4% slower than separate arrays, an
+aligned one 7-14% faster.  The tensors of a :func:`compact` view of a
+packed network then lie in a few contiguous runs: the stem with any kept
+blocks right after it, each further group of adjacent kept blocks, and the
+classifier with the last block if it is kept.
 
 A gradient set (:class:`Gradients`) is a packed network too: the same
 structure as the network it was made for, packed the same way into a
@@ -167,51 +167,36 @@ class Gradients(ResidualNetwork):
 BUFFER_ALIGN = 64
 
 
-def _aligned_zeros(size: int) -> np.ndarray:
+def aligned_zeros(size: int) -> np.ndarray:
     """A new 1-D float64 zero array of ``size`` elements whose data starts
-    on a ``BUFFER_ALIGN``-byte boundary."""
+    on a ``BUFFER_ALIGN``-byte boundary: the buffer :func:`packed_network`
+    cuts its views from."""
     raw = np.zeros(size + BUFFER_ALIGN // 8)
     start = (-raw.ctypes.data % BUFFER_ALIGN) // raw.itemsize
     return raw[start : start + size]
 
 
-def _pack(shapes, values=None):
-    """``(buffer, views, fields)``: a new zero buffer that starts on a
-    ``BUFFER_ALIGN``-byte boundary, filled with one ``concatenate`` of
-    ``values`` when given, cut into one view per shape in checkpoint order,
-    and those views grouped as a network's fields (stem weight and bias,
-    blocks numbered 1..n, classifier weight and bias)."""
-    shapes = list(shapes)
-    buffer = _aligned_zeros(sum(math.prod(s) for s in shapes))
-    if values is not None:
-        np.concatenate([np.ravel(v) for v in values], out=buffer)
-    views, pos = [], 0
-    for shape in shapes:
-        views.append(buffer[pos : pos + math.prod(shape)].reshape(shape))
-        pos += views[-1].size
-    if len(views) < 4 or len(views) % 4:
-        raise DimensionError(f"{len(views)} tensors do not form a network")
-    blocks = [ResidualBlock(*views[i : i + 4], block_id=j)
-              for j, i in enumerate(range(2, len(views) - 2, 4), start=1)]
-    return buffer, views, (views[0], views[1], blocks, views[-2], views[-1])
-
-
-def packed_network(values, shapes) -> ResidualNetwork:
+def packed_network(shapes, buffer=None) -> ResidualNetwork:
     """A network whose tensors, with ``shapes`` in checkpoint order (stem
     weight and bias, each block's weight1, bias1, weight2 and bias2,
-    classifier weight and bias), are writable views into one new aligned
-    buffer, filled from ``values``: arrays whose elements, flattened and in
-    order, are the tensors' elements.  Blocks are numbered 1..n."""
-    return ResidualNetwork(*_pack(shapes, values)[2])
-
-
-def packed_zeros(shapes) -> tuple[ResidualNetwork, np.ndarray]:
-    """A zero network packed as :func:`packed_network` packs one, and its
-    buffer: one 1-D array of all the tensors' elements in checkpoint order,
-    for a caller to fill in place (checkpoint loading reads its payload
-    straight into it)."""
-    buffer, _, fields = _pack(shapes)
-    return ResidualNetwork(*fields), buffer
+    classifier weight and bias), are writable views cut in order from one
+    buffer: ``buffer``, a filled :func:`aligned_zeros` array of exactly
+    their elements, or a new zero one.  Blocks are numbered 1..n."""
+    shapes = list(shapes)
+    sizes = [math.prod(s) for s in shapes]
+    if buffer is None:
+        buffer = aligned_zeros(sum(sizes))
+    elif buffer.size != sum(sizes):
+        raise DimensionError(f"buffer of {buffer.size} elements for {sum(sizes)} parameters")
+    if len(shapes) < 4 or len(shapes) % 4:
+        raise DimensionError(f"{len(shapes)} tensors do not form a network")
+    views, pos = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[pos : pos + size].reshape(shape))
+        pos += size
+    blocks = [ResidualBlock(*views[i : i + 4], block_id=j)
+              for j, i in enumerate(range(2, len(views) - 2, 4), start=1)]
+    return ResidualNetwork(views[0], views[1], blocks, views[-2], views[-1])
 
 
 def packed_gradients(network) -> Gradients:
@@ -222,8 +207,10 @@ def packed_gradients(network) -> Gradients:
     and update ``network`` one contiguous run of parameters at a time; the
     layout is computed here, once."""
     params = tuple(network.parameter_arrays())
-    buffer, views, fields = _pack(p.shape for p in params)
-    return Gradients(*fields, layout=_UpdateLayout.build(params, tuple(views), buffer))
+    buffer = aligned_zeros(sum(p.size for p in params))
+    zeros = packed_network([p.shape for p in params], buffer)
+    layout = _UpdateLayout.build(params, tuple(zeros.parameter_arrays()), buffer)
+    return Gradients(**vars(zeros), layout=layout)
 
 
 def _buffer_offset(p):
@@ -550,7 +537,9 @@ def block_param_count(block: ResidualBlock) -> int:
 def clone_network(network: ResidualNetwork) -> ResidualNetwork:
     """A deep copy of ``network`` in packed storage (:func:`packed_network`)."""
     params = list(network.parameter_arrays())
-    return packed_network(params, [p.shape for p in params])
+    buffer = aligned_zeros(sum(p.size for p in params))
+    np.concatenate([np.ravel(p) for p in params], out=buffer)
+    return packed_network([p.shape for p in params], buffer)
 
 
 # Damping of each residual branch's output weights at initialization: deep

@@ -363,21 +363,31 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload", [
-    {"seed": -1},
-    {"dataset": {"seed": -2}},
-    {"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}},
-    {"dataset": {"class_sep": float("inf")}},
-    {"arch": {"width": 0, "n_blocks": 2}},
-    {"pretrain_epochs": -1},
+@pytest.mark.parametrize("payload, message", [
+    ({"seed": -1}, "seed must be"),
+    ({"dataset": {"seed": -2}}, "dataset seed"),
+    ({"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}}, "severity"),
+    ({"dataset": {"class_sep": float("inf")}}, "class_sep"),
+    ({"arch": {"width": 0, "n_blocks": 2}}, "arch"),
+    ({"pretrain_epochs": -1}, "pretrain_epochs"),
     # A grid is checked whole: its valid first entry must not start work either.
-    {"grid": {"methods": ["proposed", "bogus"]}},
-    {"grid": {"seeds": [2, -1]}},
-    {"grid": {"n_p_values": [1, 5]}},  # the default arch has 4 blocks
+    ({"grid": {"methods": ["proposed", "bogus"]}}, "bogus"),
+    ({"grid": {"seeds": [2, -1]}}, "seed must be"),
+    ({"grid": {"n_p_values": [1, 5]}}, "n_p=5"),  # the default arch has 4 blocks
+    # Each level of the schema must have its JSON type.
+    ([{"seed": 0}], "experiment config must be a JSON object"),
+    ({"grid": ["proposed"]}, "grid must be a JSON object"),
+    ({"dataset": [["seed", 1]]}, "dataset must be a JSON object"),
+    ({"dataset": {"shift": "scaling"}}, "dataset.shift must be a JSON object"),
+    ({"grid": {"seeds": 3}}, "grid.seeds must be a JSON list"),
+    ({"grid": {"methods": "proposed"}}, "grid.methods must be a JSON list"),  # not p, r, o, ...
+    ({"grid": {"n_p_values": 1}}, "grid.n_p_values must be a JSON list"),
 ], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
-        "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p"])
+        "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "config_list",
+        "grid_list", "dataset_list", "shift_string", "grid_seeds_int", "grid_methods_string",
+        "grid_n_p_values_int"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
-                                                          payload):
+                                                          payload, message):
     from latecut import experiment
 
     def no_pretraining(*args, **kwargs):
@@ -389,7 +399,7 @@ def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, mon
     config.write_text(json.dumps(payload))  # NaN and Infinity are JSON extensions json reads
     capsys.readouterr()
     assert main(["experiment", "--config", str(config), "--out", str(tmp / "exp")]) == 2
-    _one_data_error_line(capsys)
+    assert message in _one_data_error_line(capsys)
     assert not list((tmp / "exp").glob("report*.json"))
     assert not (tmp / "exp" / "results.csv").exists()
 

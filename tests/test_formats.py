@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from latecut import formats
+from latecut import network
 from latecut.errors import ConfigError, FormatError
 from latecut.formats import (
     CACHE_MAGIC,
@@ -63,15 +63,19 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         load_checkpoint(short)
 
 
-def test_checkpoint_header_sizes_checked_before_allocation(tmp_path, monkeypatch):
-    def no_allocation(shapes):
-        raise AssertionError(f"allocated {len(shapes)} tensors")
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_checkpoint_header_sizes_checked_before_allocation(tmp_path, monkeypatch, source):
+    # 24 bytes whose header claims 100000 blocks of width 1: the payload is
+    # read and found short before any block is built from the claim.
+    def no_block(*args, **kwargs):
+        raise AssertionError("built a block from a header the payload does not back")
 
-    monkeypatch.setattr(formats, "packed_zeros", no_allocation)
+    monkeypatch.setattr(network, "ResidualBlock", no_block)
+    data = struct.pack("<4sIIIII", b"LCUT", 1, 1, 1, 100000, 1)
     path = tmp_path / "claims.ckpt"
-    path.write_bytes(struct.pack("<4sIIIII", b"LCUT", 1, 1, 1, 100000, 1))
+    path.write_bytes(data)
     with pytest.raises(FormatError, match="expected"):
-        load_checkpoint(path)
+        load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
 
 
 def test_checkpoint_rejects_rectangular_blocks():
@@ -202,6 +206,8 @@ CORRUPTIONS = {
     "bad_version": lambda data, n: data[:4] + struct.pack("<I", 99) + data[8:],
     # the first two size fields at 2**32 - 1: no array of that many elements exists
     "unallocatable_sizes": lambda data, n: data[:8] + b"\xff" * 8 + data[16:],
+    # the last size field at 7: a sample file's has_labels, which must be 0 or 1
+    "last_size_field_7": lambda data, n: data[: n - 4] + struct.pack("<I", 7) + data[n:],
 }
 
 
@@ -222,18 +228,22 @@ def test_loads_from_a_pipe(tmp_path, kind):
     # Sizes come from the bytes read, not from the file's size on disk.
     write, load, _ = FORMATS[kind]
     write(tmp_path / kind)
-    data = (tmp_path / kind).read_bytes()
+    piped = _load_piped(load, (tmp_path / kind).read_bytes())
+    assert _payload(piped) == _payload(load(tmp_path / kind))
+
+
+def _load_piped(load, data: bytes):
+    """``load`` run on ``data`` written into a pipe (``/dev/fd/N``)."""
     read_end, write_end = os.pipe()
     try:
         os.write(write_end, data)  # far below a pipe's capacity
         os.close(write_end)
         write_end = None
-        piped = load(f"/dev/fd/{read_end}")
+        return load(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
         if write_end is not None:
             os.close(write_end)
-    assert _payload(piped) == _payload(load(tmp_path / kind))
 
 
 def _payload(loaded) -> bytes:

@@ -1,6 +1,6 @@
-"""``scripts/model_digests.py`` runs against this checkout and finds the
-offline and serving pipelines' Mbar bitwise equal at both benchmark
-workload shapes."""
+"""``scripts/model_digests.py`` runs against this checkout and finds M
+bitwise equal after a checkpoint round trip, and the offline and serving
+pipelines' Mbar bitwise equal, at both benchmark workload shapes."""
 
 import json
 import os
@@ -23,5 +23,6 @@ def test_offline_and_serving_mbar_digests_agree(workload):
     )
     assert result.returncode == 0, result.stderr
     digests = json.loads(result.stdout)
+    assert digests["M_loaded"] == digests["M"]
     assert digests["offline_mbar"] == digests["serving_mbar"] != digests["M"]
     assert 0.0 < digests["mbar_heldout_accuracy"] <= 1.0
