@@ -5,8 +5,12 @@ codes: 0 success, 1 usage error, 2 data/config error, 3 numeric failure.
 Errors print one machine-parseable line on stderr.  Every run writes its
 resolved configuration into the output directory, and all file outputs are
 written atomically (temp file + rename).  The LATECUT_SEED environment
-variable overrides any configured seed, and the logged configuration shows
-the seed that ran.
+variable overrides any configured seed, a grid's seeds included, and the
+logged configuration shows the seed that ran.
+
+``experiment`` runs every config as a grid (one without a grid is a grid of
+one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
+``report`` gathers the ``report_*.json`` files under a tree into that table.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .experiment import (
     experiment_config_from_dict,
     experiment_grid_from_dict,
     reports_to_csv,
-    run_experiment,
 )
 from .network import compact
 from .profiling import profile, profile_from_dict, profile_to_dict
@@ -248,16 +251,12 @@ def _cmd_experiment(args) -> int:
     config = experiment_config_from_dict(payload)
     config = replace(config, seed=_resolve_seed(config.seed))
     grid = experiment_grid_from_dict(payload, config)
+    if "LATECUT_SEED" in os.environ:  # overrides the grid's seeds too
+        grid["seeds"] = (config.seed,)
     os.makedirs(args.out, exist_ok=True)
-    if grid is not None:
-        if "LATECUT_SEED" in os.environ:  # overrides the grid's seeds too
-            grid["seeds"] = (config.seed,)
-        reports = compare_methods(config, **grid)
-        for i, report in enumerate(reports):
-            _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
-    else:
-        reports = [run_experiment(config)]
-        _write_json(os.path.join(args.out, "report.json"), reports[0].to_dict())
+    reports = compare_methods(config, **grid)
+    for i, report in enumerate(reports):
+        _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
     formats.atomic_write_text(os.path.join(args.out, "results.csv"), reports_to_csv(reports))
     for report in reports:
         log.info(
@@ -273,7 +272,7 @@ def _cmd_report(args) -> int:
     try:
         for root, _, files in os.walk(args.results):
             for name in sorted(files):
-                if name == "report.json" or (name.startswith("report_") and name.endswith(".json")):
+                if name.startswith("report_") and name.endswith(".json"):
                     with open(os.path.join(root, name)) as fh:
                         reports.append(ExperimentReport(**json.load(fh)))
         # The experiment's own writer, so the table matches its results.csv.

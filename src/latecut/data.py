@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, check_ints
 from .network import (
     ResidualNetwork,
     backprop_from_outputs,
@@ -56,15 +56,11 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_classes", "input_dim", "samples_per_split"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_ints(self, num_classes=1, input_dim=1, samples_per_split=1, seed=0)
         _check_scale("class_sep", self.class_sep)
         _check_scale("noise_sigma", self.noise_sigma)
         if self.class_means is not None and not np.isfinite(self.class_means).all():
             raise ConfigError("class_means must be finite")
-        if self.seed < 0:
-            raise ConfigError(f"dataset seed must be a non-negative integer, got {self.seed}")
 
 
 def _class_means(spec: DatasetSpec) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError, check_ints
 from .formats import load_cache_file, network_fingerprint, save_cache_file
 from .network import (
     ResidualNetwork,
@@ -74,7 +74,6 @@ class PseudoLabelCache:
     inputs: np.ndarray   # (N, input_dim)
     labels: np.ndarray   # (N, pixels_per_label)
     teacher_fingerprint: int
-    feature_source: str = SOURCE_FINAL_BLOCK
 
     @property
     def size(self) -> int:
@@ -84,15 +83,18 @@ class PseudoLabelCache:
     def pixels_per_label(self) -> int:
         return self.labels.shape[1]
 
+    @property
+    def feature_source(self) -> str:
+        """Pooled exactly when a label is one pixel wide; a width-1 final-block
+        label equals its one-pixel mean, so reading it as pooled changes nothing."""
+        return SOURCE_POOLED if self.pixels_per_label == 1 else SOURCE_FINAL_BLOCK
+
     def save(self, path) -> None:
         save_cache_file(path, self.inputs, self.labels, self.teacher_fingerprint)
 
     @classmethod
     def load(cls, path) -> "PseudoLabelCache":
-        inputs, labels, fingerprint = load_cache_file(path)
-        # The file does not name its source; only pooled labels are one pixel.
-        source = SOURCE_POOLED if labels.shape[1] == 1 else SOURCE_FINAL_BLOCK
-        return cls(inputs, labels, fingerprint, source)
+        return cls(*load_cache_file(path))
 
 
 @dataclass
@@ -103,14 +105,9 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        check_ints(self, steps=0, batch_size=1, seed=0)
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -162,7 +159,7 @@ def build_cache(teacher, samples, feature_source=SOURCE_FINAL_BLOCK) -> PseudoLa
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ConfigError(f"samples must be a non-empty 2-D array, got shape {inputs.shape}")
     labels = teacher_labels(teacher, inputs, feature_source)
-    return PseudoLabelCache(inputs, labels, network_fingerprint(teacher), feature_source)
+    return PseudoLabelCache(inputs, labels, network_fingerprint(teacher))
 
 
 def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_BLOCK,
@@ -294,7 +291,7 @@ def distill_live(student, skip, teacher, samples, config: DistillConfig,
     # Same index stream as cached mode; labels are recomputed, never stored,
     # so this cache holds placeholders and no teacher fingerprint.
     pixels = label_pixels(feature_source, student.width)
-    shell = PseudoLabelCache(inputs, np.zeros((inputs.shape[0], pixels)), 0, feature_source)
+    shell = PseudoLabelCache(inputs, np.zeros((inputs.shape[0], pixels)), 0)
     run = DistillRun(compact(student, skip), shell, config, live_teacher=teacher)
     while not run.done:
         run.step()

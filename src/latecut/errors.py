@@ -21,6 +21,15 @@ class ConfigError(LatecutError):
     """A configuration value is out of range or inconsistent."""
 
 
+def check_ints(config, **lows) -> None:
+    """ConfigError unless each named field of ``config`` is an int, not a bool, >= its bound."""
+    for name, low in lows.items():
+        value = getattr(config, name)
+        if type(value) is not int or value < low:
+            raise ConfigError(f"{type(config).__name__}.{name} must be an integer >= {low}, "
+                              f"got {value!r}")
+
+
 class FormatError(LatecutError):
     """A binary or JSON artifact does not match its documented layout."""
 

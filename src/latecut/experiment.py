@@ -2,6 +2,11 @@
 prune with a chosen method, fine-tune against the pseudo-label cache, and
 evaluate on held-out shifted test data.
 
+Every experiment is a grid of (method, n_p, seed) runs made by
+:func:`compare_methods`; a config without a grid is a grid of one.  The
+dataset's seed names the data every run shares; a run's seed seeds its
+pretraining, pruning method and distillation.
+
 The held-out evaluation set is always the test split minus the samples
 consumed by the prune batch and the cache, so pruning-and-fine-tuning on
 test-time samples ("test" PF source) and on training samples ("train" PF
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -30,7 +36,7 @@ from .distill import (
     label_pixels,
     required_dataset_size,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_ints
 from .network import clone_network, parameter_count
 from .profiling import latency_saving, profile
 from .pruning import METHODS, prune_by_method
@@ -81,10 +87,11 @@ class ExperimentConfig:
             raise ConfigError(f"arch needs positive integer width and n_blocks, got {self.arch!r}")
         if type(self.n_p) is not int or not 0 <= self.n_p <= arch["n_blocks"]:
             raise ConfigError(f"n_p={self.n_p!r} outside 0..{arch['n_blocks']} removable blocks")
-        if self.pretrain_epochs < 0:
-            raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        check_ints(self, prune_batch_size=1, pretrain_epochs=0, oracle_k_steps=1, seed=0)
+        if self.cache_size is not None:
+            check_ints(self, cache_size=1)
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 @dataclass
@@ -134,17 +141,10 @@ class ExperimentReport:
         }
 
 
-def run_experiment(config: ExperimentConfig, pretrained=None) -> ExperimentReport:
-    """profile -> prune -> distill -> evaluate, timing each stage.
-
-    ``pretrained`` skips source training (used by grids that share one
-    source model per seed).
-    """
-    (x_train, y_train), (x_test, y_test) = make_dataset(config.dataset)
-    if pretrained is None:
-        pretrained = pretrain_source(
-            (x_train, y_train), config.arch, config.pretrain_epochs, config.seed
-        )
+def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
+    """profile -> prune -> distill -> evaluate one run on its ``pretrained``
+    source model, timing each stage."""
+    (x_train, _), (x_test, y_test) = make_dataset(config.dataset)
 
     cache_size = config.cache_size
     if cache_size is None:
@@ -218,26 +218,22 @@ def run_experiment(config: ExperimentConfig, pretrained=None) -> ExperimentRepor
     )
 
 
-def compare_methods(base: ExperimentConfig, methods=METHODS, n_p_values=(1,), seeds=(0,)):
-    """One run per (method, n_p, seed) with identical distillation.
+def compare_methods(base: ExperimentConfig, methods, n_p_values, seeds):
+    """One run per (method, n_p, seed) with identical distillation, on one
+    source model per seed pretrained on the dataset's one training split.
 
     PF time is normalized to the proposed method's within each
     (n_p, seed) group, mirroring how the reference tables report it.
     """
     # Every config is built, and so checked, before the first pretraining.
-    configs = [
-        replace(base, method=method, n_p=n_p, seed=seed, dataset=replace(base.dataset, seed=seed))
-        for seed in seeds for n_p in n_p_values for method in methods
-    ]
-    reports: list[ExperimentReport] = []
-    pretrained_by_seed = {}
-    for cfg in configs:
-        if cfg.seed not in pretrained_by_seed:
-            train_split, _ = make_dataset(cfg.dataset)
-            pretrained_by_seed[cfg.seed] = pretrain_source(
-                train_split, cfg.arch, cfg.pretrain_epochs, cfg.seed
-            )
-        reports.append(run_experiment(cfg, pretrained_by_seed[cfg.seed]))
+    configs = [replace(base, method=method, n_p=n_p, seed=seed)
+               for seed in seeds for n_p in n_p_values for method in methods]
+    train_split, _ = make_dataset(base.dataset)
+    pretrained_by_seed = {
+        seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed)
+        for seed in dict.fromkeys(cfg.seed for cfg in configs)
+    }
+    reports = [run_experiment(cfg, pretrained_by_seed[cfg.seed]) for cfg in configs]
     by_group = {}
     for report in reports:
         if report.method == "proposed":
@@ -251,7 +247,12 @@ def compare_methods(base: ExperimentConfig, methods=METHODS, n_p_values=(1,), se
 
 def sweep_cache_sizes(config: ExperimentConfig, sizes, pretrained=None):
     """Accuracy as a function of fine-tuning set size, plus the saturation
-    knee: the first size whose accuracy is within 0.5 points of the best."""
+    knee: the first size whose accuracy is within 0.5 points of the best.
+    Without ``pretrained``, one source model is pretrained for all sizes."""
+    if pretrained is None:
+        train_split, _ = make_dataset(config.dataset)
+        pretrained = pretrain_source(train_split, config.arch, config.pretrain_epochs,
+                                     config.seed)
     rows = []
     for size in sizes:
         report = run_experiment(replace(config, cache_size=int(size)), pretrained)
@@ -295,12 +296,12 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
-def experiment_grid_from_dict(payload: dict, config: ExperimentConfig) -> dict | None:
+def experiment_grid_from_dict(payload: dict, config: ExperimentConfig) -> dict:
     """:func:`compare_methods`'s keyword arguments from the config file's
-    ``grid`` (methods default to proposed, the rest to ``config``'s), or None."""
-    if payload.get("grid") is None:
-        return None
-    grid = _require_json(payload["grid"], dict, "grid")
-    defaults = {"methods": ["proposed"], "n_p_values": [config.n_p], "seeds": [config.seed]}
+    ``grid``.  Each axis the grid does not name takes ``config``'s own value,
+    so no grid (or a null one) is a grid of one run."""
+    grid = payload.get("grid")
+    grid = {} if grid is None else _require_json(grid, dict, "grid")
+    defaults = {"methods": [config.method], "n_p_values": [config.n_p], "seeds": [config.seed]}
     return {key: tuple(_require_json(grid.get(key, default), list, f"grid.{key}"))
             for key, default in defaults.items()}

@@ -44,7 +44,7 @@ from .distill import (
     SOURCE_FINAL_BLOCK,
     teacher_labels,
 )
-from .errors import ConfigError, PartialRunError
+from .errors import ConfigError, PartialRunError, check_ints
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
@@ -99,12 +99,7 @@ class ServeConfig:
     budget_per_tick: int = 4
 
     def __post_init__(self):
-        if self.prune_batch_size < 1:
-            raise ConfigError(f"prune_batch_size must be >= 1, got {self.prune_batch_size}")
-        if self.cache_size < 1:
-            raise ConfigError(f"cache_size must be >= 1, got {self.cache_size}")
-        if self.budget_per_tick < 1:
-            raise ConfigError(f"budget_per_tick must be >= 1, got {self.budget_per_tick}")
+        check_ints(self, n_p=0, prune_batch_size=1, cache_size=1, budget_per_tick=1)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import pytest
 from latecut import serving
 from latecut.cli import main
 from latecut.distill import DistillConfig, build_cache, distill
+from latecut.experiment import ExperimentReport
 from latecut.formats import (
     checkpoint_bytes,
     load_checkpoint,
@@ -365,7 +366,7 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
 
 @pytest.mark.parametrize("payload, message", [
     ({"seed": -1}, "seed must be"),
-    ({"dataset": {"seed": -2}}, "dataset seed"),
+    ({"dataset": {"seed": -2}}, "DatasetSpec.seed"),
     ({"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}}, "severity"),
     ({"dataset": {"class_sep": float("inf")}}, "class_sep"),
     ({"arch": {"width": 0, "n_blocks": 2}}, "arch"),
@@ -382,10 +383,22 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"grid": {"seeds": 3}}, "grid.seeds must be a JSON list"),
     ({"grid": {"methods": "proposed"}}, "grid.methods must be a JSON list"),  # not p, r, o, ...
     ({"grid": {"n_p_values": 1}}, "grid.n_p_values must be a JSON list"),
+    # Integer settings must be integers, and every range is checked up front.
+    ({"grid": {"seeds": ["0"]}}, "ExperimentConfig.seed"),
+    ({"seed": 1.5}, "ExperimentConfig.seed"),
+    ({"distill": {"batch_size": 2.5}}, "DistillConfig.batch_size"),
+    ({"distill": {"steps": 2.5}}, "DistillConfig.steps"),
+    ({"distill": {"seed": True}}, "DistillConfig.seed"),
+    ({"prune_batch_size": 0}, "prune_batch_size"),
+    ({"cache_size": -5}, "cache_size"),
+    ({"kappa": -1}, "kappa"),
+    ({"method": "oracle", "oracle_k_steps": 0}, "oracle_k_steps"),
 ], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
         "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "config_list",
         "grid_list", "dataset_list", "shift_string", "grid_seeds_int", "grid_methods_string",
-        "grid_n_p_values_int"])
+        "grid_n_p_values_int", "grid_seed_string", "seed_float", "distill_batch_size_float",
+        "distill_steps_float", "distill_seed_bool", "prune_batch_size_0", "cache_size_negative",
+        "kappa_negative", "oracle_k_steps_0"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
                                                           payload, message):
     from latecut import experiment
@@ -448,7 +461,7 @@ def test_resolved_config_logged(workspace):
 
 
 def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
-    tmp, _, _, _ = workspace
+    tmp, _, ckpt, data = workspace
     config = {
         "dataset": {
             "num_classes": 3, "input_dim": 8, "samples_per_split": 300,
@@ -468,12 +481,20 @@ def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
     results = tmp / "results"
     assert main(["experiment", "--config", str(config_path), "--out", str(results)]) == 0
     assert (results / "experiment_config.json").exists()  # resolved config in output dir
-    report = json.loads((results / "report.json").read_text())
+    report = json.loads((results / "report_000.json").read_text())
     assert report["method"] == "proposed"
     csv_lines = (results / "results.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["method", "n_p", "seed"]
     assert len(csv_lines) == 2
 
+    # A distill report in the tree is not an experiment report.
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [1]}))
+    (results / "distill").mkdir()
+    assert main(["distill", "--student", str(ckpt), "--decision", str(decision),
+                 "--teacher", str(ckpt), "--samples", str(data), "--steps", "2",
+                 "--out", str(results / "distill" / "student.ckpt"),
+                 "--report", str(results / "distill" / "report.json")]) == 0
     table = tmp / "table.csv"
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
     assert table.read_bytes() == (results / "results.csv").read_bytes()
@@ -483,6 +504,23 @@ def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
     assert main(["experiment", "--config", str(config_path), "--out", str(tmp / "r2")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "kind=data" in err and "LATECUT_SEED" in err
+
+
+def test_experiment_without_grid_is_a_grid_of_one(workspace):
+    tmp, _, _, _ = workspace
+    config = {"seed": 3, "pretrain_epochs": 2, "distill": {"steps": 20}, "cache_size": 32}
+    reports = []
+    for name, extra in [("absent", {}), ("null", {"grid": None}), ("empty", {"grid": {}})]:
+        config_path = tmp / f"{name}.json"
+        config_path.write_text(json.dumps({**config, **extra}))
+        results = tmp / name
+        assert main(["experiment", "--config", str(config_path), "--out", str(results)]) == 0
+        assert sorted(p.name for p in results.glob("report*.json")) == ["report_000.json"]
+        report = ExperimentReport(**json.loads((results / "report_000.json").read_text()))
+        assert report.pf_normalized == 100.0  # a lone proposed run is its own baseline
+        reports.append(report.deterministic_dict())
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["seed"] == 3
 
 
 def test_subcommands_idempotent_in_modeled_mode(workspace):

@@ -73,8 +73,9 @@ class TestDistillConfig:
     @pytest.mark.parametrize("change", [
         {"steps": -1}, {"batch_size": 0}, {"lr0": 0.0}, {"lr0": -0.02},
         {"lr0": float("nan")}, {"lr0": float("inf")}, {"lr0": float("-inf")}, {"seed": -1},
+        {"steps": 2.5}, {"batch_size": True},
     ], ids=["steps", "batch_size", "lr0_zero", "lr0_negative", "lr0_nan", "lr0_inf",
-            "lr0_minus_inf", "seed_negative"])
+            "lr0_minus_inf", "seed_negative", "steps_float", "batch_size_bool"])
     def test_validation(self, change):
         with pytest.raises(ConfigError):
             DistillConfig(**change)
@@ -297,3 +298,13 @@ def test_cache_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.labels, cache.labels)
     assert loaded.teacher_fingerprint == cache.teacher_fingerprint
     assert loaded.feature_source == SOURCE_FINAL_BLOCK
+
+
+def test_pooled_cache_file_roundtrip(tmp_path):
+    teacher = make_teacher(seed=10)
+    cache = build_cache(teacher, make_samples(teacher, 6, seed=10), SOURCE_POOLED)
+    path = tmp_path / "cache.bin"
+    cache.save(path)
+    loaded = PseudoLabelCache.load(path)
+    assert np.array_equal(loaded.labels, cache.labels)
+    assert cache.feature_source == loaded.feature_source == SOURCE_POOLED

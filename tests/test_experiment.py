@@ -1,8 +1,12 @@
+import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from latecut import experiment
 from latecut.data import DatasetSpec, ShiftSpec, make_dataset, pretrain_source
 from latecut.distill import DistillConfig
 from latecut.errors import ConfigError
@@ -11,6 +15,7 @@ from latecut.experiment import (
     ExperimentConfig,
     compare_methods,
     experiment_config_from_dict,
+    experiment_grid_from_dict,
     reports_to_csv,
     run_experiment,
     sweep_cache_sizes,
@@ -39,7 +44,7 @@ def small_config(**overrides):
 class TestRunExperiment:
     def test_report_fields_and_recomputed_ls(self):
         config = small_config(seed=1, dataset=replace(small_config().dataset, seed=1))
-        report = run_experiment(config)
+        [report] = compare_methods(config, ("proposed",), (2,), (1,))
         assert report.method == "proposed"
         assert 0.0 < report.accuracy < 100.0
         assert len(report.pruned) == 2
@@ -52,8 +57,8 @@ class TestRunExperiment:
 
     def test_deterministic_modulo_wall_clock(self):
         config = small_config(seed=2, dataset=replace(small_config().dataset, seed=2))
-        first = run_experiment(config)
-        second = run_experiment(config)
+        [first] = compare_methods(config, ("proposed",), (2,), (2,))
+        [second] = compare_methods(config, ("proposed",), (2,), (2,))
         assert first.deterministic_dict() == second.deterministic_dict()
 
     def test_proposed_beats_random_on_average(self):
@@ -88,8 +93,9 @@ class TestRunExperiment:
         config = small_config(
             dataset=replace(small_config().dataset, samples_per_split=30)
         )
+        train, _ = make_dataset(config.dataset)
         with pytest.raises(ConfigError):
-            run_experiment(config)
+            run_experiment(config, pretrain_source(train, config.arch, epochs=0))
 
 
 class TestCompareMethods:
@@ -142,8 +148,39 @@ class TestSweepCacheSizes:
         best = max(row["accuracy"] for row in rows)
         assert {row["cache_size"]: row["accuracy"] for row in rows}[knee] >= best - 0.5
 
+    def test_pretrains_once_for_all_sizes(self, monkeypatch):
+        calls = []
+
+        def counting_pretrain(*args, **kwargs):
+            calls.append(args)
+            return pretrain_source(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "pretrain_source", counting_pretrain)
+        config = small_config(distill=DistillConfig(steps=2, batch_size=16), pretrain_epochs=2)
+        rows, _ = sweep_cache_sizes(config, sizes=(8, 16, 32))
+        assert len(rows) == 3
+        assert len(calls) == 1
+
 
 class TestConfigParsing:
+    def test_axes_the_grid_does_not_name_take_the_configs_values(self):
+        payload = {"method": "random", "n_p": 2, "seed": 4}
+        config = experiment_config_from_dict(payload)
+        expected = {"methods": ("random",), "n_p_values": (2,), "seeds": (4,)}
+        for grid in ({}, {"grid": None}, {"grid": {}}):
+            assert experiment_grid_from_dict({**payload, **grid}, config) == expected
+        grid = experiment_grid_from_dict({**payload, "grid": {"seeds": [0, 1]}}, config)
+        assert grid == {**expected, "seeds": (0, 1)}
+
+    def test_readme_experiment_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        payload = json.loads(blocks[0])
+        config = experiment_config_from_dict(payload)
+        grid = experiment_grid_from_dict(payload, config)
+        assert grid == {key: tuple(values) for key, values in payload["grid"].items()}
+
     def test_round_trip_from_dict(self):
         payload = {
             "dataset": {

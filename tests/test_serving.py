@@ -346,6 +346,10 @@ class TestServe:
             ServingState(net, small_config(n_p=5))
         with pytest.raises(ConfigError):
             small_config(budget_per_tick=0)
+        with pytest.raises(ConfigError, match="cache_size"):
+            small_config(cache_size=2.5)
+        with pytest.raises(ConfigError, match="n_p"):
+            small_config(n_p=True)
 
 
 def _row_bits(row):
