@@ -5,8 +5,8 @@ codes: 0 success, 1 usage error, 2 data/config error, 3 numeric failure.
 Errors print one machine-parseable line on stderr.  Every run writes its
 resolved configuration into the output directory, and all file outputs are
 written atomically (temp file + rename).  The LATECUT_SEED environment
-variable overrides any configured seed, a grid's seeds included, and the
-logged configuration shows the seed that ran.
+variable overrides any configured seed, a grid's ``seed`` axis included, and
+the logged configuration shows the seed that ran.
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
@@ -34,10 +34,10 @@ from .errors import (
 )
 from .experiment import (
     ExperimentReport,
-    compare_methods,
     experiment_config_from_dict,
     experiment_grid_from_dict,
     reports_to_csv,
+    run_grid,
 )
 from .network import compact
 from .profiling import profile, profile_from_dict, profile_to_dict
@@ -250,20 +250,15 @@ def _cmd_experiment(args) -> int:
         payload = json.load(fh)
     config = experiment_config_from_dict(payload)
     config = replace(config, seed=_resolve_seed(config.seed))
-    grid = experiment_grid_from_dict(payload, config)
-    if "LATECUT_SEED" in os.environ:  # overrides the grid's seeds too
-        grid["seeds"] = (config.seed,)
+    grid = experiment_grid_from_dict(payload)
+    if "LATECUT_SEED" in os.environ:  # overrides the grid's seed axis too
+        grid["seed"] = (config.seed,)
     os.makedirs(args.out, exist_ok=True)
-    reports = compare_methods(config, **grid)
+    reports = run_grid(config, grid)
     for i, report in enumerate(reports):
         _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
+        log.info("report_%03d: %s", i, report.csv_row())
     formats.atomic_write_text(os.path.join(args.out, "results.csv"), reports_to_csv(reports))
-    for report in reports:
-        log.info(
-            "method=%s n_p=%d seed=%d accuracy=%.2f%% ls=%.2f%% pf=%.3fs",
-            report.method, report.n_p, report.seed,
-            report.accuracy, report.latency_saving, report.pf_seconds,
-        )
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 prune with a chosen method, fine-tune against the pseudo-label cache, and
 evaluate on held-out shifted test data.
 
-Every experiment is a grid of (method, n_p, seed) runs made by
-:func:`compare_methods`; a config without a grid is a grid of one.  The
-dataset's seed names the data every run shares; a run's seed seeds its
-pretraining, pruning method and distillation.
+Every experiment is a grid run by :func:`run_grid`: the product of lists
+of values for some of the config's ``GRID_AXES``, so a config without a grid
+is a grid of one.  The dataset's seed names the data every run shares; a
+run's seed seeds its pretraining, pruning method and distillation.
 
 The held-out evaluation set is always the test split minus the samples
 consumed by the prune batch and the cache, so pruning-and-fine-tuning on
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -41,10 +42,17 @@ from .network import clone_network, parameter_count
 from .profiling import latency_saving, profile
 from .pruning import METHODS, prune_by_method
 
+# The ExperimentConfig fields a grid may vary, in run order: seed outermost,
+# method innermost.  Every one is recorded in a report and in results.csv.
+GRID_AXES = ("seed", "n_p", "cache_size", "distill_mode", "pf_source", "method")
+
 CSV_COLUMNS = [
     "method",
     "n_p",
     "seed",
+    "cache_size",
+    "distill_mode",
+    "pf_source",
     "shift_kind",
     "severity",
     "accuracy",
@@ -90,8 +98,17 @@ class ExperimentConfig:
         check_ints(self, prune_batch_size=1, pretrain_epochs=0, oracle_k_steps=1, seed=0)
         if self.cache_size is not None:
             check_ints(self, cache_size=1)
+            _check_held_out(self, self.cache_size)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
+
+
+def _check_held_out(config: ExperimentConfig, cache_size: int) -> None:
+    """Each split holds samples_per_split rows; prune batch + cache must leave some."""
+    needed = config.prune_batch_size + cache_size
+    if needed >= config.dataset.samples_per_split:
+        raise ConfigError(f"prune batch + cache = {needed} samples leave no held-out rows of "
+                          f"samples_per_split={config.dataset.samples_per_split}")
 
 
 @dataclass
@@ -112,23 +129,25 @@ class ExperimentReport:
     pruned: list[int]
     cache_size: int
     distill_mode: str
+    pf_source: str
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def deterministic_dict(self) -> dict:
         """Report content minus wall-clock fields, for reproducibility checks."""
-        d = self.to_dict()
-        for key in ("pf_seconds", "pf_normalized", "elapsed_prune", "elapsed_finetune",
-                    "elapsed_infer"):
-            d.pop(key)
-        return d
+        wall_clock = ("pf_seconds", "pf_normalized", "elapsed_prune", "elapsed_finetune",
+                      "elapsed_infer")
+        return {key: value for key, value in self.to_dict().items() if key not in wall_clock}
 
     def csv_row(self) -> dict:
         return {
             "method": self.method,
             "n_p": self.n_p,
             "seed": self.seed,
+            "cache_size": self.cache_size,
+            "distill_mode": self.distill_mode,
+            "pf_source": self.pf_source,
             "shift_kind": self.shift_kind,
             "severity": self.severity,
             "accuracy": f"{self.accuracy:.4f}",
@@ -150,19 +169,13 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
     if cache_size is None:
         pixels = label_pixels(config.feature_source, pretrained.width)
         cache_size = required_dataset_size(parameter_count(pretrained), pixels, config.kappa)
+    _check_held_out(config, cache_size)
 
     pf_x = x_test if config.pf_source == "test" else x_train
     needed = config.prune_batch_size + cache_size
-    if needed > pf_x.shape[0]:
-        raise ConfigError(
-            f"PF source has {pf_x.shape[0]} samples but prune batch + cache needs {needed}"
-        )
     prune_batch = pf_x[: config.prune_batch_size]
     cache_samples = pf_x[config.prune_batch_size : needed]
-    eval_lo = config.prune_batch_size + cache_size
-    eval_x, eval_y = x_test[eval_lo:], y_test[eval_lo:]
-    if eval_x.shape[0] == 0:
-        raise ConfigError("no held-out test samples left after prune batch and cache")
+    eval_x, eval_y = x_test[needed:], y_test[needed:]
 
     latency_profile = profile(pretrained, config.prune_batch_size, mode="modeled")
 
@@ -191,7 +204,6 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
         )
     distill_seconds = time.perf_counter() - t2
 
-    elapsed_prune = prune_seconds
     elapsed_finetune = prune_seconds + cache_seconds + distill_seconds
 
     t3 = time.perf_counter()
@@ -208,58 +220,53 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
         latency_saving=100.0 * latency_saving(latency_profile, decision.pruned),
         pf_seconds=elapsed_finetune,
         pf_normalized=None,
-        elapsed_prune=elapsed_prune,
+        elapsed_prune=prune_seconds,
         elapsed_finetune=elapsed_finetune,
         elapsed_infer=elapsed_infer,
         final_loss=report.final_loss,
         pruned=sorted(decision.pruned),
         cache_size=cache_size,
         distill_mode=config.distill_mode,
+        pf_source=config.pf_source,
     )
 
 
-def compare_methods(base: ExperimentConfig, methods, n_p_values, seeds):
-    """One run per (method, n_p, seed) with identical distillation, on one
-    source model per seed pretrained on the dataset's one training split.
-
-    PF time is normalized to the proposed method's within each
-    (n_p, seed) group, mirroring how the reference tables report it.
-    """
+def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
+    """One run of ``base`` per combination of ``grid``'s values (it maps some
+    of ``GRID_AXES`` to non-empty lists), on one source model per seed.  PF
+    time is normalized to that of the ``proposed`` run whose config differs
+    only in method, as the reference tables report it."""
+    axes = [axis for axis in GRID_AXES if axis in grid]
+    if len(axes) < len(grid):
+        raise ConfigError(f"unknown grid keys {sorted(set(grid) - set(axes))}; "
+                          f"choose from {list(GRID_AXES)}")
+    for axis in axes:
+        if not grid[axis]:
+            raise ConfigError(f"grid.{axis} must not be empty")
     # Every config is built, and so checked, before the first pretraining.
-    configs = [replace(base, method=method, n_p=n_p, seed=seed)
-               for seed in seeds for n_p in n_p_values for method in methods]
+    configs = [replace(base, **dict(zip(axes, values)))
+               for values in itertools.product(*(grid[axis] for axis in axes))]
     train_split, _ = make_dataset(base.dataset)
     pretrained_by_seed = {
         seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed)
         for seed in dict.fromkeys(cfg.seed for cfg in configs)
     }
     reports = [run_experiment(cfg, pretrained_by_seed[cfg.seed]) for cfg in configs]
-    by_group = {}
-    for report in reports:
-        if report.method == "proposed":
-            by_group[(report.n_p, report.seed)] = report.pf_seconds
-    for report in reports:
-        base_pf = by_group.get((report.n_p, report.seed))
-        if base_pf:
-            report.pf_normalized = 100.0 * report.pf_seconds / base_pf
+    groups = [tuple(getattr(cfg, axis) for axis in GRID_AXES if axis != "method")
+              for cfg in configs]
+    proposed_pf = {group: report.pf_seconds for group, report in zip(groups, reports)
+                   if report.method == "proposed"}
+    for group, report in zip(groups, reports):
+        if proposed_pf.get(group):
+            report.pf_normalized = 100.0 * report.pf_seconds / proposed_pf[group]
     return reports
 
 
-def sweep_cache_sizes(config: ExperimentConfig, sizes, pretrained=None):
-    """Accuracy as a function of fine-tuning set size, plus the saturation
-    knee: the first size whose accuracy is within 0.5 points of the best.
-    Without ``pretrained``, one source model is pretrained for all sizes."""
-    if pretrained is None:
-        train_split, _ = make_dataset(config.dataset)
-        pretrained = pretrain_source(train_split, config.arch, config.pretrain_epochs,
-                                     config.seed)
-    rows = []
-    for size in sizes:
-        report = run_experiment(replace(config, cache_size=int(size)), pretrained)
-        rows.append({"cache_size": int(size), "accuracy": report.accuracy})
-    best = max(row["accuracy"] for row in rows)
-    knee = next(row["cache_size"] for row in rows if row["accuracy"] >= best - 0.5)
-    return rows, knee
+def saturation_knee(reports) -> int:
+    """The cache size of the first report whose accuracy is within 0.5
+    points of the best, over a ``cache_size`` grid's reports."""
+    best = max(report.accuracy for report in reports)
+    return next(report.cache_size for report in reports if report.accuracy >= best - 0.5)
 
 
 def reports_to_csv(reports) -> str:
@@ -296,12 +303,10 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
-def experiment_grid_from_dict(payload: dict, config: ExperimentConfig) -> dict:
-    """:func:`compare_methods`'s keyword arguments from the config file's
-    ``grid``.  Each axis the grid does not name takes ``config``'s own value,
-    so no grid (or a null one) is a grid of one run."""
+def experiment_grid_from_dict(payload: dict) -> dict:
+    """:func:`run_grid`'s grid from the config file's ``grid``: each key's
+    JSON list as a tuple.  No grid, or a null one, is ``{}``: one run."""
     grid = payload.get("grid")
     grid = {} if grid is None else _require_json(grid, dict, "grid")
-    defaults = {"methods": [config.method], "n_p_values": [config.n_p], "seeds": [config.seed]}
-    return {key: tuple(_require_json(grid.get(key, default), list, f"grid.{key}"))
-            for key, default in defaults.items()}
+    return {key: tuple(_require_json(values, list, f"grid.{key}"))
+            for key, values in grid.items()}

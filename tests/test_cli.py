@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -372,33 +374,47 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"arch": {"width": 0, "n_blocks": 2}}, "arch"),
     ({"pretrain_epochs": -1}, "pretrain_epochs"),
     # A grid is checked whole: its valid first entry must not start work either.
-    ({"grid": {"methods": ["proposed", "bogus"]}}, "bogus"),
-    ({"grid": {"seeds": [2, -1]}}, "seed must be"),
-    ({"grid": {"n_p_values": [1, 5]}}, "n_p=5"),  # the default arch has 4 blocks
+    ({"grid": {"method": ["proposed", "bogus"]}}, "bogus"),
+    ({"grid": {"seed": [2, -1]}}, "seed must be"),
+    ({"grid": {"n_p": [1, 5]}}, "n_p=5"),  # the default arch has 4 blocks
+    ({"grid": {"cache_size": [16, 1990]}}, "samples_per_split=2000"),
+    ({"grid": {"distill_mode": ["cached", "lived"]}}, "lived"),
+    ({"grid": {"pf_source": ["test", "val"]}}, "val"),
+    # An empty axis would run nothing; an old or unknown key names the six axes.
+    ({"grid": {"seed": []}}, "grid.seed must not be empty"),
+    ({"grid": {"method": []}}, "grid.method must not be empty"),
+    ({"grid": {"methods": ["proposed"]}}, "unknown grid keys ['methods']; choose from "
+                                          "['seed', 'n_p', 'cache_size', 'distill_mode', "
+                                          "'pf_source', 'method']"),
     # Each level of the schema must have its JSON type.
     ([{"seed": 0}], "experiment config must be a JSON object"),
     ({"grid": ["proposed"]}, "grid must be a JSON object"),
     ({"dataset": [["seed", 1]]}, "dataset must be a JSON object"),
     ({"dataset": {"shift": "scaling"}}, "dataset.shift must be a JSON object"),
-    ({"grid": {"seeds": 3}}, "grid.seeds must be a JSON list"),
-    ({"grid": {"methods": "proposed"}}, "grid.methods must be a JSON list"),  # not p, r, o, ...
-    ({"grid": {"n_p_values": 1}}, "grid.n_p_values must be a JSON list"),
+    ({"grid": {"seed": 3}}, "grid.seed must be a JSON list"),
+    ({"grid": {"method": "proposed"}}, "grid.method must be a JSON list"),  # not p, r, o, ...
+    ({"grid": {"n_p": 1}}, "grid.n_p must be a JSON list"),
     # Integer settings must be integers, and every range is checked up front.
-    ({"grid": {"seeds": ["0"]}}, "ExperimentConfig.seed"),
+    ({"grid": {"seed": ["0"]}}, "ExperimentConfig.seed"),
     ({"seed": 1.5}, "ExperimentConfig.seed"),
     ({"distill": {"batch_size": 2.5}}, "DistillConfig.batch_size"),
     ({"distill": {"steps": 2.5}}, "DistillConfig.steps"),
     ({"distill": {"seed": True}}, "DistillConfig.seed"),
     ({"prune_batch_size": 0}, "prune_batch_size"),
     ({"cache_size": -5}, "cache_size"),
+    # The default dataset has 2000 rows a split and the default prune batch 64.
+    ({"cache_size": 1990}, "samples_per_split=2000"),  # more than the PF source holds
+    ({"cache_size": 1936}, "samples_per_split=2000"),  # no held-out test rows left
     ({"kappa": -1}, "kappa"),
     ({"method": "oracle", "oracle_k_steps": 0}, "oracle_k_steps"),
 ], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
-        "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "config_list",
-        "grid_list", "dataset_list", "shift_string", "grid_seeds_int", "grid_methods_string",
-        "grid_n_p_values_int", "grid_seed_string", "seed_float", "distill_batch_size_float",
-        "distill_steps_float", "distill_seed_bool", "prune_batch_size_0", "cache_size_negative",
-        "kappa_negative", "oracle_k_steps_0"])
+        "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "grid_cache_size",
+        "grid_distill_mode", "grid_pf_source", "grid_seed_empty", "grid_method_empty",
+        "grid_old_key", "config_list", "grid_list", "dataset_list", "shift_string",
+        "grid_seeds_int", "grid_methods_string", "grid_n_p_values_int", "grid_seed_string",
+        "seed_float", "distill_batch_size_float", "distill_steps_float", "distill_seed_bool",
+        "prune_batch_size_0", "cache_size_negative", "cache_size_above_pf_source",
+        "cache_size_no_held_out", "kappa_negative", "oracle_k_steps_0"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
                                                           payload, message):
     from latecut import experiment
@@ -547,7 +563,7 @@ def test_subcommands_idempotent_in_modeled_mode(workspace):
     assert tuned_a.read_bytes() == tuned_b.read_bytes()
 
 
-def test_experiment_grid_runs_compare_methods(workspace):
+def test_experiment_grid_runs_every_combination(workspace):
     tmp, _, _, _ = workspace
     config = {
         "dataset": {
@@ -562,17 +578,20 @@ def test_experiment_grid_runs_compare_methods(workspace):
         "distill": {"steps": 5, "batch_size": 8},
         "pretrain_epochs": 5,
         "seed": 2,
-        "grid": {"methods": ["proposed", "random", "l2ratio"], "seeds": [2]},
+        "grid": {"method": ["proposed", "random", "l2ratio"], "seed": [2],
+                 "distill_mode": ["cached", "live"]},
     }
     config_path = tmp / "grid.json"
     config_path.write_text(json.dumps(config))
     results = tmp / "grid_results"
     assert main(["experiment", "--config", str(config_path), "--out", str(results)]) == 0
-    csv_lines = (results / "results.csv").read_text().splitlines()
-    assert len(csv_lines) == 4
-    methods = [line.split(",")[0] for line in csv_lines[1:]]
-    assert methods == ["proposed", "random", "l2ratio"]
-    assert len(list(results.glob("report_*.json"))) == 3
+    rows = list(csv.DictReader(io.StringIO((results / "results.csv").read_text())))
+    methods = ("proposed", "random", "l2ratio")
+    assert [(row["distill_mode"], row["method"]) for row in rows] == [
+        (mode, method) for mode in ("cached", "live") for method in methods]
+    assert {(row["seed"], row["cache_size"], row["pf_source"]) for row in rows} == {
+        ("2", "16", "test")}
+    assert len(list(results.glob("report_*.json"))) == 6
     table = tmp / "grid_table.csv"
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
     # aggregates report_*.json too, into the experiment's own table
@@ -594,7 +613,7 @@ def test_seed_env_overrides_grid_seeds(workspace, monkeypatch):
         "distill": {"steps": 2, "batch_size": 8},
         "pretrain_epochs": 2,
         "seed": 2,
-        "grid": {"methods": ["random"], "seeds": [2]},
+        "grid": {"method": ["random"], "seed": [2]},
     }
     config_path = tmp / "grid.json"
     config_path.write_text(json.dumps(config))

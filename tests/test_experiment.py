@@ -1,7 +1,9 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from latecut.distill import DistillConfig
 from latecut.errors import ConfigError
 from latecut.experiment import (
     CSV_COLUMNS,
+    GRID_AXES,
     ExperimentConfig,
-    compare_methods,
     experiment_config_from_dict,
     experiment_grid_from_dict,
     reports_to_csv,
     run_experiment,
-    sweep_cache_sizes,
+    run_grid,
+    saturation_knee,
 )
 from latecut.network import zero_block
 from latecut.profiling import latency_saving, profile
@@ -41,10 +44,34 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def counting_pretrain(monkeypatch):
+    """The pretrain calls run_grid makes from now on; each still pretrains."""
+    calls = []
+
+    def pretrain(*args, **kwargs):
+        calls.append(args)
+        return pretrain_source(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "pretrain_source", pretrain)
+    return calls
+
+
+def stubbed_run_grid(monkeypatch, base, grid):
+    """The configs run_grid runs, in order, with pretraining and each run
+    stubbed out, and the seeds it pretrains for."""
+    seeds = []
+    monkeypatch.setattr(experiment, "pretrain_source",
+                        lambda split, arch, epochs, seed: seeds.append(seed))
+    monkeypatch.setattr(experiment, "run_experiment",
+                        lambda config, pretrained: SimpleNamespace(
+                            config=config, method=config.method, pf_seconds=1.0))
+    return [report.config for report in run_grid(base, grid)], seeds
+
+
 class TestRunExperiment:
     def test_report_fields_and_recomputed_ls(self):
         config = small_config(seed=1, dataset=replace(small_config().dataset, seed=1))
-        [report] = compare_methods(config, ("proposed",), (2,), (1,))
+        [report] = run_grid(config, {})  # a grid of one: method proposed, n_p 2, seed 1
         assert report.method == "proposed"
         assert 0.0 < report.accuracy < 100.0
         assert len(report.pruned) == 2
@@ -57,8 +84,8 @@ class TestRunExperiment:
 
     def test_deterministic_modulo_wall_clock(self):
         config = small_config(seed=2, dataset=replace(small_config().dataset, seed=2))
-        [first] = compare_methods(config, ("proposed",), (2,), (2,))
-        [second] = compare_methods(config, ("proposed",), (2,), (2,))
+        [first] = run_grid(config, {"method": ["proposed"], "n_p": [2], "seed": [2]})
+        [second] = run_grid(config, {"method": ["proposed"], "n_p": [2], "seed": [2]})
         assert first.deterministic_dict() == second.deterministic_dict()
 
     def test_proposed_beats_random_on_average(self):
@@ -90,22 +117,23 @@ class TestRunExperiment:
         assert cached.pf_seconds < live.pf_seconds
 
     def test_insufficient_samples_rejected(self):
-        config = small_config(
-            dataset=replace(small_config().dataset, samples_per_split=30)
-        )
+        dataset = replace(small_config().dataset, samples_per_split=30)
+        with pytest.raises(ConfigError, match="samples_per_split=30"):
+            small_config(dataset=dataset)  # an explicit cache size is checked up front
+        config = small_config(dataset=dataset, cache_size=None)  # sized from the model
         train, _ = make_dataset(config.dataset)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="samples_per_split=30"):
             run_experiment(config, pretrain_source(train, config.arch, epochs=0))
 
 
 class TestCompareMethods:
     def test_csv_schema_and_normalization(self):
         base = small_config(distill=DistillConfig(steps=10, batch_size=16))
-        reports = compare_methods(base, methods=("proposed", "random"), n_p_values=(1,),
-                                  seeds=(0,))
+        reports = run_grid(base, {"method": ["proposed", "random"], "n_p": [1], "seed": [0]})
         csv_text = reports_to_csv(reports)
         header = csv_text.splitlines()[0].split(",")
         assert header == CSV_COLUMNS
+        assert set(GRID_AXES) <= set(CSV_COLUMNS) & set(reports[0].to_dict())
         assert len(csv_text.splitlines()) == 3
         by_method = {r.method: r for r in reports}
         assert by_method["proposed"].pf_normalized == pytest.approx(100.0)
@@ -113,8 +141,8 @@ class TestCompareMethods:
 
     def test_random_rows_reproducible(self):
         base = small_config(distill=DistillConfig(steps=8, batch_size=16))
-        first = compare_methods(base, methods=("random",), n_p_values=(1,), seeds=(5,))
-        second = compare_methods(base, methods=("random",), n_p_values=(1,), seeds=(5,))
+        first = run_grid(base, {"method": ["random"], "n_p": [1], "seed": [5]})
+        second = run_grid(base, {"method": ["random"], "n_p": [1], "seed": [5]})
         assert first[0].deterministic_dict() == second[0].deterministic_dict()
 
     def test_proposed_and_oracle_agree_on_planted_fixture(self):
@@ -134,6 +162,35 @@ class TestCompareMethods:
         assert proposed.pruned == oracle.pruned == [2]
 
 
+class TestGridAxes:
+    def test_distill_mode_grid_pretrains_once_and_cached_equals_live(self, monkeypatch):
+        calls = counting_pretrain(monkeypatch)
+        config = small_config(seed=6, distill=DistillConfig(steps=20, batch_size=16))
+        cached, live = run_grid(config, {"distill_mode": ["cached", "live"]})
+        assert len(calls) == 1
+        assert (cached.distill_mode, live.distill_mode) == ("cached", "live")
+        assert cached.pruned == live.pruned
+        assert cached.accuracy == live.accuracy  # cached and live runs are bitwise equal
+
+    def test_pf_normalized_to_the_proposed_run_with_its_own_cache_size(self):
+        base = small_config(distill=DistillConfig(steps=10, batch_size=16))
+        reports = run_grid(base, {"method": ["proposed", "random"], "cache_size": [8, 16]})
+        assert [(r.cache_size, r.method) for r in reports] == [
+            (8, "proposed"), (8, "random"), (16, "proposed"), (16, "random")]
+        for proposed, random_ in (reports[:2], reports[2:]):
+            assert proposed.pf_normalized == pytest.approx(100.0)
+            assert random_.pf_normalized == pytest.approx(
+                100.0 * random_.pf_seconds / proposed.pf_seconds)
+
+    def test_run_order_is_seed_outermost_and_method_innermost(self, monkeypatch):
+        grid = {"method": ["random", "proposed"], "cache_size": [8, None], "seed": [3, 1]}
+        configs, seeds = stubbed_run_grid(monkeypatch, small_config(), grid)
+        assert [(c.seed, c.cache_size, c.method) for c in configs] == [
+            (seed, size, method) for seed in (3, 1) for size in (8, None)
+            for method in ("random", "proposed")]
+        assert seeds == [3, 1]  # each seed's source is pretrained once
+
+
 class TestSweepCacheSizes:
     def test_knee_detection(self):
         config = small_config(
@@ -141,45 +198,48 @@ class TestSweepCacheSizes:
             dataset=replace(small_config().dataset, seed=4),
             distill=DistillConfig(steps=20, batch_size=16),
         )
-        train, _ = make_dataset(config.dataset)
-        pretrained = pretrain_source(train, config.arch, config.pretrain_epochs, 4)
-        rows, knee = sweep_cache_sizes(config, sizes=(8, 16, 32, 64), pretrained=pretrained)
-        assert [row["cache_size"] for row in rows] == [8, 16, 32, 64]
-        best = max(row["accuracy"] for row in rows)
-        assert {row["cache_size"]: row["accuracy"] for row in rows}[knee] >= best - 0.5
+        reports = run_grid(config, {"cache_size": [8, 16, 32, 64]})
+        assert [report.cache_size for report in reports] == [8, 16, 32, 64]
+        knee = saturation_knee(reports)
+        best = max(report.accuracy for report in reports)
+        assert {report.cache_size: report.accuracy for report in reports}[knee] >= best - 0.5
 
     def test_pretrains_once_for_all_sizes(self, monkeypatch):
-        calls = []
-
-        def counting_pretrain(*args, **kwargs):
-            calls.append(args)
-            return pretrain_source(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "pretrain_source", counting_pretrain)
+        calls = counting_pretrain(monkeypatch)
         config = small_config(distill=DistillConfig(steps=2, batch_size=16), pretrain_epochs=2)
-        rows, _ = sweep_cache_sizes(config, sizes=(8, 16, 32))
-        assert len(rows) == 3
+        reports = run_grid(config, {"cache_size": [8, 16, 32]})
+        assert len(reports) == 3
         assert len(calls) == 1
+
+    def test_knee_is_the_first_size_within_half_a_point_of_the_best(self):
+        reports = [SimpleNamespace(cache_size=size, accuracy=accuracy)
+                   for size, accuracy in [(8, 60.0), (16, 79.6), (32, 80.0), (64, 79.9)]]
+        assert saturation_knee(reports) == 16
 
 
 class TestConfigParsing:
-    def test_axes_the_grid_does_not_name_take_the_configs_values(self):
+    def test_axes_the_grid_does_not_name_take_the_configs_values(self, monkeypatch):
         payload = {"method": "random", "n_p": 2, "seed": 4}
         config = experiment_config_from_dict(payload)
-        expected = {"methods": ("random",), "n_p_values": (2,), "seeds": (4,)}
         for grid in ({}, {"grid": None}, {"grid": {}}):
-            assert experiment_grid_from_dict({**payload, **grid}, config) == expected
-        grid = experiment_grid_from_dict({**payload, "grid": {"seeds": [0, 1]}}, config)
-        assert grid == {**expected, "seeds": (0, 1)}
+            assert experiment_grid_from_dict({**payload, **grid}) == {}
+        grid = experiment_grid_from_dict({**payload, "grid": {"seed": [0, 1]}})
+        assert grid == {"seed": (0, 1)}
+        configs, _ = stubbed_run_grid(monkeypatch, config, grid)
+        assert [(c.method, c.n_p, c.seed) for c in configs] == [("random", 2, 0), ("random", 2, 1)]
+        [lone], _ = stubbed_run_grid(monkeypatch, config, {})
+        assert lone == config
 
-    def test_readme_experiment_config_parses(self):
+    def test_readme_experiment_config_parses(self, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
         assert len(blocks) == 1
         payload = json.loads(blocks[0])
         config = experiment_config_from_dict(payload)
-        grid = experiment_grid_from_dict(payload, config)
+        grid = experiment_grid_from_dict(payload)
         assert grid == {key: tuple(values) for key, values in payload["grid"].items()}
+        configs, _ = stubbed_run_grid(monkeypatch, config, grid)
+        assert len(configs) == math.prod(len(values) for values in grid.values()) > 1
 
     def test_round_trip_from_dict(self):
         payload = {
