@@ -16,7 +16,15 @@ trains Mbar twice from the loaded M at the workload's shape, untimed:
 
 Prints one JSON line: the ``network_fingerprint`` of M, of the loaded M
 and of both Mbars, as 16 hex digits, and Mbar's held-out accuracy.  Exits 1
-if the loaded M differs from M or the two Mbars differ.  latecut is
+if the loaded M differs from M or the two Mbars differ.  ``--expect FILE``
+takes such a line, printed by another checkout, and also exits 1 when any
+of its fields differs here, naming each one:
+
+    PYTHONPATH=<parent>/src python3 scripts/model_digests.py \
+        --workload offline-pf --seed 0 > parent.json
+    python3 scripts/model_digests.py --workload offline-pf --seed 0 --expect parent.json
+
+latecut is
 imported from ``PYTHONPATH`` when it is there, else from ``src/`` next to
 this directory, so the same script can digest another checkout's package:
 ``PYTHONPATH=<checkout>/src``.
@@ -67,10 +75,19 @@ def serving_mbar(net, samples, shape, config: DistillConfig):
     return state.pruned_model
 
 
+def differing_fields(expected: dict, digests: dict) -> list[str]:
+    """The fields of ``expected`` whose value ``digests`` does not repeat,
+    in ``expected``'s order."""
+    return [key for key in expected if digests.get(key) != expected[key]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--expect", metavar="FILE",
+                        help="a JSON line this script printed elsewhere; exit 1 unless "
+                             "every one of its fields is the same here")
     args = parser.parse_args(argv)
     print(f"latecut from {os.path.dirname(latecut.__file__)}", file=sys.stderr)
 
@@ -98,6 +115,12 @@ def main(argv=None) -> int:
     if digests["offline_mbar"] != digests["serving_mbar"]:
         print("offline and serving Mbar differ", file=sys.stderr)
         return 1
+    if args.expect:
+        with open(args.expect) as fh:
+            differing = differing_fields(json.load(fh), digests)
+        if differing:
+            print(f"differs from {args.expect}: {', '.join(differing)}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -2,11 +2,13 @@
 
 Subcommands: profile, prune, distill, serve, experiment, report.  Exit
 codes: 0 success, 1 usage error, 2 data/config error, 3 numeric failure.
-Errors print one machine-parseable line on stderr.  Every run writes its
-resolved configuration into the output directory, and all file outputs are
-written atomically (temp file + rename).  The LATECUT_SEED environment
-variable overrides any configured seed, a grid's ``seed`` axis included, and
-the logged configuration shows the seed that ran.
+Errors print one machine-parseable line on stderr.  Each command writes its
+resolved configuration into the output directory once its inputs pass their
+checks, before its work starts, so a run rejected as invalid writes nothing;
+all file outputs are written atomically (temp file + rename).  The
+LATECUT_SEED environment variable overrides any configured seed, a grid's
+``seed`` axis included, and the logged configuration shows the seed that
+ran.
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
@@ -36,6 +38,7 @@ from .experiment import (
     ExperimentReport,
     experiment_config_from_dict,
     experiment_grid_from_dict,
+    grid_configs,
     reports_to_csv,
     run_grid,
 )
@@ -82,6 +85,8 @@ def _output_dir_for(args: argparse.Namespace) -> str:
 
 
 def _log_resolved_config(args: argparse.Namespace) -> None:
+    """Write ``<command>_config.json``; each handler calls this once its
+    inputs pass their checks."""
     output_dir = _output_dir_for(args)
     os.makedirs(output_dir, exist_ok=True)
     resolved = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
@@ -136,6 +141,7 @@ def _load_decision_skip(path) -> frozenset[int]:
 
 def _cmd_profile(args) -> int:
     network = formats.load_checkpoint(args.checkpoint)
+    _log_resolved_config(args)
     prof = profile(
         network, args.batch, mode=args.mode, warmup_runs=args.warmup,
         timed_runs=args.runs, seed=args.seed,
@@ -165,6 +171,7 @@ def _cmd_prune(args) -> int:
         if args.cache is None:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
+    _log_resolved_config(args)
     decision = prune_by_method(
         args.method, network, prune_batch, prof, args.np, cache, args.k_steps, args.seed
     )
@@ -193,6 +200,7 @@ def _cmd_distill(args) -> int:
             cache = build_cache(teacher, inputs)
         else:
             raise ConfigError("cached mode needs --cache, or --teacher with --samples")
+        _log_resolved_config(args)
         if args.save_cache:
             cache.save(args.save_cache)
         student, report = distill(student, skip, cache, config)
@@ -201,6 +209,7 @@ def _cmd_distill(args) -> int:
             raise ConfigError("live mode needs --teacher and --samples")
         teacher = formats.load_checkpoint(args.teacher)
         inputs, _ = formats.load_samples(args.samples)
+        _log_resolved_config(args)
         student, report = distill_live(student, skip, teacher, inputs, config)
     formats.save_checkpoint(compact(student, skip), args.out)
     if args.report:
@@ -234,6 +243,7 @@ def _cmd_serve(args) -> int:
                               seed=args.seed),
         budget_per_tick=args.budget,
     )
+    _log_resolved_config(args)
     final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
     formats.save_checkpoint(final_model, args.out)
     _write_json(args.timeline, timeline.to_rows())
@@ -253,6 +263,8 @@ def _cmd_experiment(args) -> int:
     grid = experiment_grid_from_dict(payload)
     if "LATECUT_SEED" in os.environ:  # overrides the grid's seed axis too
         grid["seed"] = (config.seed,)
+    grid_configs(config, grid)  # every run's config checked before anything is written
+    _log_resolved_config(args)
     os.makedirs(args.out, exist_ok=True)
     reports = run_grid(config, grid)
     for i, report in enumerate(reports):
@@ -276,6 +288,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"malformed report under {args.results}: {exc}") from exc
     if not reports:
         raise ConfigError(f"no report JSON files found under {args.results}")
+    _log_resolved_config(args)
     if args.out:
         formats.atomic_write_text(args.out, text)
     else:
@@ -381,7 +394,6 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):  # experiment resolves its config's seed
             args.seed = _resolve_seed(args.seed)
-        _log_resolved_config(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         _print_error("numeric", exc)

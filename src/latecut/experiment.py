@@ -231,11 +231,11 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
     )
 
 
-def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
-    """One run of ``base`` per combination of ``grid``'s values (it maps some
-    of ``GRID_AXES`` to non-empty lists), on one source model per seed.  PF
-    time is normalized to that of the ``proposed`` run whose config differs
-    only in method, as the reference tables report it."""
+def grid_configs(base: ExperimentConfig, grid: dict) -> list[ExperimentConfig]:
+    """``base`` with each combination of ``grid``'s values, in run order;
+    ``grid`` maps some of ``GRID_AXES`` to non-empty lists.  Building a
+    config checks it, so this raises :class:`~latecut.errors.ConfigError`
+    for any bad value before any run starts."""
     axes = [axis for axis in GRID_AXES if axis in grid]
     if len(axes) < len(grid):
         raise ConfigError(f"unknown grid keys {sorted(set(grid) - set(axes))}; "
@@ -243,9 +243,16 @@ def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
     for axis in axes:
         if not grid[axis]:
             raise ConfigError(f"grid.{axis} must not be empty")
-    # Every config is built, and so checked, before the first pretraining.
-    configs = [replace(base, **dict(zip(axes, values)))
-               for values in itertools.product(*(grid[axis] for axis in axes))]
+    return [replace(base, **dict(zip(axes, values)))
+            for values in itertools.product(*(grid[axis] for axis in axes))]
+
+
+def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
+    """One run per config of :func:`grid_configs`, all checked before the
+    first pretraining, on one source model per seed.  PF time is normalized
+    to that of the ``proposed`` run whose config differs only in method, as
+    the reference tables report it."""
+    configs = grid_configs(base, grid)
     train_split, _ = make_dataset(base.dataset)
     pretrained_by_seed = {
         seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed)

@@ -39,13 +39,20 @@ Gradient math uses plain matmul; it has no such contract and is verified
 against finite differences instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
-checkpoint order, as views from one :func:`aligned_zeros` buffer, given
-filled or new; :func:`clone_network` fills one with a copy, and checkpoint
-loading reads the payload into one before the network is cut.  The buffer
-starts on a ``BUFFER_ALIGN`` (64) byte boundary, which is measured, not
-cosmetic: at width 128 a batch-64 forward over a packed buffer that
-started 16 bytes past a boundary ran 4% slower than separate arrays, an
-aligned one 7-14% faster.  The tensors of a :func:`compact` view of a
+checkpoint order, as views from one aligned buffer: a given one that holds
+their values, or a new :func:`aligned_zeros` one.  :func:`clone_network`
+copies into an :func:`aligned_empty` buffer, and checkpoint loading reads
+the payload into one, before the network is cut.  That buffer is not
+zero-filled, because every element is written before the network exists:
+the copy writes all of it, and a read that comes up short raises before a
+network is cut.  The alignment padding around it is never read.  At width
+128 x 8 blocks (2.1 MB) the fill this skips took about 0.1 ms of a 0.5 ms
+load.  Only buffers that must start at zero come from :func:`aligned_zeros`:
+a new network's and a gradient set's.  Every buffer starts on a
+``BUFFER_ALIGN`` (64) byte boundary, which is measured, not cosmetic: at
+width 128 a batch-64 forward over a packed buffer that started 16 bytes
+past a boundary ran 4% slower than separate arrays, an aligned one 7-14%
+faster.  The tensors of a :func:`compact` view of a
 packed network then lie in a few contiguous runs: the stem with any kept
 blocks right after it, each further group of adjacent kept blocks, and the
 classifier with the last block if it is kept.
@@ -76,6 +83,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -167,35 +175,48 @@ class Gradients(ResidualNetwork):
 BUFFER_ALIGN = 64
 
 
-def aligned_zeros(size: int) -> np.ndarray:
-    """A new 1-D float64 zero array of ``size`` elements whose data starts
-    on a ``BUFFER_ALIGN``-byte boundary: the buffer :func:`packed_network`
-    cuts its views from."""
-    raw = np.zeros(size + BUFFER_ALIGN // 8)
+def _aligned(allocate, size: int) -> np.ndarray:
+    """``size`` float64 elements of an ``allocate``d 1-D array, starting on
+    a ``BUFFER_ALIGN``-byte boundary."""
+    raw = allocate(size + BUFFER_ALIGN // 8)
     start = (-raw.ctypes.data % BUFFER_ALIGN) // raw.itemsize
     return raw[start : start + size]
+
+
+def aligned_zeros(size: int) -> np.ndarray:
+    """A new 1-D float64 zero array of ``size`` elements whose data starts
+    on a ``BUFFER_ALIGN``-byte boundary, for a packed buffer that must start
+    at zero."""
+    return _aligned(np.zeros, size)
+
+
+def aligned_empty(size: int) -> np.ndarray:
+    """:func:`aligned_zeros` without the fill: for a caller that writes
+    every element before anything reads one."""
+    return _aligned(np.empty, size)
 
 
 def packed_network(shapes, buffer=None) -> ResidualNetwork:
     """A network whose tensors, with ``shapes`` in checkpoint order (stem
     weight and bias, each block's weight1, bias1, weight2 and bias2,
     classifier weight and bias), are writable views cut in order from one
-    buffer: ``buffer``, a filled :func:`aligned_zeros` array of exactly
-    their elements, or a new zero one.  Blocks are numbered 1..n."""
+    buffer: ``buffer``, an :func:`aligned_empty` or :func:`aligned_zeros`
+    array of exactly their elements that already holds every value, or a
+    new :func:`aligned_zeros` one.  Blocks are numbered 1..n."""
     shapes = list(shapes)
-    sizes = [math.prod(s) for s in shapes]
-    if buffer is None:
-        buffer = aligned_zeros(sum(sizes))
-    elif buffer.size != sum(sizes):
-        raise DimensionError(f"buffer of {buffer.size} elements for {sum(sizes)} parameters")
     if len(shapes) < 4 or len(shapes) % 4:
         raise DimensionError(f"{len(shapes)} tensors do not form a network")
-    views, pos = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(buffer[pos : pos + size].reshape(shape))
-        pos += size
-    blocks = [ResidualBlock(*views[i : i + 4], block_id=j)
-              for j, i in enumerate(range(2, len(views) - 2, 4), start=1)]
+    stops = list(accumulate(map(math.prod, shapes)))
+    if buffer is None:
+        buffer = aligned_zeros(stops[-1])
+    elif buffer.size != stops[-1]:
+        raise DimensionError(f"buffer of {buffer.size} elements for {stops[-1]} parameters")
+    # A 1-D slice already has its tensor's shape; only matrices are reshaped.
+    views = [buffer[start:stop] if len(shape) == 1 else buffer[start:stop].reshape(shape)
+             for start, stop, shape in zip([0, *stops], stops, shapes)]
+    block_views = iter(views[2:-2])
+    blocks = list(map(ResidualBlock, block_views, block_views, block_views, block_views,
+                      range(1, len(shapes) // 4)))
     return ResidualNetwork(views[0], views[1], blocks, views[-2], views[-1])
 
 
@@ -535,9 +556,11 @@ def block_param_count(block: ResidualBlock) -> int:
 
 
 def clone_network(network: ResidualNetwork) -> ResidualNetwork:
-    """A deep copy of ``network`` in packed storage (:func:`packed_network`)."""
+    """A deep copy of ``network`` in packed storage (:func:`packed_network`).
+    The copy writes every element of its :func:`aligned_empty` buffer, so
+    the buffer is not zero-filled first."""
     params = list(network.parameter_arrays())
-    buffer = aligned_zeros(sum(p.size for p in params))
+    buffer = aligned_empty(sum(p.size for p in params))
     np.concatenate([np.ravel(p) for p in params], out=buffer)
     return packed_network([p.shape for p in params], buffer)
 

@@ -10,6 +10,32 @@ def _reset_op_counter():
     yield
 
 
+@pytest.fixture
+def nan_unfilled(monkeypatch):
+    """Every ``aligned_empty`` buffer starts all NaN, its alignment padding
+    included, and ``aligned_zeros`` raises: a value the caller did not
+    write, or a zero-fill coming back, shows.  Returns the list of buffers
+    handed out."""
+    from latecut import formats, network
+
+    allocate = network.aligned_empty
+    buffers = []
+
+    def nan_filled(size):
+        buffer = allocate(size)
+        buffer.base.fill(np.nan)  # the whole over-allocation
+        buffers.append(buffer)
+        return buffer
+
+    def no_zeros(size):
+        raise AssertionError("zero-filled a buffer that is written in full")
+
+    for module in (network, formats):
+        monkeypatch.setattr(module, "aligned_empty", nan_filled)
+    monkeypatch.setattr(network, "aligned_zeros", no_zeros)
+    return buffers
+
+
 def make_gradcheck_case(seed, max_blocks=3, max_width=8):
     """Seeded network + batch + target whose relu pre-activations all sit
     at least 1e-3 from the kink, so central differences stay valid.

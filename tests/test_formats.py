@@ -78,6 +78,31 @@ def test_checkpoint_header_sizes_checked_before_allocation(tmp_path, monkeypatch
         load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_checkpoint_loads_into_an_unfilled_buffer(tmp_path, nan_unfilled, source):
+    net = random_network(7, 5, 3, 4, seed=15)
+    data = checkpoint_bytes(net)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(data)
+    nan_unfilled.clear()
+    loaded = load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
+    assert len(nan_unfilled) == 1
+    assert checkpoint_bytes(loaded) == data
+    assert all(np.isfinite(p).all() for p in loaded.parameter_arrays())
+    assert_packed(loaded)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_short_payload_into_an_unfilled_buffer_raises(tmp_path, nan_unfilled, source):
+    data = checkpoint_bytes(random_network(7, 5, 3, 4, seed=16))[:-8]
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(data)
+    nan_unfilled.clear()
+    with pytest.raises(FormatError, match="expected"):
+        load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
+    assert len(nan_unfilled) == 1
+
+
 def test_checkpoint_rejects_rectangular_blocks():
     net = random_network(3, 4, 2, 2, seed=0, hidden_widths=[4, 8])
     with pytest.raises(ConfigError):

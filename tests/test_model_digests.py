@@ -1,7 +1,9 @@
 """``scripts/model_digests.py`` runs against this checkout and finds M
 bitwise equal after a checkpoint round trip, and the offline and serving
-pipelines' Mbar bitwise equal, at both benchmark workload shapes."""
+pipelines' Mbar bitwise equal, at both benchmark workload shapes; its
+``--expect`` comparison names every field that differs."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,3 +28,25 @@ def test_offline_and_serving_mbar_digests_agree(workload):
     assert digests["M_loaded"] == digests["M"]
     assert digests["offline_mbar"] == digests["serving_mbar"] != digests["M"]
     assert 0.0 < digests["mbar_heldout_accuracy"] <= 1.0
+
+
+def _script(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location(
+        "model_digests", ROOT / "scripts" / "model_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_expect_names_each_differing_field(monkeypatch):
+    differing_fields = _script(monkeypatch).differing_fields
+    digests = {"workload": "offline-pf", "seed": 0, "M": "79c211d6633c02c9",
+               "M_loaded": "79c211d6633c02c9", "offline_mbar": "1e0eea8db0ce1b75",
+               "serving_mbar": "1e0eea8db0ce1b75", "mbar_heldout_accuracy": 0.98}
+    assert differing_fields(dict(digests), digests) == []
+    changed = dict(digests, seed=7, offline_mbar="0" * 16, mbar_heldout_accuracy=0.97)
+    assert differing_fields(changed, digests) == ["seed", "offline_mbar",
+                                                  "mbar_heldout_accuracy"]
+    # A field the expected line has and this run lacks differs too.
+    assert differing_fields(dict(digests, extra=1), digests) == ["extra"]

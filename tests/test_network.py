@@ -670,6 +670,22 @@ class TestPlumbing:
         assert_packed(clone_network(compact(net, {2})))
         assert_packed(clone_network(separate_copy(net)))
 
+    @pytest.mark.parametrize("source", ["packed", "compact", "separate"])
+    def test_clone_fills_an_unfilled_buffer(self, nan_unfilled, source):
+        from latecut.formats import checkpoint_bytes
+
+        net = random_network(3, 4, 3, 2, seed=1)
+        for block in net.blocks:
+            block.bias1[:] = block.block_id  # biases start at zero
+        original = {"packed": net, "compact": compact(net, {2}),
+                    "separate": separate_copy(net)}[source]
+        nan_unfilled.clear()
+        twin = clone_network(original)
+        assert len(nan_unfilled) == 1
+        assert checkpoint_bytes(twin) == checkpoint_bytes(original)
+        assert all(np.isfinite(p).all() for p in twin.parameter_arrays())
+        assert_packed(twin)
+
     def test_op_counter_tracks_passes(self):
         net = random_network(3, 3, 1, 2, seed=0)
         x = np.zeros((2, 3))
