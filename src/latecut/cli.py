@@ -2,17 +2,19 @@
 
 Subcommands: profile, prune, distill, serve, experiment, report.  Exit
 codes: 0 success, 1 usage error, 2 data/config error, 3 numeric failure.
-Errors print one machine-parseable line on stderr.  Each command writes its
-resolved configuration into the output directory once its inputs pass their
-checks, before its work starts, so a run rejected as invalid writes nothing;
-all file outputs are written atomically (temp file + rename).  The
-LATECUT_SEED environment variable overrides any configured seed, a grid's
-``seed`` axis included, and the logged configuration shows the seed that
-ran.
+Errors print one machine-parseable line on stderr.  A run that succeeds
+logs its resolved configuration as ``<command>_config.json`` beside its
+``--out`` (inside it for ``experiment``), or into ``--output-dir``; ``report``
+printing its table logs nothing.  A run that stops with an error writes no
+log and no outputs: each output is written once the work is done.  Every
+file is written atomically (temp file + rename), creating its directory.
+The LATECUT_SEED environment variable overrides any configured seed, a
+grid's ``seed`` axis included, and the logged configuration shows the seed
+that ran.
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
-``report`` gathers the ``report_*.json`` files under a tree into that table.
+``report`` gathers the ``report_NNN.json`` files under a tree into that table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -38,7 +41,6 @@ from .experiment import (
     ExperimentReport,
     experiment_config_from_dict,
     experiment_grid_from_dict,
-    grid_configs,
     reports_to_csv,
     run_grid,
 )
@@ -73,22 +75,14 @@ def _write_json(path, payload) -> None:
     formats.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _output_dir_for(args: argparse.Namespace) -> str:
-    if args.output_dir:
-        return args.output_dir
-    if args.command == "experiment":
-        return args.out  # already a directory
-    hint = getattr(args, "out", None) or getattr(args, "timeline", None)
-    if not hint:
-        return "."
-    return os.path.dirname(os.fspath(hint)) or "."
-
-
 def _log_resolved_config(args: argparse.Namespace) -> None:
-    """Write ``<command>_config.json``; each handler calls this once its
-    inputs pass their checks."""
-    output_dir = _output_dir_for(args)
-    os.makedirs(output_dir, exist_ok=True)
+    """Write ``<command>_config.json`` into ``--output-dir``, else beside
+    ``--out`` (inside it for ``experiment``); with neither, log nothing."""
+    output_dir = args.output_dir
+    if output_dir is None:
+        if args.out is None:  # report printing its table
+            return
+        output_dir = args.out if args.command == "experiment" else os.path.dirname(args.out)
     resolved = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     _write_json(os.path.join(output_dir, f"{args.command}_config.json"), resolved)
 
@@ -105,6 +99,10 @@ def _resolve_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
+
+
+def _distill_config(args) -> DistillConfig:
+    return DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=args.seed)
 
 
 def _decision_to_dict(decision) -> dict:
@@ -139,19 +137,17 @@ def _load_decision_skip(path) -> frozenset[int]:
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> None:
     network = formats.load_checkpoint(args.checkpoint)
-    _log_resolved_config(args)
     prof = profile(
         network, args.batch, mode=args.mode, warmup_runs=args.warmup,
         timed_runs=args.runs, seed=args.seed,
     )
     _write_json(args.out, profile_to_dict(prof))
     log.info("profiled %d blocks in %s mode -> %s", network.n_blocks, args.mode, args.out)
-    return EXIT_OK
 
 
-def _cmd_prune(args) -> int:
+def _cmd_prune(args) -> None:
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
@@ -171,19 +167,17 @@ def _cmd_prune(args) -> int:
         if args.cache is None:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
-    _log_resolved_config(args)
     decision = prune_by_method(
         args.method, network, prune_batch, prof, args.np, cache, args.k_steps, args.seed
     )
     _write_json(args.out, _decision_to_dict(decision))
     log.info("%s pruned blocks %s -> %s", args.method, sorted(decision.pruned), args.out)
-    return EXIT_OK
 
 
-def _cmd_distill(args) -> int:
+def _cmd_distill(args) -> None:
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
-    config = DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=args.seed)
+    config = _distill_config(args)
     if args.mode == "cached":
         if args.cache is not None:
             cache = PseudoLabelCache.load(args.cache)
@@ -200,7 +194,6 @@ def _cmd_distill(args) -> int:
             cache = build_cache(teacher, inputs)
         else:
             raise ConfigError("cached mode needs --cache, or --teacher with --samples")
-        _log_resolved_config(args)
         if args.save_cache:
             cache.save(args.save_cache)
         student, report = distill(student, skip, cache, config)
@@ -209,7 +202,6 @@ def _cmd_distill(args) -> int:
             raise ConfigError("live mode needs --teacher and --samples")
         teacher = formats.load_checkpoint(args.teacher)
         inputs, _ = formats.load_samples(args.samples)
-        _log_resolved_config(args)
         student, report = distill_live(student, skip, teacher, inputs, config)
     formats.save_checkpoint(compact(student, skip), args.out)
     if args.report:
@@ -225,10 +217,9 @@ def _cmd_distill(args) -> int:
             },
         )
     log.info("distilled %d steps (%s), final loss %.6g", config.steps, args.mode, report.final_loss)
-    return EXIT_OK
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args) -> None:
     network = formats.load_checkpoint(args.checkpoint)
     inputs, labels = formats.load_samples(args.stream)
     stream = (
@@ -239,11 +230,9 @@ def _cmd_serve(args) -> int:
         n_p=args.np,
         prune_batch_size=args.prune_batch,
         cache_size=args.cache_size,
-        distill=DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr,
-                              seed=args.seed),
+        distill=_distill_config(args),
         budget_per_tick=args.budget,
     )
-    _log_resolved_config(args)
     final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
     formats.save_checkpoint(final_model, args.out)
     _write_json(args.timeline, timeline.to_rows())
@@ -252,10 +241,9 @@ def _cmd_serve(args) -> int:
         len(timeline.records), timings.total_ticks,
         timings.prune_done_tick, timings.distill_done_tick,
     )
-    return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     with open(args.config) as fh:
         payload = json.load(fh)
     config = experiment_config_from_dict(payload)
@@ -263,23 +251,20 @@ def _cmd_experiment(args) -> int:
     grid = experiment_grid_from_dict(payload)
     if "LATECUT_SEED" in os.environ:  # overrides the grid's seed axis too
         grid["seed"] = (config.seed,)
-    grid_configs(config, grid)  # every run's config checked before anything is written
-    _log_resolved_config(args)
-    os.makedirs(args.out, exist_ok=True)
     reports = run_grid(config, grid)
     for i, report in enumerate(reports):
         _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
         log.info("report_%03d: %s", i, report.csv_row())
     formats.atomic_write_text(os.path.join(args.out, "results.csv"), reports_to_csv(reports))
-    return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     reports = []
     try:
         for root, _, files in os.walk(args.results):
             for name in sorted(files):
-                if name.startswith("report_") and name.endswith(".json"):
+                # report_NNN.json as experiment names them, not report_config.json
+                if re.fullmatch(r"report_\d+\.json", name):
                     with open(os.path.join(root, name)) as fh:
                         reports.append(ExperimentReport(**json.load(fh)))
         # The experiment's own writer, so the table matches its results.csv.
@@ -288,12 +273,10 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"malformed report under {args.results}: {exc}") from exc
     if not reports:
         raise ConfigError(f"no report JSON files found under {args.results}")
-    _log_resolved_config(args)
     if args.out:
         formats.atomic_write_text(args.out, text)
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 # -- parser ---------------------------------------------------------------
@@ -304,9 +287,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     parser.add_argument("--output-dir", default=None,
-                        help="where the resolved run config is logged "
-                             "(default: the primary output's directory)")
+                        help="where a successful run logs its resolved config "
+                             "(default: beside --out; inside it for experiment)")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # distill and serve share DistillConfig's flags and defaults
+    distill_flags = argparse.ArgumentParser(add_help=False)
+    distill_flags.add_argument("--steps", type=int, default=DistillConfig.steps)
+    distill_flags.add_argument("--lr", type=float, default=DistillConfig.lr0)
+    distill_flags.add_argument("--batch", type=int, default=DistillConfig.batch_size)
+    distill_flags.add_argument("--seed", type=int, default=DistillConfig.seed)
 
     p = sub.add_parser("profile", help="measure or model per-block latency")
     p.add_argument("--checkpoint", required=True)
@@ -332,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("distill", help="fine-tune a pruned student")
+    p = sub.add_parser("distill", help="fine-tune a pruned student", parents=[distill_flags])
     p.add_argument("--student", required=True)
     p.add_argument("--decision", required=True)
     p.add_argument("--cache", default=None)
@@ -341,27 +330,20 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", default=None)
     p.add_argument("--save-cache", default=None,
                    help="also write the built pseudo-label cache here (cached mode)")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["cached", "live"], default="cached")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_distill)
 
-    p = sub.add_parser("serve", help="run the streaming prune/distill/serve loop")
+    p = sub.add_parser("serve", help="run the streaming prune/distill/serve loop",
+                       parents=[distill_flags])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stream", required=True)
     p.add_argument("--np", type=int, default=1)
     p.add_argument("--prune-batch", type=int, default=64)
     p.add_argument("--cache-size", type=int, default=64)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--batch", type=int, default=64)
     p.add_argument("--budget", type=int, default=4)
     p.add_argument("--arrivals-per-tick", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeline", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_serve)
@@ -394,7 +376,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):  # experiment resolves its config's seed
             args.seed = _resolve_seed(args.seed)
-        return args.func(args)
+        args.func(args)
+        _log_resolved_config(args)
     except _NUMERIC_ERRORS as exc:
         _print_error("numeric", exc)
         return EXIT_NUMERIC
@@ -406,6 +389,7 @@ def main(argv=None) -> int:
     except (LatecutError, OSError, json.JSONDecodeError) as exc:
         _print_error("data", exc)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -46,23 +46,26 @@ from .pruning import METHODS, prune_by_method
 # method innermost.  Every one is recorded in a report and in results.csv.
 GRID_AXES = ("seed", "n_p", "cache_size", "distill_mode", "pf_source", "method")
 
-CSV_COLUMNS = [
-    "method",
-    "n_p",
-    "seed",
-    "cache_size",
-    "distill_mode",
-    "pf_source",
-    "shift_kind",
-    "severity",
-    "accuracy",
-    "ls",
-    "pf_seconds",
-    "pf_normalized",
-    "elapsed_prune",
-    "elapsed_finetune",
-    "elapsed_infer",
-]
+# results.csv, one (column, ExperimentReport field, format) per column; an
+# unset field (pf_normalized with no proposed run to normalize by) is empty.
+_CSV_TABLE = (
+    ("method", "method", "{}"),
+    ("n_p", "n_p", "{}"),
+    ("seed", "seed", "{}"),
+    ("cache_size", "cache_size", "{}"),
+    ("distill_mode", "distill_mode", "{}"),
+    ("pf_source", "pf_source", "{}"),
+    ("shift_kind", "shift_kind", "{}"),
+    ("severity", "severity", "{}"),
+    ("accuracy", "accuracy", "{:.4f}"),
+    ("ls", "latency_saving", "{:.4f}"),
+    ("pf_seconds", "pf_seconds", "{:.6f}"),
+    ("pf_normalized", "pf_normalized", "{:.2f}"),
+    ("elapsed_prune", "elapsed_prune", "{:.6f}"),
+    ("elapsed_finetune", "elapsed_finetune", "{:.6f}"),
+    ("elapsed_infer", "elapsed_infer", "{:.6f}"),
+)
+CSV_COLUMNS = [column for column, _, _ in _CSV_TABLE]
 
 
 @dataclass
@@ -141,23 +144,11 @@ class ExperimentReport:
         return {key: value for key, value in self.to_dict().items() if key not in wall_clock}
 
     def csv_row(self) -> dict:
-        return {
-            "method": self.method,
-            "n_p": self.n_p,
-            "seed": self.seed,
-            "cache_size": self.cache_size,
-            "distill_mode": self.distill_mode,
-            "pf_source": self.pf_source,
-            "shift_kind": self.shift_kind,
-            "severity": self.severity,
-            "accuracy": f"{self.accuracy:.4f}",
-            "ls": f"{self.latency_saving:.4f}",
-            "pf_seconds": f"{self.pf_seconds:.6f}",
-            "pf_normalized": "" if self.pf_normalized is None else f"{self.pf_normalized:.2f}",
-            "elapsed_prune": f"{self.elapsed_prune:.6f}",
-            "elapsed_finetune": f"{self.elapsed_finetune:.6f}",
-            "elapsed_infer": f"{self.elapsed_infer:.6f}",
-        }
+        row = {}
+        for column, name, fmt in _CSV_TABLE:
+            value = getattr(self, name)
+            row[column] = "" if value is None else fmt.format(value)
+        return row
 
 
 def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
@@ -231,11 +222,13 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
     )
 
 
-def grid_configs(base: ExperimentConfig, grid: dict) -> list[ExperimentConfig]:
-    """``base`` with each combination of ``grid``'s values, in run order;
-    ``grid`` maps some of ``GRID_AXES`` to non-empty lists.  Building a
-    config checks it, so this raises :class:`~latecut.errors.ConfigError`
-    for any bad value before any run starts."""
+def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
+    """One run of ``base`` per combination of ``grid``'s values, in run
+    order; ``grid`` maps some of ``GRID_AXES`` to non-empty lists.  Every
+    run's config is built, and so checked, before the first pretraining,
+    on one source model per seed.  PF time is normalized to that of the
+    ``proposed`` run whose config differs only in method, as the reference
+    tables report it."""
     axes = [axis for axis in GRID_AXES if axis in grid]
     if len(axes) < len(grid):
         raise ConfigError(f"unknown grid keys {sorted(set(grid) - set(axes))}; "
@@ -243,16 +236,8 @@ def grid_configs(base: ExperimentConfig, grid: dict) -> list[ExperimentConfig]:
     for axis in axes:
         if not grid[axis]:
             raise ConfigError(f"grid.{axis} must not be empty")
-    return [replace(base, **dict(zip(axes, values)))
-            for values in itertools.product(*(grid[axis] for axis in axes))]
-
-
-def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
-    """One run per config of :func:`grid_configs`, all checked before the
-    first pretraining, on one source model per seed.  PF time is normalized
-    to that of the ``proposed`` run whose config differs only in method, as
-    the reference tables report it."""
-    configs = grid_configs(base, grid)
+    configs = [replace(base, **dict(zip(axes, values)))
+               for values in itertools.product(*(grid[axis] for axis in axes))]
     train_split, _ = make_dataset(base.dataset)
     pretrained_by_seed = {
         seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed)
@@ -300,11 +285,14 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     payload.pop("grid", None)
     dataset_payload = dict(_require_json(payload.pop("dataset", {}), dict, "dataset"))
     shift_payload = _require_json(dataset_payload.pop("shift", {}), dict, "dataset.shift")
+    distill_payload = _require_json(payload.pop("distill", {}), dict, "distill")
+    if "seed" in distill_payload:  # run_experiment seeds distillation with the run's seed
+        raise ConfigError("distill.seed is not a setting: the run's seed seeds distillation")
     if "class_means" in dataset_payload and dataset_payload["class_means"] is not None:
         dataset_payload["class_means"] = np.asarray(dataset_payload["class_means"], dtype=np.float64)
     try:
         dataset = DatasetSpec(shift=ShiftSpec(**shift_payload), **dataset_payload)
-        distill_config = DistillConfig(**payload.pop("distill", {}))
+        distill_config = DistillConfig(**distill_payload)
         return ExperimentConfig(dataset=dataset, distill=distill_config, **payload)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

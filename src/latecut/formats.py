@@ -65,9 +65,10 @@ _RECORDS_HEADER = struct.Struct("<4sIIII")  # cache and sample set
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
-    truncated file."""
+    truncated file; a missing directory is created first."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -39,16 +39,16 @@ Gradient math uses plain matmul; it has no such contract and is verified
 against finite differences instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
-checkpoint order, as views from one aligned buffer: a given one that holds
-their values, or a new :func:`aligned_zeros` one.  :func:`clone_network`
+checkpoint order, as views from one aligned buffer that holds their
+values; the caller allocates and fills it.  :func:`clone_network`
 copies into an :func:`aligned_empty` buffer, and checkpoint loading reads
 the payload into one, before the network is cut.  That buffer is not
 zero-filled, because every element is written before the network exists:
 the copy writes all of it, and a read that comes up short raises before a
 network is cut.  The alignment padding around it is never read.  At width
 128 x 8 blocks (2.1 MB) the fill this skips took about 0.1 ms of a 0.5 ms
-load.  Only buffers that must start at zero come from :func:`aligned_zeros`:
-a new network's and a gradient set's.  Every buffer starts on a
+load.  Only a buffer that must start at zero, a gradient set's, comes from
+:func:`aligned_zeros`.  Every buffer starts on a
 ``BUFFER_ALIGN`` (64) byte boundary, which is measured, not cosmetic: at
 width 128 a batch-64 forward over a packed buffer that started 16 bytes
 past a boundary ran 4% slower than separate arrays, an aligned one 7-14%
@@ -196,20 +196,18 @@ def aligned_empty(size: int) -> np.ndarray:
     return _aligned(np.empty, size)
 
 
-def packed_network(shapes, buffer=None) -> ResidualNetwork:
+def packed_network(shapes, buffer) -> ResidualNetwork:
     """A network whose tensors, with ``shapes`` in checkpoint order (stem
     weight and bias, each block's weight1, bias1, weight2 and bias2,
-    classifier weight and bias), are writable views cut in order from one
-    buffer: ``buffer``, an :func:`aligned_empty` or :func:`aligned_zeros`
-    array of exactly their elements that already holds every value, or a
-    new :func:`aligned_zeros` one.  Blocks are numbered 1..n."""
+    classifier weight and bias), are writable views cut in order from
+    ``buffer``, an :func:`aligned_empty` or :func:`aligned_zeros` array of
+    exactly their elements that already holds every value.  Blocks are
+    numbered 1..n."""
     shapes = list(shapes)
     if len(shapes) < 4 or len(shapes) % 4:
         raise DimensionError(f"{len(shapes)} tensors do not form a network")
     stops = list(accumulate(map(math.prod, shapes)))
-    if buffer is None:
-        buffer = aligned_zeros(stops[-1])
-    elif buffer.size != stops[-1]:
+    if buffer.size != stops[-1]:
         raise DimensionError(f"buffer of {buffer.size} elements for {stops[-1]} parameters")
     # A 1-D slice already has its tensor's shape; only matrices are reshaped.
     views = [buffer[start:stop] if len(shape) == 1 else buffer[start:stop].reshape(shape)

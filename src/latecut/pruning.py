@@ -62,11 +62,13 @@ class BlockProfile:
 
 @dataclass
 class PruneDecision:
+    """A method's ranking of the blocks and the ``n_p`` it prunes.  It holds
+    no seed: the caller that seeded a method already has it."""
+
     method: str
     n_p: int
     ranked: list[BlockProfile]   # ascending by the method's score
     pruned: frozenset[int]       # the first n_p of ranked
-    seed: int | None = None
 
 
 def check_n_p(network, n_p: int) -> None:
@@ -75,7 +77,7 @@ def check_n_p(network, n_p: int) -> None:
         raise ConfigError(f"n_p={n_p} outside 0..{network.n_blocks} removable blocks")
 
 
-def decide(method, n_p, rows, seed=None) -> PruneDecision:
+def decide(method, n_p, rows) -> PruneDecision:
     """Rank ``rows`` ascending by ``(importance, block_id)`` and prune the
     first ``n_p``: the one sort every scored method shares.  A non-finite
     importance (a NaN or inf input in the prune batch, say) would sort
@@ -85,15 +87,14 @@ def decide(method, n_p, rows, seed=None) -> PruneDecision:
             raise NumericError(f"block {row.block_id}: non-finite importance {row.importance}")
     ranked = sorted(rows, key=lambda r: (r.importance, r.block_id))
     pruned = frozenset(row.block_id for row in ranked[:n_p])
-    return PruneDecision(method, n_p, ranked, pruned, seed)
+    return PruneDecision(method, n_p, ranked, pruned)
 
 
 def initial_noise(network, prune_batch, block_id, baseline_features=None) -> float:
     """Final-feature MSE between the full network and the network with
     ``block_id`` skipped, on the same batch.  Pass ``baseline_features`` to
-    reuse one shared full-network pass across blocks."""
-    if block_id < 1 or block_id > network.n_blocks:
-        raise InvalidBlockError(f"block id {block_id} outside 1..{network.n_blocks}")
+    reuse one shared full-network pass across blocks.  The skipped pass
+    raises InvalidBlockError for a ``block_id`` outside 1..n."""
     if baseline_features is None:
         _, baseline_features = forward(network, prune_batch)
     _, skipped = forward(network, prune_batch, {block_id})
@@ -159,7 +160,7 @@ def baseline_random(network, n_p, seed) -> PruneDecision:
     chosen = sorted(int(j) for j in order[:n_p])
     rest = sorted(int(j) for j in order[n_p:])
     rows = [BlockProfile(block_id=j) for j in chosen + rest]
-    return PruneDecision("random", n_p, rows, frozenset(chosen), seed)
+    return PruneDecision("random", n_p, rows, frozenset(chosen))
 
 
 def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
@@ -213,21 +214,23 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     batch = np.asarray(prune_batch, dtype=np.float64)
     if latency_profile is None:
         latency_profile = profile(network, batch.shape[0], mode="modeled")
+    # Every block's saving is checked before the first candidate is distilled.
+    delta_ts = [latency_saving(latency_profile, {block.block_id}) for block in network.blocks]
+    for block, delta_t in zip(network.blocks, delta_ts):
+        if delta_t <= 0.0:
+            raise DegenerateBlockError(
+                f"block {block.block_id} has latency saving {delta_t}, not positive; "
+                "oracle score undefined"
+            )
     _, teacher_features = forward(network, batch)
     rows = []
-    for block in network.blocks:
+    for block, delta_t in zip(network.blocks, delta_ts):
         student = clone_network(compact(network, {block.block_id}))
         run = DistillRun(student, cache, DistillConfig(steps=k_steps, seed=seed))
         while not run.done:
             run.step()
         _, student_features = forward(student, batch)
         tuned_loss = feature_mse(teacher_features, student_features)
-        delta_t = latency_saving(latency_profile, {block.block_id})
-        if delta_t <= 0.0:
-            raise DegenerateBlockError(
-                f"block {block.block_id} has latency saving {delta_t}, not positive; "
-                "oracle score undefined"
-            )
         rows.append(
             BlockProfile(
                 block_id=block.block_id,
@@ -236,7 +239,7 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
                 tuned_loss=tuned_loss,
             )
         )
-    return decide("oracle", n_p, rows, seed=seed)
+    return decide("oracle", n_p, rows)
 
 
 def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfile, n_p,

@@ -99,6 +99,8 @@ def test_profile_prune_distill_serve_pipeline(workspace):
     assert len(rows) == 120
     assert set(rows[0]) == {"index", "tick", "phase", "model", "predicted_class", "correct"}
     assert rows[0]["model"] == "M" and rows[-1]["model"] == "Mbar"
+    for command in ("profile", "prune", "distill", "serve"):  # each logged beside its --out
+        assert json.loads((tmp / f"{command}_config.json").read_text())["command"] == command
 
 
 def test_serve_out_is_the_model_that_served(workspace, monkeypatch):
@@ -249,6 +251,7 @@ def test_numeric_failure_exits_3(workspace, capsys):
     ])
     assert code == 3
     assert "kind=numeric" in capsys.readouterr().err
+    assert not (tmp / "out.ckpt").exists() and not (tmp / "distill_config.json").exists()
 
 
 def test_prune_nan_sample_exits_3(workspace, capsys):
@@ -399,7 +402,10 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"seed": 1.5}, "ExperimentConfig.seed"),
     ({"distill": {"batch_size": 2.5}}, "DistillConfig.batch_size"),
     ({"distill": {"steps": 2.5}}, "DistillConfig.steps"),
-    ({"distill": {"seed": True}}, "DistillConfig.seed"),
+    # The run's seed seeds distillation; distill has no seed of its own.
+    ({"distill": {"seed": True}}, "distill.seed is not a setting"),
+    ({"distill": {"seed": 0}}, "distill.seed is not a setting"),
+    ({"distill": [["steps", 5]]}, "distill must be a JSON object"),
     ({"prune_batch_size": 0}, "prune_batch_size"),
     ({"cache_size": -5}, "cache_size"),
     # The default dataset has 2000 rows a split and the default prune batch 64.
@@ -413,6 +419,7 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
         "grid_old_key", "config_list", "grid_list", "dataset_list", "shift_string",
         "grid_seeds_int", "grid_methods_string", "grid_n_p_values_int", "grid_seed_string",
         "seed_float", "distill_batch_size_float", "distill_steps_float", "distill_seed_bool",
+        "distill_seed", "distill_list",
         "prune_batch_size_0", "cache_size_negative", "cache_size_above_pf_source",
         "cache_size_no_held_out", "kappa_negative", "oracle_k_steps_0"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
@@ -467,12 +474,74 @@ def test_nonfinite_lr_exits_2_before_any_step(workspace, capsys, command, lr):
 
 def test_resolved_config_logged(workspace):
     tmp, net, ckpt, data = workspace
-    out = tmp / "runs" / "profile.json"
-    out.parent.mkdir()
+    out = tmp / "new" / "dir" / "profile.json"  # the output creates its directory
     assert main(["profile", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["profile.json", "profile_config.json"]
     logged = json.loads((out.parent / "profile_config.json").read_text())
     assert logged["checkpoint"] == str(ckpt)
     assert logged["mode"] == "modeled"
+
+
+def test_output_dir_overrides_where_the_config_is_logged(workspace):
+    tmp, net, ckpt, data = workspace
+    logs = tmp / "logs"
+    assert main(["--output-dir", str(logs), "profile", "--checkpoint", str(ckpt),
+                 "--out", str(tmp / "profile.json")]) == 0
+    assert json.loads((logs / "profile_config.json").read_text())["output_dir"] == str(logs)
+    assert not (tmp / "profile_config.json").exists()
+
+
+@pytest.mark.parametrize("case", [
+    # checked by the library once the work has begun
+    "prune_np_9", "prune_oracle_k_steps_0", "profile_batch_0", "profile_measured_runs_1",
+    "distill_block_99", "serve_np_9", "serve_arrivals_per_tick_0",
+    # checked by the command before the library runs
+    "prune_without_samples", "prune_oracle_without_cache", "distill_cached_without_labels",
+    "report_malformed", "report_empty_tree",
+])
+def test_invalid_run_writes_nothing(workspace, capsys, case):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    cache = tmp / "cache.bin"
+    build_cache(net, load_samples(data)[0]).save(cache)
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [99]}))
+    malformed = tmp / "malformed"
+    malformed.mkdir()
+    (malformed / "report_000.json").write_text(json.dumps({"method": "proposed"}))
+    empty = tmp / "empty"
+    empty.mkdir()
+    out = tmp / "out"
+    prune = ["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+             "--np", "1", "--prune-batch", "16"]
+    samples = ["--samples", str(data)]
+    distill = ["distill", "--student", str(ckpt), "--decision", str(decision)]
+    serve = ["serve", "--checkpoint", str(ckpt), "--stream", str(data),
+             "--timeline", str(out / "timeline.json")]
+    argv, message = {
+        "prune_np_9": (prune + samples + ["--np", "9"], "n_p=9"),
+        "prune_oracle_k_steps_0": (prune + samples + ["--method", "oracle", "--cache", str(cache),
+                                                      "--k-steps", "0"], "k_steps must be >= 1"),
+        "profile_batch_0": (["profile", "--checkpoint", str(ckpt), "--batch", "0"],
+                            "batch size must be positive"),
+        "profile_measured_runs_1": (["profile", "--checkpoint", str(ckpt), "--mode", "measured",
+                                     "--runs", "1"], "timed_runs >= 3"),
+        "distill_block_99": (distill + ["--teacher", str(ckpt)] + samples,
+                             "block id 99 outside 1..3"),
+        "serve_np_9": (serve + ["--np", "9"], "n_p=9"),
+        "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"], "arrivals per tick"),
+        "prune_without_samples": (prune, "needs --samples"),
+        "prune_oracle_without_cache": (prune + samples + ["--method", "oracle"], "needs --cache"),
+        "distill_cached_without_labels": (distill + ["--teacher", str(ckpt)],
+                                          "cached mode needs --cache"),
+        "report_malformed": (["report", "--results", str(malformed)], "malformed report"),
+        "report_empty_tree": (["report", "--results", str(empty)], "no report JSON files"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out / "result")]) == 2
+    assert message in _one_data_error_line(capsys)
+    assert not out.exists()
 
 
 def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
@@ -513,6 +582,21 @@ def test_experiment_and_report_roundtrip(workspace, monkeypatch, capsys):
     table = tmp / "table.csv"
     assert main(["report", "--results", str(results), "--out", str(table)]) == 0
     assert table.read_bytes() == (results / "results.csv").read_bytes()
+    assert (tmp / "report_config.json").exists()
+    # A table and its log written inside the tree are not reports either.
+    for _ in range(2):
+        assert main(["report", "--results", str(results), "--out", str(results / "t.csv")]) == 0
+    assert (results / "report_config.json").exists()
+    assert (results / "t.csv").read_bytes() == table.read_bytes()
+
+    # Printing the table writes no file, in the working directory or elsewhere.
+    cwd = tmp / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert main(["report", "--results", str(results)]) == 0
+    assert capsys.readouterr().out == table.read_text()
+    assert list(cwd.iterdir()) == []
 
     monkeypatch.setenv("LATECUT_SEED", "abc")
     capsys.readouterr()

@@ -69,6 +69,14 @@ class TestMakeDataset:
             )
             assert np.array_equal(base[1][0], shifted[1][0])
 
+    def test_fractional_smoothing_blends_the_passes_either_side(self):
+        def shifted(severity):
+            spec = DatasetSpec(seed=7, samples_per_split=50, shift=ShiftSpec("smoothing", severity))
+            return make_dataset(spec)[1][0]
+
+        np.testing.assert_allclose(shifted(1.25), 0.75 * shifted(1.0) + 0.25 * shifted(2.0),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_rotation_preserves_norms(self):
         spec = DatasetSpec(seed=6, samples_per_split=50, shift=ShiftSpec("rotation_mix", 2.0))
         clean = make_dataset(DatasetSpec(seed=6, samples_per_split=50))

@@ -16,6 +16,7 @@ from latecut.experiment import (
     CSV_COLUMNS,
     GRID_AXES,
     ExperimentConfig,
+    ExperimentReport,
     experiment_config_from_dict,
     experiment_grid_from_dict,
     reports_to_csv,
@@ -138,6 +139,32 @@ class TestCompareMethods:
         by_method = {r.method: r for r in reports}
         assert by_method["proposed"].pf_normalized == pytest.approx(100.0)
         assert by_method["random"].pf_normalized is not None
+
+    def test_csv_text_is_pinned(self):
+        # The text the column-by-column writer gave before the one-table
+        # rewrite: str() of plain fields, fixed decimals of the rest, and an
+        # empty field for an unset pf_normalized.
+        common = dict(shift_kind="additive_noise", final_loss=0.5, pruned=[1],
+                      distill_mode="cached", pf_source="test")
+        reports = [
+            ExperimentReport(method="proposed", seed=0, n_p=1, severity=0.5, accuracy=87.5,
+                             latency_saving=25.0, pf_seconds=1.25, pf_normalized=100.0,
+                             elapsed_prune=0.0001234567, elapsed_finetune=1.25,
+                             elapsed_infer=1.5, cache_size=64, **common),
+            ExperimentReport(method="random", seed=7, n_p=2, severity=0.1 + 0.2,
+                             accuracy=99.99995, latency_saving=1 / 3, pf_seconds=2e-7,
+                             pf_normalized=None, elapsed_prune=12.0,
+                             elapsed_finetune=3.0000005, elapsed_infer=1e6, cache_size=1990,
+                             **common),
+        ]
+        assert reports_to_csv(reports) == (
+            "method,n_p,seed,cache_size,distill_mode,pf_source,shift_kind,severity,accuracy,"
+            "ls,pf_seconds,pf_normalized,elapsed_prune,elapsed_finetune,elapsed_infer\n"
+            "proposed,1,0,64,cached,test,additive_noise,0.5,87.5000,25.0000,1.250000,100.00,"
+            "0.000123,1.250000,1.500000\n"
+            "random,2,7,1990,cached,test,additive_noise,0.30000000000000004,99.9999,0.3333,"
+            "0.000000,,12.000000,3.000001,1000000.000000\n"
+        )
 
     def test_random_rows_reproducible(self):
         base = small_config(distill=DistillConfig(steps=8, batch_size=16))

@@ -10,6 +10,7 @@ from latecut import network
 from latecut.errors import ConfigError, FormatError
 from latecut.formats import (
     CACHE_MAGIC,
+    atomic_write_bytes,
     cache_bytes,
     checkpoint_bytes,
     load_cache_file,
@@ -211,6 +212,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     net = random_network(2, 2, 1, 2, seed=0)
     save_checkpoint(net, tmp_path / "m.ckpt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+def test_atomic_write_creates_its_directory_and_removes_its_temp_file_on_failure(
+        tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_bytes(tmp_path / "new" / "f.bin", b"payload")
+    assert list((tmp_path / "new").iterdir()) == []
 
 
 # One valid small file per format: (writer, loader, header size in bytes).

@@ -174,6 +174,7 @@ class TestRankAndPrune:
         cache = build_cache(net, toy_batch(net, size=8, seed=1))
         with pytest.raises(DegenerateBlockError, match="block 3 "):
             prune_by_method(method, net, toy_batch(net, size=8), prof, 1, cache, k_steps=2)
+        assert op_counter.backward_passes == 0  # the oracle distilled no candidate first
 
     def test_n_p_out_of_range(self):
         net = random_network(4, 4, 3, 2, seed=0)
