@@ -10,7 +10,8 @@ log and no outputs: each output is written once the work is done.  Every
 file is written atomically (temp file + rename), creating its directory.
 The LATECUT_SEED environment variable overrides any configured seed, a
 grid's ``seed`` axis included, and the logged configuration shows the seed
-that ran.
+that ran: ``experiment`` logs its resolved base config and grid beside the
+command line.
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
@@ -25,7 +26,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import formats
 from .distill import DistillConfig, PseudoLabelCache, build_cache, distill, distill_live
@@ -256,6 +257,10 @@ def _cmd_experiment(args) -> None:
         _write_json(os.path.join(args.out, f"report_{i:03d}.json"), report.to_dict())
         log.info("report_%03d: %s", i, report.csv_row())
     formats.atomic_write_text(os.path.join(args.out, "results.csv"), reports_to_csv(reports))
+    # Logged with the command line: the config and grid that ran, seeds resolved.
+    args.base_config = asdict(config)
+    del args.base_config["distill"]["seed"]  # the run's seed seeds distillation
+    args.grid = grid
 
 
 def _cmd_report(args) -> None:

@@ -50,7 +50,6 @@ class DatasetSpec:
     input_dim: int = 16
     samples_per_split: int = 2000
     class_sep: float = 3.0
-    class_means: np.ndarray | None = None
     noise_sigma: float = 1.0
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     seed: int = 0
@@ -59,20 +58,11 @@ class DatasetSpec:
         check_ints(self, num_classes=1, input_dim=1, samples_per_split=1, seed=0)
         _check_scale("class_sep", self.class_sep)
         _check_scale("noise_sigma", self.noise_sigma)
-        if self.class_means is not None and not np.isfinite(self.class_means).all():
-            raise ConfigError("class_means must be finite")
 
 
 def _class_means(spec: DatasetSpec) -> np.ndarray:
-    if spec.class_means is not None:
-        means = np.asarray(spec.class_means, dtype=np.float64)
-        if means.shape != (spec.num_classes, spec.input_dim):
-            raise ConfigError(
-                f"class_means shape {means.shape} != ({spec.num_classes}, {spec.input_dim})"
-            )
-    else:
-        rng = np.random.default_rng([spec.seed, 9])
-        means = rng.normal(0.0, spec.class_sep, (spec.num_classes, spec.input_dim))
+    rng = np.random.default_rng([spec.seed, 9])
+    means = rng.normal(0.0, spec.class_sep, (spec.num_classes, spec.input_dim))
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             if np.array_equal(means[i], means[j]):

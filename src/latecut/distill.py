@@ -134,14 +134,12 @@ def lr_at(step: int, config: DistillConfig) -> float:
     return lr
 
 
-def required_dataset_size(student_param_count: int, pixels_per_label: int, kappa: float = 1.0) -> int:
+def required_dataset_size(student_param_count: int, pixels_per_label: int) -> int:
     """Fine-tuning set size below which overfitting is likely: the student's
-    parameter count divided by the per-label pixel count, scaled by kappa."""
+    parameter count divided by the per-label pixel count, rounded up."""
     if pixels_per_label < 1:
         raise ConfigError(f"pixels_per_label must be >= 1, got {pixels_per_label}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ConfigError(f"kappa must be positive and finite, got {kappa}")
-    return max(1, math.ceil(kappa * student_param_count / pixels_per_label))
+    return max(1, math.ceil(student_param_count / pixels_per_label))
 
 
 def teacher_labels(teacher, inputs, feature_source):

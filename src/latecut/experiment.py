@@ -20,11 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
 
 from .data import DatasetSpec, ShiftSpec, evaluate_accuracy, make_dataset, pretrain_source
 from .distill import (
@@ -76,7 +73,6 @@ class ExperimentConfig:
     n_p: int = 1
     prune_batch_size: int = 64
     cache_size: int | None = None  # None -> sized from the full model's parameter count
-    kappa: float = 1.0
     distill: DistillConfig = field(default_factory=DistillConfig)
     feature_source: str = SOURCE_FINAL_BLOCK
     distill_mode: str = "cached"  # cached | live
@@ -94,16 +90,16 @@ class ExperimentConfig:
             raise ConfigError(f"pf_source must be test or train, got {self.pf_source!r}")
         check_feature_source(self.feature_source)
         arch = self.arch if isinstance(self.arch, dict) else {}
-        if not all(type(arch.get(k)) is int and arch[k] >= 1 for k in ("width", "n_blocks")):
-            raise ConfigError(f"arch needs positive integer width and n_blocks, got {self.arch!r}")
+        if set(arch) != {"width", "n_blocks"} or not all(
+                type(value) is int and value >= 1 for value in arch.values()):
+            raise ConfigError(f"arch takes exactly a positive integer width and n_blocks, "
+                              f"got {self.arch!r}")
         if type(self.n_p) is not int or not 0 <= self.n_p <= arch["n_blocks"]:
             raise ConfigError(f"n_p={self.n_p!r} outside 0..{arch['n_blocks']} removable blocks")
         check_ints(self, prune_batch_size=1, pretrain_epochs=0, oracle_k_steps=1, seed=0)
         if self.cache_size is not None:
             check_ints(self, cache_size=1)
             _check_held_out(self, self.cache_size)
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 def _check_held_out(config: ExperimentConfig, cache_size: int) -> None:
@@ -159,7 +155,7 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
     cache_size = config.cache_size
     if cache_size is None:
         pixels = label_pixels(config.feature_source, pretrained.width)
-        cache_size = required_dataset_size(parameter_count(pretrained), pixels, config.kappa)
+        cache_size = required_dataset_size(parameter_count(pretrained), pixels)
     _check_held_out(config, cache_size)
 
     pf_x = x_test if config.pf_source == "test" else x_train
@@ -255,10 +251,10 @@ def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
 
 
 def saturation_knee(reports) -> int:
-    """The cache size of the first report whose accuracy is within 0.5
-    points of the best, over a ``cache_size`` grid's reports."""
+    """The smallest cache size whose accuracy is within 0.5 points of the
+    best, over a ``cache_size`` grid's reports in any order."""
     best = max(report.accuracy for report in reports)
-    return next(report.cache_size for report in reports if report.accuracy >= best - 0.5)
+    return min(report.cache_size for report in reports if report.accuracy >= best - 0.5)
 
 
 def reports_to_csv(reports) -> str:
@@ -288,8 +284,6 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     distill_payload = _require_json(payload.pop("distill", {}), dict, "distill")
     if "seed" in distill_payload:  # run_experiment seeds distillation with the run's seed
         raise ConfigError("distill.seed is not a setting: the run's seed seeds distillation")
-    if "class_means" in dataset_payload and dataset_payload["class_means"] is not None:
-        dataset_payload["class_means"] = np.asarray(dataset_payload["class_means"], dtype=np.float64)
     try:
         dataset = DatasetSpec(shift=ShiftSpec(**shift_payload), **dataset_payload)
         distill_config = DistillConfig(**distill_payload)

@@ -38,7 +38,7 @@ from .network import (
     forward_trace,
     parameter_count,
 )
-from .profiling import LatencyProfile, latency_saving, profile
+from .profiling import LatencyProfile, latency_saving
 
 METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
 
@@ -90,13 +90,11 @@ def decide(method, n_p, rows) -> PruneDecision:
     return PruneDecision(method, n_p, ranked, pruned)
 
 
-def initial_noise(network, prune_batch, block_id, baseline_features=None) -> float:
-    """Final-feature MSE between the full network and the network with
-    ``block_id`` skipped, on the same batch.  Pass ``baseline_features`` to
-    reuse one shared full-network pass across blocks.  The skipped pass
-    raises InvalidBlockError for a ``block_id`` outside 1..n."""
-    if baseline_features is None:
-        _, baseline_features = forward(network, prune_batch)
+def initial_noise(network, prune_batch, block_id, baseline_features) -> float:
+    """Final-feature MSE between the full network's ``baseline_features`` on
+    the batch and the network with ``block_id`` skipped: one forward pass per
+    block against one shared baseline pass, n + 1 passes for n blocks.  The
+    skipped pass raises InvalidBlockError for a ``block_id`` outside 1..n."""
     _, skipped = forward(network, prune_batch, {block_id})
     return feature_mse(baseline_features, skipped)
 
@@ -144,7 +142,7 @@ def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: i
     rows = [
         score_block(
             network, block.block_id,
-            initial_noise(network, prune_batch, block.block_id, baseline_features=baseline),
+            initial_noise(network, prune_batch, block.block_id, baseline),
             latency_profile,
         )
         for block in network.blocks
@@ -202,18 +200,17 @@ def baseline_curl(network, prune_batch, n_p) -> PruneDecision:
 
 
 def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
-                             k_steps, latency_profile=None, seed=0) -> PruneDecision:
+                             k_steps, latency_profile: LatencyProfile, seed) -> PruneDecision:
     """Expensive reference the proxy approximates: actually skip each block,
     distill it for ``k_steps`` against the cache, and score by the residual
     post-fine-tuning feature noise on the prune batch divided by the block's
-    latency saving (small loss and large saving rank first).  Each candidate
-    is distilled with :class:`DistillConfig`'s default rate and batch."""
+    latency saving in ``latency_profile``, the profile the proxy ranks with
+    (small loss and large saving rank first).  Each candidate is distilled
+    with :class:`DistillConfig`'s default rate and batch, seeded by ``seed``."""
     check_n_p(network, n_p)
     if k_steps < 1:
         raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
     batch = np.asarray(prune_batch, dtype=np.float64)
-    if latency_profile is None:
-        latency_profile = profile(network, batch.shape[0], mode="modeled")
     # Every block's saving is checked before the first candidate is distilled.
     delta_ts = [latency_saving(latency_profile, {block.block_id}) for block in network.blocks]
     for block, delta_t in zip(network.blocks, delta_ts):
@@ -259,6 +256,6 @@ def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfil
         if cache is None:
             raise ConfigError("method 'oracle' needs a pseudo-label cache to distill against")
         return baseline_finetune_oracle(
-            network, prune_batch, cache, n_p, k_steps, latency_profile, seed=seed
+            network, prune_batch, cache, n_p, k_steps, latency_profile, seed
         )
     raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from latecut import serving
 from latecut.cli import main
 from latecut.distill import DistillConfig, build_cache, distill
-from latecut.experiment import ExperimentReport
+from latecut.experiment import ExperimentReport, experiment_config_from_dict
 from latecut.formats import (
     checkpoint_bytes,
     load_checkpoint,
@@ -314,6 +315,19 @@ def test_logged_config_shows_the_seed_that_ran(workspace, monkeypatch, capsys):
     assert main(base + ["--seed", "0", "--out", str(tmp / "b.json")]) == 0
     assert json.loads((tmp / "prune_config.json").read_text())["seed"] == 5
     assert (tmp / "a.json").read_text() == (tmp / "b.json").read_text()
+    # experiment logs the base config and grid that ran, not the file's seeds
+    config = {"dataset": {"samples_per_split": 300, "class_sep": 2.0, "seed": 2},
+              "arch": {"width": 8, "n_blocks": 2}, "prune_batch_size": 16, "cache_size": 16,
+              "distill": {"steps": 2, "batch_size": 8}, "pretrain_epochs": 2, "seed": 2,
+              "grid": {"method": ["random"], "seed": [2]}}
+    (tmp / "exp.json").write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(tmp / "exp.json"), "--out", str(tmp / "exp")]) == 0
+    logged = json.loads((tmp / "exp" / "experiment_config.json").read_text())
+    assert logged["grid"] == {"method": ["random"], "seed": [5]}
+    assert logged["base_config"]["seed"] == 5
+    # The logged base config is a config file for the runs that happened.
+    assert experiment_config_from_dict(logged["base_config"]) == replace(
+        experiment_config_from_dict(config), seed=5)
     monkeypatch.setenv("LATECUT_SEED", "abc")
     capsys.readouterr()
     assert main(base + ["--seed", "0", "--out", str(tmp / "c.json")]) == 2
@@ -375,6 +389,7 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}}, "severity"),
     ({"dataset": {"class_sep": float("inf")}}, "class_sep"),
     ({"arch": {"width": 0, "n_blocks": 2}}, "arch"),
+    ({"arch": {"width": 8, "n_blocks": 2, "widht": 3}}, "widht"),  # pretraining would ignore it
     ({"pretrain_epochs": -1}, "pretrain_epochs"),
     # A grid is checked whole: its valid first entry must not start work either.
     ({"grid": {"method": ["proposed", "bogus"]}}, "bogus"),
@@ -411,9 +426,9 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     # The default dataset has 2000 rows a split and the default prune batch 64.
     ({"cache_size": 1990}, "samples_per_split=2000"),  # more than the PF source holds
     ({"cache_size": 1936}, "samples_per_split=2000"),  # no held-out test rows left
-    ({"kappa": -1}, "kappa"),
+    ({"kappa": -1}, "kappa"),  # no setting: cache_size or the sizing rule sizes the cache
     ({"method": "oracle", "oracle_k_steps": 0}, "oracle_k_steps"),
-], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0",
+], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0", "arch_typo",
         "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "grid_cache_size",
         "grid_distill_mode", "grid_pf_source", "grid_seed_empty", "grid_method_empty",
         "grid_old_key", "config_list", "grid_list", "dataset_list", "shift_string",

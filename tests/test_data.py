@@ -92,9 +92,8 @@ class TestMakeDataset:
             ShiftSpec("additive_noise", -1.0)
 
     def test_coincident_class_means_rejected(self):
-        means = np.zeros((2, 4))
-        with pytest.raises(ConfigError):
-            make_dataset(DatasetSpec(num_classes=2, input_dim=4, class_means=means, seed=0))
+        with pytest.raises(ConfigError):  # class_sep 0 draws every mean at the origin
+            make_dataset(DatasetSpec(num_classes=2, input_dim=4, class_sep=0.0, seed=0))
 
 
 class TestCrossEntropy:
@@ -178,10 +177,8 @@ class TestPretrain:
             assert np.array_equal(pa, pb)
 
     def test_impossible_task_diverges(self):
-        means = np.zeros((3, 6))
-        means[1, 0] = 1e-9  # pairwise distinct, statistically identical
-        means[2, 1] = 1e-9
-        spec = DatasetSpec(num_classes=3, input_dim=6, class_means=means,
+        # class_sep 1e-9 draws pairwise distinct, statistically identical means
+        spec = DatasetSpec(num_classes=3, input_dim=6, class_sep=1e-9,
                            noise_sigma=2.0, samples_per_split=600, seed=13)
         train, _ = make_dataset(spec)
         with pytest.raises(TrainingDivergedError):

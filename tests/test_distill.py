@@ -87,15 +87,13 @@ class TestRequiredDatasetSize:
         assert required_dataset_size(10000, 100) == (full + 1) // 2
 
     def test_arithmetic(self):
-        assert required_dataset_size(10000, 100, kappa=1.0) == 100
+        assert required_dataset_size(10000, 100) == 100
+        assert required_dataset_size(10001, 100) == 101  # rounded up
 
     def test_floor_and_validation(self):
         assert required_dataset_size(3, 100) == 1
         with pytest.raises(ConfigError):
             required_dataset_size(100, 0)
-        for kappa in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                required_dataset_size(100, 10, kappa=kappa)
 
 
 class TestBuildCache:

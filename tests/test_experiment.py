@@ -238,10 +238,11 @@ class TestSweepCacheSizes:
         assert len(reports) == 3
         assert len(calls) == 1
 
-    def test_knee_is_the_first_size_within_half_a_point_of_the_best(self):
+    def test_knee_is_the_smallest_size_within_half_a_point(self):
         reports = [SimpleNamespace(cache_size=size, accuracy=accuracy)
                    for size, accuracy in [(8, 60.0), (16, 79.6), (32, 80.0), (64, 79.9)]]
         assert saturation_knee(reports) == 16
+        assert saturation_knee(reports[::-1]) == 16  # whatever the grid's order
 
 
 class TestConfigParsing:
@@ -296,6 +297,11 @@ class TestConfigParsing:
             experiment_config_from_dict({"feature_source": "pooledd", "distill_mode": "live"})
         with pytest.raises(ConfigError):  # the schedule's decay is fixed
             experiment_config_from_dict({"distill": {"decay_factor": 0.5}})
+        # cache_size or the sizing rule sizes the cache; class_sep draws the means
+        with pytest.raises(ConfigError, match="kappa"):
+            experiment_config_from_dict({"kappa": 2.0})
+        with pytest.raises(ConfigError, match="class_means"):
+            experiment_config_from_dict({"dataset": {"class_means": [[0.0], [1.0]]}})
 
     @pytest.mark.parametrize("payload", [
         {"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}},
@@ -304,6 +310,7 @@ class TestConfigParsing:
         {"dataset": {"noise_sigma": -0.5}},
         {"dataset": {"samples_per_split": 0}},
         {"dataset": {"num_classes": 0}},
+        # class_means is no setting, so this is refused as an unknown key
         {"dataset": {"class_means": [[0.0, float("nan")], [1.0, 1.0]], "num_classes": 2,
                      "input_dim": 2}},
         {"dataset": {"seed": -2}},

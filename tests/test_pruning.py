@@ -5,7 +5,7 @@ import pytest
 
 from latecut.distill import build_cache
 from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
-from latecut.network import op_counter, random_network, zero_block
+from latecut.network import forward, op_counter, random_network, zero_block
 from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
     BlockProfile,
@@ -28,17 +28,22 @@ def toy_batch(net, size=16, seed=0):
     return np.random.default_rng(seed).standard_normal((size, net.input_dim))
 
 
+def noise(net, batch, block_id):
+    """initial_noise against the network's own baseline pass on ``batch``."""
+    return initial_noise(net, batch, block_id, forward(net, batch)[1])
+
+
 class TestInitialNoise:
     def test_zero_branch_block_has_zero_noise(self):
         net = random_network(4, 4, 3, 2, seed=0)
         zero_block(net, 2)
-        assert initial_noise(net, toy_batch(net), 2) == 0.0
+        assert noise(net, toy_batch(net), 2) == 0.0
 
     def test_dead_relu_block_has_zero_noise(self):
         net = random_network(4, 4, 2, 2, seed=1)
         net.blocks[1].bias1[:] = -100.0  # relu never fires on a standard-normal batch
         net.blocks[1].bias2[:] = 0.0
-        assert initial_noise(net, toy_batch(net, seed=1), 2) == 0.0
+        assert noise(net, toy_batch(net, seed=1), 2) == 0.0
 
     def test_hand_computed_single_block(self):
         # identity stem, one block; with the block skipped the features are
@@ -49,20 +54,18 @@ class TestInitialNoise:
         x = np.array([[1.0, -1.0]])
         # full path (hand arithmetic): [3.75, -3.25]; skipped path: [1, -1]
         expected = ((3.75 - 1.0) ** 2 + (-3.25 - -1.0) ** 2) / 2.0
-        assert initial_noise(net, x, 1) == expected == 6.3125
+        assert noise(net, x, 1) == expected == 6.3125
 
     def test_permutation_invariant(self):
         net = random_network(5, 4, 2, 2, seed=2)
         batch = toy_batch(net, size=12, seed=2)
         shuffled = batch[np.random.default_rng(3).permutation(12)]
-        assert initial_noise(net, batch, 1) == pytest.approx(
-            initial_noise(net, shuffled, 1), abs=1e-12
-        )
+        assert noise(net, batch, 1) == pytest.approx(noise(net, shuffled, 1), abs=1e-12)
 
     def test_invalid_block(self):
         net = random_network(4, 4, 2, 2, seed=0)
         with pytest.raises(InvalidBlockError):
-            initial_noise(net, toy_batch(net), 5)
+            noise(net, toy_batch(net), 5)
 
 
 class TestCapacityGap:
@@ -289,7 +292,8 @@ class TestFinetuneOracle:
         net, batch, _ = self._fixture()
         zero_block(net, 2)
         cache = build_cache(net, np.random.default_rng(1).standard_normal((20, 5)))
-        decision = baseline_finetune_oracle(net, batch, cache, 1, k_steps=3)
+        prof = profile(net, len(batch), mode="modeled")
+        decision = baseline_finetune_oracle(net, batch, cache, 1, 3, prof, seed=0)
         assert decision.pruned == frozenset({2})
         assert decision.ranked[0].tuned_loss == 0.0
 
@@ -298,7 +302,7 @@ class TestFinetuneOracle:
         prof = profile(net, 12, mode="modeled")
         k_steps = 5
         op_counter.reset()
-        baseline_finetune_oracle(net, batch, cache, 1, k_steps, prof)
+        baseline_finetune_oracle(net, batch, cache, 1, k_steps, prof, seed=0)
         assert op_counter.backward_passes >= net.n_blocks * k_steps
         oracle_forwards = op_counter.forward_passes
         op_counter.reset()
@@ -307,12 +311,14 @@ class TestFinetuneOracle:
 
     def test_deterministic_given_seed(self):
         net, batch, cache = self._fixture()
-        first = baseline_finetune_oracle(net, batch, cache, 1, k_steps=4, seed=3)
-        second = baseline_finetune_oracle(net, batch, cache, 1, k_steps=4, seed=3)
+        prof = profile(net, len(batch), mode="modeled")
+        first = baseline_finetune_oracle(net, batch, cache, 1, 4, prof, seed=3)
+        second = baseline_finetune_oracle(net, batch, cache, 1, 4, prof, seed=3)
         assert first.pruned == second.pruned
         assert [r.importance for r in first.ranked] == [r.importance for r in second.ranked]
 
     def test_k_steps_validated(self):
         net, batch, cache = self._fixture()
         with pytest.raises(ConfigError):
-            baseline_finetune_oracle(net, batch, cache, 1, k_steps=0)
+            baseline_finetune_oracle(net, batch, cache, 1, 0,
+                                     profile(net, len(batch), mode="modeled"), seed=0)
