@@ -47,7 +47,7 @@ from .experiment import (
 )
 from .network import compact
 from .profiling import profile, profile_from_dict, profile_to_dict
-from .pruning import METHODS, prune_by_method
+from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 from .serving import ServeConfig, serve
 
 log = logging.getLogger("latecut")
@@ -321,7 +321,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", default=None,
                    help="sample file providing the prune batch (all methods except random)")
     p.add_argument("--cache", default=None, help="pseudo-label cache (oracle method)")
-    p.add_argument("--k-steps", type=int, default=50, help="oracle fine-tune steps per block")
+    p.add_argument("--k-steps", type=int, default=ORACLE_K_STEPS,
+                   help="oracle fine-tune steps per block")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
@@ -344,10 +345,10 @@ def build_parser() -> _Parser:
                        parents=[distill_flags])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--np", type=int, default=1)
-    p.add_argument("--prune-batch", type=int, default=64)
-    p.add_argument("--cache-size", type=int, default=64)
-    p.add_argument("--budget", type=int, default=4)
+    p.add_argument("--np", type=int, default=ServeConfig.n_p)
+    p.add_argument("--prune-batch", type=int, default=ServeConfig.prune_batch_size)
+    p.add_argument("--cache-size", type=int, default=ServeConfig.cache_size)
+    p.add_argument("--budget", type=int, default=ServeConfig.budget_per_tick)
     p.add_argument("--arrivals-per-tick", type=int, default=1)
     p.add_argument("--timeline", required=True)
     p.add_argument("--out", required=True)

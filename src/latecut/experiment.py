@@ -37,7 +37,7 @@ from .distill import (
 from .errors import ConfigError, check_ints
 from .network import clone_network, parameter_count
 from .profiling import latency_saving, profile
-from .pruning import METHODS, prune_by_method
+from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 
 # The ExperimentConfig fields a grid may vary, in run order: seed outermost,
 # method innermost.  Every one is recorded in a report and in results.csv.
@@ -78,7 +78,7 @@ class ExperimentConfig:
     distill_mode: str = "cached"  # cached | live
     pf_source: str = "test"       # test | train
     pretrain_epochs: int = 30
-    oracle_k_steps: int = 50
+    oracle_k_steps: int = ORACLE_K_STEPS
     seed: int = 0
 
     def __post_init__(self):

@@ -42,6 +42,10 @@ from .profiling import LatencyProfile, latency_saving
 
 METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
 
+# The fine-tune oracle's default distillation steps per candidate block:
+# ``ExperimentConfig.oracle_k_steps`` and ``latecut prune --k-steps``.
+ORACLE_K_STEPS = 50
+
 
 @dataclass
 class BlockProfile:
@@ -240,10 +244,10 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
 
 
 def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfile, n_p,
-                    cache: PseudoLabelCache | None = None, k_steps=50, seed=0) -> PruneDecision:
+                    cache: PseudoLabelCache | None, k_steps, seed) -> PruneDecision:
     """Prune with one of :data:`METHODS`.  ``random`` ignores the prune
     batch; ``oracle`` needs ``cache`` and fine-tunes each candidate for
-    ``k_steps``."""
+    ``k_steps``; ``seed`` seeds ``random`` and the oracle's distillation."""
     if method == "proposed":
         return rank_and_prune(network, prune_batch, latency_profile, n_p)
     if method == "random":

@@ -220,6 +220,7 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     loop to the Failed phase; the tick still returns its records."""
     records = []
     net, model_id = state.active_model()
+    phase, tick_index = state.phase, state.tick_index
     for sample in arrivals:
         x, label = _split_sample(sample)
         logits, _ = forward(net, x[None, :])
@@ -227,8 +228,8 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
         records.append(
             ServingRecord(
                 sample_index=state.samples_seen,
-                arrival_tick=state.tick_index,
-                phase=state.phase,
+                arrival_tick=tick_index,
+                phase=phase,
                 model_id=model_id,
                 predicted_class=predicted,
                 correct=None if label is None else predicted == label,

@@ -36,6 +36,13 @@ def nan_unfilled(monkeypatch):
     return buffers
 
 
+def zero_block(network, block_id):
+    """Zero a block's whole residual branch, making it an exact identity."""
+    block = network.blocks[block_id - 1]
+    for tensor in (block.weight1, block.bias1, block.weight2, block.bias2):
+        tensor[:] = 0.0
+
+
 def make_gradcheck_case(seed, max_blocks=3, max_width=8):
     """Seeded network + batch + target whose relu pre-activations all sit
     at least 1e-3 from the kink, so central differences stay valid.

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from latecut import serving
-from latecut.cli import main
+from latecut.cli import build_parser, main
 from latecut.distill import DistillConfig, build_cache, distill
-from latecut.experiment import ExperimentReport, experiment_config_from_dict
+from latecut.experiment import ExperimentConfig, ExperimentReport, experiment_config_from_dict
 from latecut.formats import (
     checkpoint_bytes,
     load_checkpoint,
@@ -51,6 +51,21 @@ def test_help_exits_0(capsys):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_flag_defaults_are_the_configs_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["serve", "--checkpoint", "c", "--stream", "s",
+                              "--timeline", "t", "--out", "o"])
+    serve_config, distill_config = serving.ServeConfig(), DistillConfig()
+    assert (args.np, args.prune_batch, args.cache_size, args.budget) == (
+        serve_config.n_p, serve_config.prune_batch_size, serve_config.cache_size,
+        serve_config.budget_per_tick)
+    assert (args.steps, args.lr, args.batch, args.seed) == (
+        distill_config.steps, distill_config.lr0, distill_config.batch_size, distill_config.seed)
+    args = parser.parse_args(["prune", "--checkpoint", "c", "--profile", "p", "--np", "1",
+                              "--out", "o"])
+    assert args.k_steps == ExperimentConfig().oracle_k_steps
 
 
 def test_profile_prune_distill_serve_pipeline(workspace):

@@ -24,8 +24,9 @@ from latecut.experiment import (
     run_grid,
     saturation_knee,
 )
-from latecut.network import zero_block
 from latecut.profiling import latency_saving, profile
+
+from conftest import zero_block
 
 
 def small_config(**overrides):

@@ -23,10 +23,9 @@ from latecut.network import (
     normalize_skip,
     random_network,
     sgd_step,
-    zero_block,
 )
 
-from conftest import make_gradcheck_case
+from conftest import make_gradcheck_case, zero_block
 from oracles import (
     assert_packed,
     finite_difference_grads,
@@ -174,9 +173,9 @@ def tile_kernel_impl(request, monkeypatch):
         return
     calls = []
 
-    def einsum_tiles(stack, weight):
+    def einsum_tiles(stack, weight, out=None):
         calls.append(stack.shape)
-        return network._einsum_tiles(stack, weight)
+        return network._einsum_tiles(stack, weight, out=out)
 
     monkeypatch.setattr(network, "tile_kernel", einsum_tiles)
     yield request.param

@@ -5,7 +5,7 @@ import pytest
 
 from latecut.distill import build_cache
 from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
-from latecut.network import forward, op_counter, random_network, zero_block
+from latecut.network import forward, op_counter, random_network
 from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
     BlockProfile,
@@ -21,6 +21,7 @@ from latecut.pruning import (
     rank_and_prune,
 )
 
+from conftest import zero_block
 from oracles import naive_prune_ranking
 
 
@@ -176,7 +177,8 @@ class TestRankAndPrune:
         prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 0.8, 3: 1.01})
         cache = build_cache(net, toy_batch(net, size=8, seed=1))
         with pytest.raises(DegenerateBlockError, match="block 3 "):
-            prune_by_method(method, net, toy_batch(net, size=8), prof, 1, cache, k_steps=2)
+            prune_by_method(method, net, toy_batch(net, size=8), prof, 1, cache, k_steps=2,
+                            seed=0)
         assert op_counter.backward_passes == 0  # the oracle distilled no candidate first
 
     def test_n_p_out_of_range(self):
@@ -195,7 +197,7 @@ def test_nan_in_prune_batch_raises_instead_of_ranking(method):
     batch[3, 1] = np.nan
     cache = build_cache(net, toy_batch(net, size=8, seed=1))
     with pytest.raises(NumericError, match="non-finite importance"):
-        prune_by_method(method, net, batch, profile(net, 8), 1, cache, k_steps=2)
+        prune_by_method(method, net, batch, profile(net, 8), 1, cache, k_steps=2, seed=0)
 
 
 class TestBaselineRandom:

@@ -9,7 +9,7 @@ import pytest
 from latecut import serving
 from latecut.distill import DistillConfig, DistillRun, build_cache, distill
 from latecut.errors import ConfigError, NumericError, PartialRunError
-from latecut.network import clone_network, forward, random_network
+from latecut.network import clone_network, forward, op_counter, random_network
 from latecut.profiling import latency_saving, network_cost_macs, profile
 from latecut.pruning import rank_and_prune
 from latecut.serving import (
@@ -75,6 +75,26 @@ class TestTick:
         assert state.phase is Phase.SERVING  # big budget finished everything
         late = tick(state, make_stream(net, 2, seed=3))
         assert all(r.phase is Phase.SERVING and r.model_id == MODEL_PRUNED for r in late)
+
+    @pytest.mark.parametrize("arrivals", [1, 3, 64])
+    def test_serving_tick_answers_each_arrival_with_its_own_forward(self, arrivals):
+        """Once Mbar serves, a tick of k arrivals is k forward passes, and
+        each answer is the one a batched forward of Mbar gives it."""
+        net = random_network(4, 4, 2, 3, seed=4)
+        config = small_config(prune_batch_size=2, cache_size=2,
+                              distill=DistillConfig(steps=1, batch_size=2, seed=0),
+                              budget_per_tick=50)
+        state = ServingState(net, config)
+        tick(state, make_stream(net, 4, seed=4))
+        assert state.phase is Phase.SERVING
+        batch = np.array(make_stream(net, arrivals, seed=5))
+        before = op_counter.forward_passes
+        records = tick(state, list(batch))
+        assert op_counter.forward_passes - before == arrivals
+        assert len(records) == arrivals
+        assert all(r.model_id == MODEL_PRUNED for r in records)
+        logits, _ = forward(state.pruned_model, batch)
+        assert [r.predicted_class for r in records] == logits.argmax(axis=1).tolist()
 
 
 class TestServe:
