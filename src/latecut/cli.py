@@ -45,7 +45,7 @@ from .experiment import (
     reports_to_csv,
     run_grid,
 )
-from .network import compact
+from .network import KERNEL_PAIR, compact
 from .profiling import profile, profile_from_dict, profile_to_dict
 from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 from .serving import ServeConfig, serve
@@ -379,6 +379,8 @@ def main(argv=None) -> int:
         _print_error("usage", "a subcommand is required")
         return EXIT_USAGE
     logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(message)s")
+    # The einsum fallback runs batches several times slower; say which ran.
+    log.info("forward kernels: %s", KERNEL_PAIR)
     try:
         if "seed" in vars(args):  # experiment resolves its config's seed
             args.seed = _resolve_seed(args.seed)

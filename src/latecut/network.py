@@ -32,19 +32,26 @@ sample must exactly equal the same model's output for that sample inside
 any mini-batch).  Bias, ReLU and residual adds are in-place ufuncs on
 arrays the pass allocated, and the output is cut back to the batch's rows
 once, at the end.  A one-row batch, the one serving answers each arrival
-with, runs the same GEMMs on the same zero-padded tile, but adds each bias,
-applies the ReLU and adds each residual on the row alone, as 1-D in-place
-ufuncs: at width 32 a bias add broadcast over the tile takes 1.07 us, the
-same add on the row 0.45 us, and with 5 blocks the row path takes a
-batch-1 forward from about 38 to 28 us (2-core x86_64).  Only GEMMs
+with, runs the same GEMM per map on one zero-padded 2-D ``(TILE_ROWS, d)``
+tile through :data:`row_kernel`, but adds each bias, applies the ReLU and
+adds each residual on the row alone, as 1-D in-place ufuncs: at width 32 a
+bias add broadcast over the tile takes 1.07 us, the same add on the row
+0.45 us.  The row kernel is ``np.dot``: on the 2-D tile it issues the
+same 4-row dgemm that ``np.matmul`` issues on a one-tile stack, without
+the gufunc's per-call overhead, 0.67 against 1.15 us at width 32.  With 5
+kept blocks (12 GEMMs) a batch-1 forward takes about 19.5 us, against
+25.7 us with matmul (2-core x86_64).  Only GEMMs
 write the padding rows, so they start at zero and stay zero, and rows
-never mix, so the row's answer is bitwise its batched one.  An
-import-time self-check runs the BLAS kernel on rows alone and inside
-stacks of several sizes and offsets; where the local BLAS fails it, the
-kernel is einsum instead, whose reduction order depends only on the
-operand widths but which runs several times slower on batches.
-Gradient math uses plain matmul; it has no such contract and is verified
-against finite differences instead.
+never mix, so the row's answer is bitwise its batched one.  One
+import-time self-check chooses both kernels: it keeps ``(np.matmul,
+np.dot)`` only if every row ``np.dot`` computes alone equals, bitwise, the
+same row inside ``np.matmul`` stacks of several sizes and offsets, at the
+served shapes and a few others.  Where the local BLAS fails it, both are
+einsum instead (the row path runs the stack kernel on a one-tile stack),
+whose reduction order depends only on the operand widths but which runs
+several times slower on batches.  :data:`KERNEL_PAIR` names the pair
+chosen.  Gradient math uses plain matmul; it has no such contract and is
+verified against finite differences instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
 checkpoint order, as views from one aligned buffer that holds their
@@ -305,10 +312,6 @@ class ForwardTrace:
     logits: np.ndarray
 
 
-def _as_f64(array) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-
-
 def normalize_skip(network: ResidualNetwork, skip) -> frozenset[int]:
     """Validate a skip set against the network's block ids.
 
@@ -327,7 +330,7 @@ def normalize_skip(network: ResidualNetwork, skip) -> frozenset[int]:
 
 
 def _check_batch(network: ResidualNetwork, batch) -> np.ndarray:
-    batch = _as_f64(batch)
+    batch = np.ascontiguousarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise DimensionError(f"batch must be 2-D (B, input_dim), got shape {batch.shape}")
     if batch.shape[1] != network.input_dim:
@@ -361,34 +364,58 @@ def _rows(stack, rows) -> np.ndarray:
     return stack.reshape(-1, stack.shape[2])[:rows]
 
 
-def _einsum_tiles(stack, weight, out=None):
-    """Tile kernel by einsum, the fallback where BLAS tiles are not batch
+def einsum_tiles(stack, weight, out=None):
+    """Stack kernel by einsum, the fallback where BLAS tiles are not batch
     invariant."""
     return np.einsum("ktd,dw->ktw", stack, weight, out=out)
 
 
-def _kernel_is_batch_invariant(kernel) -> bool:
-    """Whether ``kernel`` gives each row of a tile stack the same bits alone
-    and inside stacks built from batches of several sizes and offsets."""
+def einsum_row(tile, weight, out):
+    """Row kernel of the einsum fallback: :func:`einsum_tiles` on ``tile``
+    as a one-tile stack, into ``out``."""
+    einsum_tiles(tile[None], weight, out=out[None])
+    return out
+
+
+# (in, out) widths the self-check runs at: the stem, block and classifier
+# maps that serve (16 inputs, width 32 or 128, 4 classes), and a width that
+# is not a multiple of the tile.
+_CHECKED_SHAPES = ((16, 32), (32, 32), (32, 4), (16, 128), (128, 128), (128, 4), (33, 4))
+
+
+def kernel_pair_is_batch_invariant(stack_kernel, row_kernel) -> bool:
+    """Whether ``row_kernel``, given one row on a zero-padded
+    ``(TILE_ROWS, in)`` tile, gives it bitwise the row ``stack_kernel``
+    gives it inside tile stacks built from batches of several sizes and
+    offsets."""
     rng = np.random.default_rng(0)
-    for in_dim, out_dim in ((16, 32), (128, 128), (33, 4)):
+    for in_dim, out_dim in _CHECKED_SHAPES:
         weight = rng.standard_normal((in_dim, out_dim))
         pool = rng.standard_normal((67, in_dim))
-        alone = np.concatenate(
-            [_rows(kernel(_tile_stack(row[None, :]), weight), 1) for row in pool]
-        )
+        tile = np.zeros((TILE_ROWS, in_dim))
+        out = np.empty((TILE_ROWS, out_dim))
+        alone = np.empty((len(pool), out_dim))
+        for i, row in enumerate(pool):
+            tile[0] = row
+            alone[i] = row_kernel(tile, weight, out)[0]
         for lo, hi in ((0, 67), (1, 67), (2, 5), (3, 64), (0, 64), (5, 6)):
-            out = _rows(kernel(_tile_stack(pool[lo:hi]), weight), hi - lo)
-            if not np.array_equal(out, alone[lo:hi]):
+            out_rows = _rows(stack_kernel(_tile_stack(pool[lo:hi]), weight), hi - lo)
+            if not np.array_equal(out_rows, alone[lo:hi]):
                 return False
     return True
 
 
-# The tile kernel every forward calls: ``stack @ weight`` for a
-# ``(k, TILE_ROWS, in)`` stack, one ``(TILE_ROWS, in) x (in, out)`` GEMM per
-# tile, with a reduction order that does not depend on k (see module
-# docstring).  Both kernels take ``out=``.
-tile_kernel = np.matmul if _kernel_is_batch_invariant(np.matmul) else _einsum_tiles
+# The kernel pair every forward calls, chosen here once.  ``tile_kernel``
+# computes ``stack @ weight`` for a ``(k, TILE_ROWS, in)`` stack, one
+# ``(TILE_ROWS, in) x (in, out)`` GEMM per tile, with a reduction order
+# that does not depend on k (see module docstring); it takes ``out=``.
+# ``row_kernel(tile, weight, out)`` is the same GEMM on one 2-D
+# ``(TILE_ROWS, in)`` tile, for the row path.  ``KERNEL_PAIR`` names the
+# pair for the log.
+if kernel_pair_is_batch_invariant(np.matmul, np.dot):
+    tile_kernel, row_kernel, KERNEL_PAIR = np.matmul, np.dot, "matmul/dot"
+else:
+    tile_kernel, row_kernel, KERNEL_PAIR = einsum_tiles, einsum_row, "einsum fallback"
 
 
 def _affine(stack, weight, bias) -> np.ndarray:
@@ -431,37 +458,41 @@ _ZERO.flags.writeable = False
 
 
 def _forward_row(network, x, skip):
-    """:func:`forward` of a one-row batch ``x``.  Each GEMM is the tile
-    kernel on one zero-padded tile, as in a batched pass; each bias, ReLU
-    and residual add is an in-place ufunc on the row alone.  Only GEMMs
-    write the padding rows, so they start at zero and stay zero.  One
-    hidden and one branch tile serve every block, the hidden one
-    reallocated only when the hidden width changes.  They live for this
-    call only: a network may be handed between threads."""
-    tile = np.zeros((1, TILE_ROWS, x.shape[1]))
-    tile[0, :1] = x
-    h = tile_kernel(tile, network.stem_weight)
-    row = h[0, 0]
-    row += network.stem_bias
-    branch = np.empty_like(h)
-    branch_row = branch[0, 0]
-    hidden = None
+    """:func:`forward` of a one-row batch ``x``.  Each GEMM is the row
+    kernel on one zero-padded 2-D tile, the GEMM a batched pass runs per
+    tile; each bias, ReLU and residual add is an in-place ufunc on the row
+    alone.  Only GEMMs write the padding rows, so they start at zero and
+    stay zero.  One hidden and one branch tile serve every block, the
+    hidden one reallocated only when the hidden width changes.  They live
+    for this call only: a network may be handed between threads."""
+    gemm, add = row_kernel, np.add
+    tile = np.zeros((TILE_ROWS, x.shape[1]))
+    tile[0] = x
+    width = network.stem_bias.size
+    h = gemm(tile, network.stem_weight, np.empty((TILE_ROWS, width)))
+    row = h[0]
+    add(row, network.stem_bias, row)
+    branch = np.empty((TILE_ROWS, width))
+    branch_row = branch[0]
+    z = None
     for block in network.blocks:
-        if block.block_id in skip:
+        if skip and block.block_id in skip:
             continue
-        if hidden is None or hidden.shape[2] != block.bias1.size:
-            hidden = np.empty((1, TILE_ROWS, block.bias1.size))
-            z = hidden[0, 0]
-        tile_kernel(h, block.weight1, out=hidden)
-        z += block.bias1
+        bias1 = block.bias1
+        if z is None or z.size != bias1.size:
+            hidden = np.empty((TILE_ROWS, bias1.size))
+            z = hidden[0]
+        gemm(h, block.weight1, hidden)
+        add(z, bias1, z)
         np.maximum(z, _ZERO, out=z)
-        tile_kernel(hidden, block.weight2, out=branch)
-        branch_row += block.bias2
-        row += branch_row
-    logits = tile_kernel(h, network.classifier_weight)
-    out = logits[0, 0]
-    out += network.classifier_bias
-    return logits[0, :1], h[0, :1]
+        gemm(hidden, block.weight2, branch)
+        add(branch_row, block.bias2, branch_row)
+        add(row, branch_row, row)
+    logits = gemm(h, network.classifier_weight,
+                  np.empty((TILE_ROWS, network.classifier_bias.size)))
+    out = logits[0]
+    add(out, network.classifier_bias, out)
+    return logits[:1], h[:1]
 
 
 def compact(network, skip) -> ResidualNetwork:

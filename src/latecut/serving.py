@@ -44,7 +44,7 @@ from .distill import (
     SOURCE_FINAL_BLOCK,
     teacher_labels,
 )
-from .errors import ConfigError, PartialRunError, check_ints
+from .errors import ConfigError, DimensionError, PartialRunError, check_ints
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
@@ -62,7 +62,7 @@ MODEL_FULL = "M"
 MODEL_PRUNED = "Mbar"
 
 
-@dataclass
+@dataclass(slots=True)
 class ServingRecord:
     sample_index: int
     arrival_tick: int
@@ -139,11 +139,15 @@ class ServingState:
 
     # -- sample intake -------------------------------------------------
 
-    def admit(self, sample: np.ndarray) -> None:
-        if len(self.prune_samples) < self.config.prune_batch_size:
-            self.prune_samples.append(sample)
-        elif len(self.cache_samples) < self.config.cache_size:
-            self.cache_samples.append(sample)
+    def admit(self, samples) -> None:
+        """Keep the rows of ``samples``, ``(x, label)`` pairs in arrival
+        order, to fill the prune batch and then the cache; once both are
+        full, keep none."""
+        for kept, size in ((self.prune_samples, self.config.prune_batch_size),
+                           (self.cache_samples, self.config.cache_size)):
+            room = max(size - len(kept), 0)
+            kept.extend(x for x, _ in samples[:room])
+            samples = samples[room:]
 
     # -- active model ----------------------------------------------------
 
@@ -217,26 +221,29 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     ``budget_per_tick`` units of background work, advancing the phase when
     its work runs out.  The phase changes only in background work, so one
     model answers every arrival of a tick.  A unit that raises moves the
-    loop to the Failed phase; the tick still returns its records."""
+    loop to the Failed phase; the tick still returns its records.
+
+    Every arrival is converted and shape-checked before any is answered,
+    so a malformed one raises :class:`DimensionError` with the state
+    untouched: nothing answered, admitted or counted, the tick not spent."""
+    shape = (state.network.input_dim,)
+    samples = [_split_sample(sample) for sample in arrivals]
+    for i, (x, _) in enumerate(samples):
+        if x.shape != shape:
+            raise DimensionError(f"arrival {i} has shape {x.shape}, expected {shape}")
     records = []
-    net, model_id = state.active_model()
-    phase, tick_index = state.phase, state.tick_index
-    for sample in arrivals:
-        x, label = _split_sample(sample)
-        logits, _ = forward(net, x[None, :])
-        predicted = int(logits.argmax())
-        records.append(
-            ServingRecord(
-                sample_index=state.samples_seen,
-                arrival_tick=tick_index,
-                phase=phase,
-                model_id=model_id,
-                predicted_class=predicted,
-                correct=None if label is None else predicted == label,
-            )
-        )
-        state.admit(x)
-        state.samples_seen += 1
+    if samples:
+        net, model_id = state.active_model()
+        phase, tick_index, first = state.phase, state.tick_index, state.samples_seen
+        # One forward per arrival, in order; one argmax over their logits.
+        logits = np.concatenate([forward(net, x[None, :])[0] for x, _ in samples])
+        predictions = logits.argmax(axis=1).tolist()
+        records = [ServingRecord(index, tick_index, phase, model_id, predicted,
+                                 None if label is None else predicted == label)
+                   for index, (predicted, (_, label))
+                   in enumerate(zip(predictions, samples), first)]
+        state.admit(samples)
+        state.samples_seen += len(samples)
     for _ in range(state.config.budget_per_tick):
         if not state._do_one_unit():
             break
@@ -245,6 +252,8 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
 
 
 def _split_sample(sample):
+    """``(x, label)`` of one arrival, ``x`` as a float64 array and ``label``
+    an int, or None for an unlabelled arrival."""
     if isinstance(sample, tuple):
         x, label = sample
         return np.asarray(x, dtype=np.float64), int(label)

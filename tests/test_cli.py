@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latecut import serving
+from latecut import network, serving
 from latecut.cli import build_parser, main
 from latecut.distill import DistillConfig, build_cache, distill
 from latecut.experiment import ExperimentConfig, ExperimentReport, experiment_config_from_dict
@@ -51,6 +52,15 @@ def test_help_exits_0(capsys):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_run_logs_the_kernel_pair_once(workspace, caplog):
+    tmp, _, ckpt, _ = workspace
+    caplog.set_level(logging.INFO, logger="latecut")
+    assert main(["--log-level", "info", "profile", "--checkpoint", str(ckpt),
+                 "--out", str(tmp / "profile.json")]) == 0
+    lines = [r.getMessage() for r in caplog.records if "kernels" in r.getMessage()]
+    assert lines == [f"forward kernels: {network.KERNEL_PAIR}"]
 
 
 def test_flag_defaults_are_the_configs_defaults():

@@ -166,20 +166,23 @@ class TestNormalizeSkip:
 
 @pytest.fixture(params=["active", "einsum_fallback"])
 def tile_kernel_impl(request, monkeypatch):
-    """Runs a test on the active tile kernel and on the einsum fallback, and
-    checks that the fallback case really ran the fallback."""
+    """Runs a test on the active kernel pair and on the einsum fallback
+    pair, and checks that the fallback case really ran the fallback."""
     if request.param == "active":
         yield request.param
         return
     calls = []
 
-    def einsum_tiles(stack, weight, out=None):
-        calls.append(stack.shape)
-        return network._einsum_tiles(stack, weight, out=out)
+    def counted(kernel):
+        def run(*args, **kwargs):
+            calls.append(kernel)
+            return kernel(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(network, "tile_kernel", einsum_tiles)
+    monkeypatch.setattr(network, "tile_kernel", counted(network.einsum_tiles))
+    monkeypatch.setattr(network, "row_kernel", counted(network.einsum_row))
     yield request.param
-    assert calls, "the forward pass never called the einsum fallback kernel"
+    assert calls, "the forward pass never called an einsum fallback kernel"
 
 
 def _net_with_biases(seed, hidden_widths=(7, 5, 6)):
@@ -332,17 +335,21 @@ class TestBatchCompositionInvariance:
     the batch it rides in: its size or its position there."""
 
     @pytest.mark.parametrize(
-        "input_dim, width, hidden_widths",
+        "input_dim, width, hidden_widths, classes",
         [
-            (6, 5, [7, 13, 3]),      # no width a multiple of the tile
-            (16, 32, None),
-            (16, 128, [64, 128]),
+            # no width a multiple of the tile
+            pytest.param(6, 5, [7, 13, 3], 3, id="6-5-hidden_widths0"),
+            pytest.param(16, 32, None, 3, id="16-32-None"),
+            pytest.param(16, 128, [64, 128], 3, id="16-128-hidden_widths2"),
+            # The served shapes: stem 16 x w, blocks w x w, classifier w x 4.
+            pytest.param(16, 32, None, 4, id="served-32"),
+            pytest.param(16, 128, None, 4, id="served-128"),
         ],
     )
     def test_every_batch_size_and_offset(self, tile_kernel_impl, input_dim, width,
-                                         hidden_widths):
+                                         hidden_widths, classes):
         n_blocks = 2 if hidden_widths is None else len(hidden_widths)
-        net = random_network(input_dim, width, n_blocks, 3, seed=width,
+        net = random_network(input_dim, width, n_blocks, classes, seed=width,
                              hidden_widths=hidden_widths)
         rng = np.random.default_rng(width)
         pool = rng.standard_normal((256, input_dim))
@@ -361,15 +368,27 @@ class TestBatchCompositionInvariance:
                 assert np.array_equal(trace.logits[pos], alone_logits[0]), (size, pos)
                 assert np.array_equal(trace.features[pos], alone_feats[0]), (size, pos)
 
+    def test_self_check_accepts_matmul_and_dot(self):
+        assert network.kernel_pair_is_batch_invariant(np.matmul, np.dot)
+        assert (network.tile_kernel, network.row_kernel) == (np.matmul, np.dot)
+        assert network.KERNEL_PAIR == "matmul/dot"
+        assert network.kernel_pair_is_batch_invariant(network.einsum_tiles,
+                                                      network.einsum_row)
+
     def test_self_check_rejects_a_batch_dependent_kernel(self):
         def drifting(stack, weight):
             return np.matmul(stack, weight) + 1e-12 * len(stack)
 
-        check = network._kernel_is_batch_invariant
-        assert check(np.matmul) == (network.tile_kernel is np.matmul)
-        assert network.tile_kernel in (np.matmul, network._einsum_tiles)
-        assert check(network._einsum_tiles)
-        assert not check(drifting)
+        assert not network.kernel_pair_is_batch_invariant(drifting, np.dot)
+
+    def test_self_check_rejects_a_row_kernel_unlike_its_stack_kernel(self):
+        def gemv_row(tile, weight, out):
+            """The tile's GEMM, but row 0 by a one-row (gemv) product."""
+            np.dot(tile, weight, out)
+            out[0] = np.dot(tile[0], weight)
+            return out
+
+        assert not network.kernel_pair_is_batch_invariant(np.matmul, gemv_row)
 
 
 class TestFeatureMse:

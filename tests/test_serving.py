@@ -8,7 +8,7 @@ import pytest
 
 from latecut import serving
 from latecut.distill import DistillConfig, DistillRun, build_cache, distill
-from latecut.errors import ConfigError, NumericError, PartialRunError
+from latecut.errors import ConfigError, DimensionError, NumericError, PartialRunError
 from latecut.network import clone_network, forward, op_counter, random_network
 from latecut.profiling import latency_saving, network_cost_macs, profile
 from latecut.pruning import rank_and_prune
@@ -95,6 +95,23 @@ class TestTick:
         assert all(r.model_id == MODEL_PRUNED for r in records)
         logits, _ = forward(state.pruned_model, batch)
         assert [r.predicted_class for r in records] == logits.argmax(axis=1).tolist()
+
+    @pytest.mark.parametrize("bad_shape", [(15,), (1, 16), ()], ids=["narrow", "2d", "0d"])
+    def test_malformed_arrival_raises_before_any_is_answered(self, bad_shape):
+        """A tick whose last arrival is malformed answers, admits and counts
+        none of them and does not spend the tick: the next tick numbers its
+        records from 0."""
+        net = random_network(16, 4, 2, 3, seed=6)
+        state = ServingState(net, small_config())
+        ok = make_stream(net, 2, seed=6)
+        before = op_counter.forward_passes
+        with pytest.raises(DimensionError, match="arrival 2"):
+            tick(state, ok + [np.zeros(bad_shape)])
+        assert op_counter.forward_passes == before
+        assert state.samples_seen == 0 and state.prune_samples == [] and state.tick_index == 0
+        records = tick(state, ok)
+        assert [(r.sample_index, r.arrival_tick) for r in records] == [(0, 0), (1, 0)]
+        assert state.samples_seen == 2 and len(state.prune_samples) == 2
 
 
 class TestServe:
