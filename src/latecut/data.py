@@ -18,6 +18,7 @@ from .errors import ConfigError, TrainingDivergedError, check_ints
 from .network import (
     ResidualNetwork,
     backprop_from_outputs,
+    compact,
     forward,
     forward_trace,
     packed_gradients,
@@ -160,23 +161,26 @@ PRETRAIN_BATCH = 64
 
 
 def evaluate_accuracy(network, x, y, skip=None) -> float:
-    """Top-1 accuracy, evaluated in chunks of ``EVAL_CHUNK_ROWS`` rows.  The
-    forward pass is batch-composition invariant, so the predictions are
-    bitwise those of one forward over all of ``x``."""
+    """Top-1 accuracy of ``compact(network, skip)``, in chunks of
+    ``EVAL_CHUNK_ROWS`` rows: bitwise that of one forward over all of ``x``,
+    as the forward pass is batch-composition invariant."""
+    if skip is not None:
+        network = compact(network, skip)
     x = np.asarray(x, dtype=np.float64)
     predictions = [
-        np.argmax(forward(network, x[lo : lo + EVAL_CHUNK_ROWS], skip)[0], axis=1)
+        np.argmax(forward(network, x[lo : lo + EVAL_CHUNK_ROWS])[0], axis=1)
         for lo in range(0, len(x), EVAL_CHUNK_ROWS)
     ]
     return float((np.concatenate(predictions) == y).mean())
 
 
-def pretrain_source(train_split, arch, epochs=30, seed=0) -> ResidualNetwork:
+def pretrain_source(train_split, arch, epochs=30, seed=0, num_classes=None) -> ResidualNetwork:
     """Cross-entropy SGD pretraining of a fresh source model, at rate
     ``PRETRAIN_LR`` in shuffled batches of ``PRETRAIN_BATCH``, with one
     gradient set overwritten every batch.
 
-    ``arch`` is ``{"width": w, "n_blocks": n}``.  Raises
+    ``arch`` is ``{"width": w, "n_blocks": n}``; ``num_classes`` defaults
+    to the largest label + 1, which a small split can undercount.  Raises
     :class:`TrainingDivergedError` if, after at least one epoch, train
     accuracy is below 60%.  With ``epochs=0`` the untrained seeded network
     is returned as-is.
@@ -184,7 +188,8 @@ def pretrain_source(train_split, arch, epochs=30, seed=0) -> ResidualNetwork:
     x, y = train_split
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    num_classes = int(y.max()) + 1
+    if num_classes is None:
+        num_classes = int(y.max()) + 1
     network = random_network(x.shape[1], arch["width"], arch["n_blocks"], num_classes, seed)
     n = x.shape[0]
     grads = packed_gradients(network)

@@ -35,7 +35,7 @@ from .distill import (
     required_dataset_size,
 )
 from .errors import ConfigError, check_ints
-from .network import clone_network, parameter_count
+from .network import clone_network
 from .profiling import latency_saving, profile
 from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 
@@ -72,7 +72,7 @@ class ExperimentConfig:
     method: str = "proposed"
     n_p: int = 1
     prune_batch_size: int = 64
-    cache_size: int | None = None  # None -> sized from the full model's parameter count
+    cache_size: int | None = None  # None -> sized from the pretrained model's parameter count
     distill: DistillConfig = field(default_factory=DistillConfig)
     feature_source: str = SOURCE_FINAL_BLOCK
     distill_mode: str = "cached"  # cached | live
@@ -99,15 +99,24 @@ class ExperimentConfig:
         check_ints(self, prune_batch_size=1, pretrain_epochs=0, oracle_k_steps=1, seed=0)
         if self.cache_size is not None:
             check_ints(self, cache_size=1)
-            _check_held_out(self, self.cache_size)
+            run_cache_size(self)
 
 
-def _check_held_out(config: ExperimentConfig, cache_size: int) -> None:
-    """Each split holds samples_per_split rows; prune batch + cache must leave some."""
+def run_cache_size(config: ExperimentConfig) -> int:
+    """``cache_size``, or if None the :func:`required_dataset_size` of the
+    model the run pretrains (``arch`` and the dataset fix its shape);
+    ConfigError unless prune batch + cache leave held-out rows."""
+    cache_size, spec = config.cache_size, config.dataset
+    if cache_size is None:
+        width, n_blocks = config.arch["width"], config.arch["n_blocks"]
+        params = width * (spec.input_dim + 1) + (width + 1) * (2 * n_blocks * width
+                                                                 + spec.num_classes)
+        cache_size = required_dataset_size(params, label_pixels(config.feature_source, width))
     needed = config.prune_batch_size + cache_size
-    if needed >= config.dataset.samples_per_split:
+    if needed >= spec.samples_per_split:
         raise ConfigError(f"prune batch + cache = {needed} samples leave no held-out rows of "
-                          f"samples_per_split={config.dataset.samples_per_split}")
+                          f"samples_per_split={spec.samples_per_split}")
+    return cache_size
 
 
 @dataclass
@@ -151,13 +160,7 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
     """profile -> prune -> distill -> evaluate one run on its ``pretrained``
     source model, timing each stage."""
     (x_train, _), (x_test, y_test) = make_dataset(config.dataset)
-
-    cache_size = config.cache_size
-    if cache_size is None:
-        pixels = label_pixels(config.feature_source, pretrained.width)
-        cache_size = required_dataset_size(parameter_count(pretrained), pixels)
-    _check_held_out(config, cache_size)
-
+    cache_size = run_cache_size(config)
     pf_x = x_test if config.pf_source == "test" else x_train
     needed = config.prune_batch_size + cache_size
     prune_batch = pf_x[: config.prune_batch_size]
@@ -221,10 +224,10 @@ def run_experiment(config: ExperimentConfig, pretrained) -> ExperimentReport:
 def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
     """One run of ``base`` per combination of ``grid``'s values, in run
     order; ``grid`` maps some of ``GRID_AXES`` to non-empty lists.  Every
-    run's config is built, and so checked, before the first pretraining,
-    on one source model per seed.  PF time is normalized to that of the
-    ``proposed`` run whose config differs only in method, as the reference
-    tables report it."""
+    run's config and cache size are checked before the first pretraining,
+    on one source model per seed with the dataset's class count.  PF time
+    is normalized to that of the ``proposed`` run whose config differs only
+    in method, as the reference tables report it."""
     axes = [axis for axis in GRID_AXES if axis in grid]
     if len(axes) < len(grid):
         raise ConfigError(f"unknown grid keys {sorted(set(grid) - set(axes))}; "
@@ -234,9 +237,12 @@ def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
             raise ConfigError(f"grid.{axis} must not be empty")
     configs = [replace(base, **dict(zip(axes, values)))
                for values in itertools.product(*(grid[axis] for axis in axes))]
+    for cfg in configs:
+        run_cache_size(cfg)
     train_split, _ = make_dataset(base.dataset)
     pretrained_by_seed = {
-        seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed)
+        seed: pretrain_source(train_split, base.arch, base.pretrain_epochs, seed,
+                              num_classes=base.dataset.num_classes)
         for seed in dict.fromkeys(cfg.seed for cfg in configs)
     }
     reports = [run_experiment(cfg, pretrained_by_seed[cfg.seed]) for cfg in configs]

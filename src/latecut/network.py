@@ -1,6 +1,6 @@
-"""Residual MLP family: exact forward, skip-aware forward, compact views,
-and hand-derived gradients from output-side gradients (the distillation
-loss built on them lives in :mod:`latecut.distill`).
+"""Residual MLP family: exact forward, compact views, and hand-derived
+gradients from output-side gradients (the distillation loss built on them
+lives in :mod:`latecut.distill`).
 
 All numeric state is float64 numpy arrays.  Affine maps are stored
 input-major, so a layer computes ``x @ W + b`` with ``W`` of shape
@@ -14,11 +14,11 @@ skipping a block leaves the identity in its place.  Blocks are indexed
 feature width (the standard constructors always use square blocks; the
 checkpoint format only supports those).
 
-Ranking, profiling, ``evaluate_accuracy``, ``distill`` and ``distill_live``
-take skip sets.  A pruned model is a :func:`compact` view that shares its
-parameter arrays with the full network; tracing, backprop and
-:func:`sgd_step` take no skip set, and training the view trains the full
-network's kept blocks in place.
+A pruned model is a :func:`compact` view that shares its parameter arrays
+with the full network, so training it trains the kept blocks in place.
+Only :func:`compact` turns a skip set into a network: :func:`forward`,
+``evaluate_accuracy``, ``distill`` and ``distill_live`` resolve theirs
+through it on entry, and nothing below them sees one.
 
 The forward path is one tile pipeline.  It pads the batch once with zero
 rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map on
@@ -33,41 +33,32 @@ any mini-batch).  Bias, ReLU and residual adds are in-place ufuncs on
 arrays the pass allocated, and the output is cut back to the batch's rows
 once, at the end.  A one-row batch, the one serving answers each arrival
 with, runs the same GEMM per map on one zero-padded 2-D ``(TILE_ROWS, d)``
-tile through :data:`row_kernel`, but adds each bias, applies the ReLU and
-adds each residual on the row alone, as 1-D in-place ufuncs: at width 32 a
-bias add broadcast over the tile takes 1.07 us, the same add on the row
-0.45 us.  The row kernel is ``np.dot``: on the 2-D tile it issues the
-same 4-row dgemm that ``np.matmul`` issues on a one-tile stack, without
-the gufunc's per-call overhead, 0.67 against 1.15 us at width 32.  With 5
-kept blocks (12 GEMMs) a batch-1 forward takes about 19.5 us, against
-25.7 us with matmul (2-core x86_64).  Only GEMMs
-write the padding rows, so they start at zero and stay zero, and rows
-never mix, so the row's answer is bitwise its batched one.  One
-import-time self-check chooses both kernels: it keeps ``(np.matmul,
-np.dot)`` only if every row ``np.dot`` computes alone equals, bitwise, the
-same row inside ``np.matmul`` stacks of several sizes and offsets, at the
-served shapes and a few others.  Where the local BLAS fails it, both are
-einsum instead (the row path runs the stack kernel on a one-tile stack),
-whose reduction order depends only on the operand widths but which runs
-several times slower on batches.  :data:`KERNEL_PAIR` names the pair
-chosen.  Gradient math uses plain matmul; it has no such contract and is
-verified against finite differences instead.
+tile through :data:`row_kernel` (``np.dot``, the same 4-row dgemm without
+the gufunc's per-call overhead), but adds each bias, applies the ReLU and
+adds each residual on the row alone, as 1-D in-place ufuncs (README's
+design notes give the timings behind both choices).  Only GEMMs write the
+padding rows, so they start at zero and stay zero, and rows never mix, so
+the row's answer is bitwise its batched one.  One import-time self-check
+chooses both kernels: it keeps ``(np.matmul, np.dot)`` only if every row
+``np.dot`` computes alone equals, bitwise, the same row inside
+``np.matmul`` stacks of several sizes and offsets, at the served shapes and
+a few others.  Where the local BLAS fails it, both are einsum instead (the
+row path runs the stack kernel on a one-tile stack), whose reduction order
+depends only on the operand widths but which runs several times slower on
+batches.  :data:`KERNEL_PAIR` names the pair chosen.  Gradient math uses
+plain matmul; it has no such contract and is verified against finite
+differences instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
 checkpoint order, as views from one aligned buffer that holds their
-values; the caller allocates and fills it.  :func:`clone_network`
-copies into an :func:`aligned_empty` buffer, and checkpoint loading reads
-the payload into one, before the network is cut.  That buffer is not
-zero-filled, because every element is written before the network exists:
-the copy writes all of it, and a read that comes up short raises before a
-network is cut.  The alignment padding around it is never read.  At width
-128 x 8 blocks (2.1 MB) the fill this skips took about 0.1 ms of a 0.5 ms
-load.  Only a buffer that must start at zero, a gradient set's, comes from
-:func:`aligned_zeros`.  Every buffer starts on a
-``BUFFER_ALIGN`` (64) byte boundary, which is measured, not cosmetic: at
-width 128 a batch-64 forward over a packed buffer that started 16 bytes
-past a boundary ran 4% slower than separate arrays, an aligned one 7-14%
-faster.  The tensors of a :func:`compact` view of a
+values; the caller allocates and fills it.  :func:`clone_network` copies
+into an :func:`aligned_empty` buffer, and checkpoint loading reads the
+payload into one, before the network is cut: every element is written
+before the network exists (a read that comes up short raises first), so
+the buffer is not zero-filled.  Only a buffer that must start at zero, a
+gradient set's, comes from :func:`aligned_zeros`.  Every buffer starts on
+a ``BUFFER_ALIGN`` (64) byte boundary, which README's design notes show
+is measured, not cosmetic.  The tensors of a :func:`compact` view of a
 packed network then lie in a few contiguous runs: the stem with any kept
 blocks right after it, each further group of adjacent kept blocks, and the
 classifier with the last block if it is kept.
@@ -97,7 +88,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -426,23 +417,22 @@ def _affine(stack, weight, bias) -> np.ndarray:
 
 
 def forward(network, batch, skip=None):
-    """Run the network, treating skipped blocks as the identity.
+    """Run ``network``, or ``compact(network, skip)`` when ``skip`` is given.
 
     Returns ``(logits, final_features)`` where ``final_features`` is the
     output of the last non-classifier stage.  Every stage works in place on
     arrays this call allocated; ``batch`` is only read.  A one-row batch
     takes :func:`_forward_row`, with bitwise the same result.
     """
-    skip = normalize_skip(network, skip)
+    if skip is not None:
+        network = compact(network, skip)
     x = _check_batch(network, batch)
     op_counter.forward_passes += 1
     if x.shape[0] == 1:
-        return _forward_row(network, x, skip)
+        return _forward_row(network, x)
     # Rows are independent, so the padding rows are computed and dropped.
     h = _affine(_tile_stack(x), network.stem_weight, network.stem_bias)
     for block in network.blocks:
-        if block.block_id in skip:
-            continue
         z = _affine(h, block.weight1, block.bias1)
         np.maximum(z, 0.0, out=z)
         h += _affine(z, block.weight2, block.bias2)
@@ -457,14 +447,11 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-def _forward_row(network, x, skip):
-    """:func:`forward` of a one-row batch ``x``.  Each GEMM is the row
-    kernel on one zero-padded 2-D tile, the GEMM a batched pass runs per
-    tile; each bias, ReLU and residual add is an in-place ufunc on the row
-    alone.  Only GEMMs write the padding rows, so they start at zero and
-    stay zero.  One hidden and one branch tile serve every block, the
-    hidden one reallocated only when the hidden width changes.  They live
-    for this call only: a network may be handed between threads."""
+def _forward_row(network, x):
+    """:func:`forward` of a one-row batch ``x`` (see the module docstring).
+    One hidden and one branch tile serve every block, the hidden one
+    reallocated only when the hidden width changes.  They live for this
+    call only: a network may be handed between threads."""
     gemm, add = row_kernel, np.add
     tile = np.zeros((TILE_ROWS, x.shape[1]))
     tile[0] = x
@@ -476,8 +463,6 @@ def _forward_row(network, x, skip):
     branch_row = branch[0]
     z = None
     for block in network.blocks:
-        if skip and block.block_id in skip:
-            continue
         bias1 = block.bias1
         if z is None or z.size != bias1.size:
             hidden = np.empty((TILE_ROWS, bias1.size))
@@ -500,13 +485,16 @@ def compact(network, skip) -> ResidualNetwork:
 
     The view shares every parameter array with ``network``, so training it
     trains the kept blocks in place.  Its blocks are numbered 1..k in
-    forward order, as a checkpoint numbers them.  Its forward runs the same
-    operations in the same order as ``forward(network, batch, skip)``, so
-    the outputs are bitwise equal.
+    forward order, as a checkpoint numbers them.  Its forward runs the full
+    network's operations minus the skipped blocks', in the same order.  It
+    is the only code that resolves a skip set.
     """
     skip = normalize_skip(network, skip)
     kept = [b for b in network.blocks if b.block_id not in skip]
-    return replace(network, blocks=[replace(b, block_id=j) for j, b in enumerate(kept, start=1)])
+    blocks = [ResidualBlock(b.weight1, b.bias1, b.weight2, b.bias2, j)
+              for j, b in enumerate(kept, start=1)]
+    return ResidualNetwork(network.stem_weight, network.stem_bias, blocks,
+                           network.classifier_weight, network.classifier_bias)
 
 
 def forward_trace(network, batch) -> ForwardTrace:

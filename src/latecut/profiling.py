@@ -14,9 +14,10 @@ Two modes:
   stem and classifier cost fan_in*fan_out per sample.  Costs are additive,
   so summed savings are exact and every latency-saving identity is exactly
   testable.
-* ``measured`` — wall-clock timings of repeated forward passes on a
-  seeded random batch, after warmup.  Each round times the full network and
-  then every single-block-skipped network once.  T is the median full
+* ``measured`` — wall-clock timings of repeated forward passes on a seeded
+  random batch, after warmup.  Each round times the full network and then
+  every single-block-skipped network once; each timing covers one forward,
+  the n compact views being built before the first.  T is the median full
   time; a skipped network's latency is T times the median over rounds of
   its time over the same round's full time.  The two timings of a ratio
   are taken within one round, so a change in the host's speed between
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidBlockError
-from .network import ResidualNetwork, forward
+from .network import ResidualNetwork, compact, forward
 
 MODE_MEASURED = "measured"
 MODE_MODELED = "modeled"
@@ -68,9 +69,9 @@ def network_cost_macs(network: ResidualNetwork, batch_size: int) -> float:
     return cost
 
 
-def _forward_seconds(network, batch, skip) -> float:
+def _forward_seconds(network, batch) -> float:
     start = time.perf_counter()
-    forward(network, batch, skip)
+    forward(network, batch)
     return time.perf_counter() - start
 
 
@@ -98,16 +99,16 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
         raise ConfigError(f"measured mode needs timed_runs >= 3, got {timed_runs}")
 
     batch = np.random.default_rng(seed).standard_normal((batch_size, network.input_dim))
-    full_times = []
-    ratios = {block.block_id: [] for block in network.blocks}
+    views = {block.block_id: compact(network, {block.block_id}) for block in network.blocks}
+    full_times, ratios = [], {block_id: [] for block_id in views}
     with _measure_lock:
         for _ in range(warmup_runs):
             forward(network, batch)
         for _ in range(timed_runs):
-            full = _forward_seconds(network, batch, None)
+            full = _forward_seconds(network, batch)
             full_times.append(full)
-            for block_id, samples in ratios.items():
-                samples.append(_forward_seconds(network, batch, {block_id}) / full)
+            for block_id, view in views.items():
+                ratios[block_id].append(_forward_seconds(view, batch) / full)
     full = statistics.median(full_times)
     skipped = {block_id: full * statistics.median(samples) for block_id, samples in ratios.items()}
     return LatencyProfile(MODE_MEASURED, full, skipped)
@@ -116,8 +117,7 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
 def latency_saving(prof: LatencyProfile, skip) -> float:
     """Normalized latency saving of removing ``skip``: the sum of its
     blocks' profiled savings, in either mode."""
-    skip = frozenset(int(j) for j in (skip or ()))
-    return sum((prof.block_saving(j) for j in skip), 0.0)
+    return sum(map(prof.block_saving, frozenset(int(j) for j in (skip or ()))), 0.0)
 
 
 def profile_to_dict(prof: LatencyProfile) -> dict:

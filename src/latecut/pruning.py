@@ -99,7 +99,7 @@ def initial_noise(network, prune_batch, block_id, baseline_features) -> float:
     the batch and the network with ``block_id`` skipped: one forward pass per
     block against one shared baseline pass, n + 1 passes for n blocks.  The
     skipped pass raises InvalidBlockError for a ``block_id`` outside 1..n."""
-    _, skipped = forward(network, prune_batch, {block_id})
+    _, skipped = forward(compact(network, {block_id}), prune_batch)
     return feature_mse(baseline_features, skipped)
 
 
@@ -197,7 +197,7 @@ def baseline_curl(network, prune_batch, n_p) -> PruneDecision:
     full_logits, _ = forward(network, prune_batch)
     rows = []
     for block in network.blocks:
-        skipped_logits, _ = forward(network, prune_batch, {block.block_id})
+        skipped_logits, _ = forward(compact(network, {block.block_id}), prune_batch)
         rows.append(BlockProfile(block_id=block.block_id,
                                  importance=kl_divergence(full_logits, skipped_logits)))
     return decide("curl", n_p, rows)

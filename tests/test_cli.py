@@ -177,6 +177,28 @@ def test_distill_out_is_the_compact_student(workspace):
     assert load_checkpoint(out).n_blocks == net.n_blocks - 1
 
 
+def test_cached_and_live_distill_write_the_same_student(workspace):
+    tmp, net, ckpt, data = workspace
+    decision = tmp / "decision.json"
+    decision.write_text(json.dumps({"pruned": [2]}))
+    steps, batch = 5, 8
+    written = {}
+    for mode in ("cached", "live"):
+        out, report = tmp / f"{mode}.ckpt", tmp / f"{mode}.json"
+        assert main([
+            "distill", "--student", str(ckpt), "--decision", str(decision),
+            "--teacher", str(ckpt), "--samples", str(data), "--mode", mode,
+            "--steps", str(steps), "--batch", str(batch), "--seed", "3",
+            "--out", str(out), "--report", str(report),
+        ]) == 0
+        assert load_checkpoint(out).n_blocks == net.n_blocks - 1
+        written[mode] = out.read_bytes(), json.loads(report.read_text())
+    assert written["cached"][0] == written["live"][0]
+    assert written["cached"][0] != checkpoint_bytes(compact(net, {2}))  # the steps trained it
+    assert written["live"][1]["teacher_query_count"] == steps * batch
+    assert written["cached"][1]["teacher_query_count"] == 0
+
+
 def test_oracle_prune_via_saved_cache(workspace):
     tmp, net, ckpt, data = workspace
     profile_json = tmp / "profile.json"
@@ -451,6 +473,9 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     # The default dataset has 2000 rows a split and the default prune batch 64.
     ({"cache_size": 1990}, "samples_per_split=2000"),  # more than the PF source holds
     ({"cache_size": 1936}, "samples_per_split=2000"),  # no held-out test rows left
+    # A derived size is checked before pretraining too: pooled labels size the
+    # cache at the default model's 2499 parameters.
+    ({"feature_source": "pooled", "pretrain_epochs": 300}, "= 2563 samples"),
     ({"kappa": -1}, "kappa"),  # no setting: cache_size or the sizing rule sizes the cache
     ({"method": "oracle", "oracle_k_steps": 0}, "oracle_k_steps"),
 ], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0", "arch_typo",
@@ -461,7 +486,8 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
         "seed_float", "distill_batch_size_float", "distill_steps_float", "distill_seed_bool",
         "distill_seed", "distill_list",
         "prune_batch_size_0", "cache_size_negative", "cache_size_above_pf_source",
-        "cache_size_no_held_out", "kappa_negative", "oracle_k_steps_0"])
+        "cache_size_no_held_out", "derived_cache_size_no_held_out", "kappa_negative",
+        "oracle_k_steps_0"])
 def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, monkeypatch,
                                                           payload, message):
     from latecut import experiment
@@ -537,6 +563,7 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     "distill_block_99", "serve_np_9", "serve_arrivals_per_tick_0",
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "distill_cached_without_labels",
+    "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "report_malformed", "report_empty_tree",
 ])
 def test_invalid_run_writes_nothing(workspace, capsys, case):
@@ -552,9 +579,17 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     (malformed / "report_000.json").write_text(json.dumps({"method": "proposed"}))
     empty = tmp / "empty"
     empty.mkdir()
+    no_per_block = tmp / "no_per_block.json"
+    no_per_block.write_text(json.dumps({"mode": "modeled", "T": 1.0}))
+    t_not_a_number = tmp / "t_not_a_number.json"
+    t_not_a_number.write_text(json.dumps({**json.loads(profile_json.read_text()), "T": "fast"}))
     out = tmp / "out"
-    prune = ["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
-             "--np", "1", "--prune-batch", "16"]
+
+    def prune_with(profile):
+        return ["prune", "--checkpoint", str(ckpt), "--profile", str(profile),
+                "--np", "1", "--prune-batch", "16"]
+
+    prune = prune_with(profile_json)
     samples = ["--samples", str(data)]
     distill = ["distill", "--student", str(ckpt), "--decision", str(decision)]
     serve = ["serve", "--checkpoint", str(ckpt), "--stream", str(data),
@@ -575,6 +610,10 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         "prune_oracle_without_cache": (prune + samples + ["--method", "oracle"], "needs --cache"),
         "distill_cached_without_labels": (distill + ["--teacher", str(ckpt)],
                                           "cached mode needs --cache"),
+        "prune_profile_without_per_block": (prune_with(no_per_block) + samples,
+                                            "malformed profile payload"),
+        "prune_profile_T_not_a_number": (prune_with(t_not_a_number) + samples,
+                                         "malformed profile payload"),
         "report_malformed": (["report", "--results", str(malformed)], "malformed report"),
         "report_empty_tree": (["report", "--results", str(empty)], "no report JSON files"),
     }[case]

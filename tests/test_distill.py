@@ -196,6 +196,19 @@ class TestDistill:
         assert all(a is b for a, b in zip(seen[0], run.gradients.parameter_arrays()))
         assert_packed(run.gradients)
 
+    def test_run_refuses_a_step_past_its_configured_steps(self):
+        teacher = make_teacher(seed=6)
+        cache = build_cache(teacher, make_samples(teacher, 8, seed=6))
+        student = compact(clone_network(teacher), {1})
+        run = DistillRun(student, cache, DistillConfig(steps=2, batch_size=4))
+        run.step()
+        run.step()
+        before = [p.copy() for p in student.parameter_arrays()]
+        with pytest.raises(ConfigError, match="already ran its configured steps"):
+            run.step()
+        assert run.steps_done == 2 and len(run.loss_trace) == 2
+        assert all(np.array_equal(p, b) for p, b in zip(student.parameter_arrays(), before))
+
     def test_empty_cache_rejected(self):
         teacher = make_teacher()
         cache = PseudoLabelCache(

@@ -10,7 +10,7 @@ import pytest
 
 from latecut import experiment
 from latecut.data import DatasetSpec, ShiftSpec, make_dataset, pretrain_source
-from latecut.distill import DistillConfig
+from latecut.distill import DistillConfig, label_pixels, required_dataset_size
 from latecut.errors import ConfigError
 from latecut.experiment import (
     CSV_COLUMNS,
@@ -20,10 +20,12 @@ from latecut.experiment import (
     experiment_config_from_dict,
     experiment_grid_from_dict,
     reports_to_csv,
+    run_cache_size,
     run_experiment,
     run_grid,
     saturation_knee,
 )
+from latecut.network import parameter_count
 from latecut.profiling import latency_saving, profile
 
 from conftest import zero_block
@@ -63,7 +65,7 @@ def stubbed_run_grid(monkeypatch, base, grid):
     stubbed out, and the seeds it pretrains for."""
     seeds = []
     monkeypatch.setattr(experiment, "pretrain_source",
-                        lambda split, arch, epochs, seed: seeds.append(seed))
+                        lambda split, arch, epochs, seed, num_classes: seeds.append(seed))
     monkeypatch.setattr(experiment, "run_experiment",
                         lambda config, pretrained: SimpleNamespace(
                             config=config, method=config.method, pf_seconds=1.0))
@@ -126,6 +128,36 @@ class TestRunExperiment:
         train, _ = make_dataset(config.dataset)
         with pytest.raises(ConfigError, match="samples_per_split=30"):
             run_experiment(config, pretrain_source(train, config.arch, epochs=0))
+
+
+class TestCacheSize:
+    @pytest.mark.parametrize("feature_source", ["final_block", "pooled"])
+    @pytest.mark.parametrize("arch", [{"width": 10, "n_blocks": 3}, {"width": 5, "n_blocks": 7}])
+    def test_derived_size_is_the_pretrained_models(self, feature_source, arch):
+        config = small_config(cache_size=None, feature_source=feature_source, arch=arch)
+        train, _ = make_dataset(config.dataset)
+        pretrained = pretrain_source(train, arch, epochs=0)
+        pixels = label_pixels(feature_source, pretrained.width)
+        assert run_cache_size(config) == required_dataset_size(parameter_count(pretrained), pixels)
+        assert run_cache_size(replace(config, cache_size=20)) == 20
+
+    def test_a_split_missing_a_class_pretrains_the_datasets_class_count(self, monkeypatch):
+        dataset = DatasetSpec(num_classes=4, input_dim=8, samples_per_split=8, seed=23)
+        (_, y_train), _ = make_dataset(dataset)
+        assert y_train.max() == 2  # no training sample of class 3
+        pretrained = []
+
+        def pretrain(*args, **kwargs):
+            pretrained.append(pretrain_source(*args, **kwargs))
+            return pretrained[-1]
+
+        monkeypatch.setattr(experiment, "pretrain_source", pretrain)
+        config = ExperimentConfig(dataset=dataset, arch={"width": 4, "n_blocks": 2},
+                                  method="random", prune_batch_size=2, cache_size=2,
+                                  distill=DistillConfig(steps=1, batch_size=2),
+                                  pretrain_epochs=0)
+        run_grid(config, {})
+        assert [net.num_classes for net in pretrained] == [4]
 
 
 class TestCompareMethods:

@@ -1,6 +1,6 @@
 """Each latecut module uses only the public names of the others, so a step
 of the method cannot be re-implemented behind another module's private
-helper."""
+helper; and only ``network.compact`` turns a skip set into a network."""
 
 import ast
 from pathlib import Path
@@ -44,3 +44,44 @@ def test_no_module_imports_another_modules_private_names():
         if (names := private_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def skip_resolvers(source: str) -> list[str]:
+    """The function (``<module>`` outside any) of every use of the name
+    ``normalize_skip`` in ``source``, as a call or as a value."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "normalize_skip"
+                    or isinstance(child, ast.Attribute) and child.attr == "normalize_skip"):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_sees_every_use_of_normalize_skip():
+    source = (
+        "def compact(net, skip):\n"
+        "    return normalize_skip(net, skip)\n"
+        "def forward(net, skip):\n"
+        "    def inner():\n"
+        "        return network.normalize_skip(net, skip)\n"
+        "    return inner()\n"
+        "resolve = normalize_skip\n"
+    )
+    assert skip_resolvers(source) == ["compact", "inner", "<module>"]
+
+
+def test_only_compact_resolves_skip_sets():
+    users = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := skip_resolvers(path.read_text(encoding="utf-8")))
+    }
+    assert users == {"network.py": ["compact"]}

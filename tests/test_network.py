@@ -127,6 +127,10 @@ class TestForward:
             forward(net, np.zeros((2, 4)), skip={3})
         with pytest.raises(InvalidBlockError):
             forward(net, np.zeros((2, 4)), skip={0})
+        # Any iterable of block ids is a skip set, one that is not truthy too.
+        for bad in (np.array([0]), np.array([1, 3]), (j for j in [3])):
+            with pytest.raises(InvalidBlockError):
+                forward(net, np.zeros((1, 4)), skip=bad)
 
 
 class TestNormalizeSkip:
@@ -460,6 +464,15 @@ class TestBackward:
         assert max_relative_gradient_error(list(grads.parameter_arrays()), numeric) < 1e-4
         assert len(grads.blocks) == net.n_blocks - 1  # the pruned block has no gradient
 
+    def test_gradient_set_for_another_block_count_is_refused(self):
+        net = random_network(4, 3, 3, 2, seed=0)
+        trace = forward_trace(net, np.ones((2, 4)))
+        out = packed_gradients(compact(net, {1}))
+        with pytest.raises(DimensionError, match="not congruent"):
+            backprop_from_outputs(net, trace, grad_features=np.ones((2, 3)), out=out)
+        assert op_counter.backward_passes == 0
+        assert not any(p.any() for p in out.parameter_arrays())  # nothing written
+
     def test_target_shape_mismatch(self):
         net = random_network(4, 3, 1, 2, seed=0)
         with pytest.raises(DimensionError):
@@ -703,6 +716,27 @@ class TestPlumbing:
         assert checkpoint_bytes(twin) == checkpoint_bytes(original)
         assert all(np.isfinite(p).all() for p in twin.parameter_arrays())
         assert_packed(twin)
+
+    def test_packed_network_refuses_a_tensor_count_that_is_no_network(self):
+        net = random_network(3, 4, 2, 2, seed=0)
+        shapes = [p.shape for p in net.parameter_arrays()]
+        buffer = np.concatenate([p.ravel() for p in net.parameter_arrays()])
+        for cut in (shapes[:3], shapes[:-1], shapes + [(4,)]):
+            with pytest.raises(DimensionError, match="do not form a network"):
+                network.packed_network(cut, buffer)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_packed_network_refuses_a_buffer_of_the_wrong_size(self, extra):
+        net = random_network(3, 4, 2, 2, seed=0)
+        size = parameter_count(net)
+        with pytest.raises(DimensionError, match=f"buffer of {size + extra} elements "
+                                                 f"for {size} parameters"):
+            network.packed_network([p.shape for p in net.parameter_arrays()],
+                                   np.zeros(size + extra))
+
+    def test_random_network_needs_one_hidden_width_per_block(self):
+        with pytest.raises(DimensionError, match="need 3 hidden widths, got 2"):
+            random_network(3, 4, 3, 2, seed=0, hidden_widths=[4, 4])
 
     def test_op_counter_tracks_passes(self):
         net = random_network(3, 3, 1, 2, seed=0)

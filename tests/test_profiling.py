@@ -113,18 +113,21 @@ class TestMeasured:
         assert np.mean(list(prof.skipped_latency.values())) < prof.full_latency
 
     def test_full_and_skipped_networks_are_timed_round_robin(self, monkeypatch):
+        # Each timed call is recorded as the ids, in ``net``, of the blocks
+        # the timed network keeps; the timed calls take no skip set.
         order = []
         real_forward = profiling.forward
+        net = random_network(4, 4, 3, 2, seed=0)
+        ids = {id(block.weight1): block.block_id for block in net.blocks}
 
-        def recording(network, batch, skip=None):
-            order.append(frozenset(skip or ()))
-            return real_forward(network, batch, skip)
+        def recording(network, batch):
+            order.append(tuple(ids[id(block.weight1)] for block in network.blocks))
+            return real_forward(network, batch)
 
         monkeypatch.setattr(profiling, "forward", recording)
-        net = random_network(4, 4, 3, 2, seed=0)
         profile(net, 8, mode="measured", warmup_runs=1, timed_runs=3)
-        one_round = [frozenset(), frozenset({1}), frozenset({2}), frozenset({3})]
-        assert order == [frozenset()] + one_round * 3
+        one_round = [(1, 2, 3), (2, 3), (1, 3), (1, 2)]
+        assert order == [(1, 2, 3)] + one_round * 3
 
     def test_measured_ranking_tracks_modeled_ranking(self):
         # blocks with hidden widths 32/64/128: adjacent costs differ 2x
