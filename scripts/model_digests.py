@@ -11,8 +11,8 @@ trains Mbar twice from the loaded M at the workload's shape, untimed:
 * offline: ``build_cache`` -> ``rank_and_prune`` -> ``distill`` ->
   ``compact``, with the first ``prune_batch`` samples as the prune batch and
   the next ``cache`` samples as the cache;
-* serving: ``ServingState`` + ``tick`` over the same samples, one per tick,
-  then empty ticks until the loop serves with Mbar.
+* serving: ``serve`` over the same samples, one arrival per tick; it then
+  ticks without arrivals until the loop serves with Mbar.
 
 Prints one JSON line: the ``network_fingerprint`` of M, of the loaded M
 and of both Mbars, as 16 hex digits, and Mbar's held-out accuracy.  Exits 1
@@ -50,7 +50,7 @@ from latecut.formats import load_checkpoint, network_fingerprint, save_checkpoin
 from latecut.network import clone_network, compact  # noqa: E402
 from latecut.profiling import profile  # noqa: E402
 from latecut.pruning import rank_and_prune  # noqa: E402
-from latecut.serving import Phase, ServeConfig, ServingState, tick  # noqa: E402
+from latecut.serving import ServeConfig, serve  # noqa: E402
 
 
 def offline_mbar(net, samples, shape, config: DistillConfig):
@@ -64,15 +64,10 @@ def offline_mbar(net, samples, shape, config: DistillConfig):
 
 
 def serving_mbar(net, samples, shape, config: DistillConfig):
-    state = ServingState(net, ServeConfig(n_p=shape.n_p, prune_batch_size=shape.prune_batch,
-                                          cache_size=shape.cache, distill=config))
-    for x in samples[: shape.prune_batch + shape.cache]:
-        tick(state, [x])
-    while state.phase is not Phase.SERVING:
-        if state.phase is Phase.FAILED:
-            raise RuntimeError(f"serving failed: {state.failure!r}") from state.failure
-        tick(state, [])
-    return state.pruned_model
+    serve_config = ServeConfig(n_p=shape.n_p, prune_batch_size=shape.prune_batch,
+                               cache_size=shape.cache, distill=config)
+    mbar, _, _ = serve(iter(samples[: shape.prune_batch + shape.cache]), net, serve_config)
+    return mbar
 
 
 def differing_fields(expected: dict, digests: dict) -> list[str]:

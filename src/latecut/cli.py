@@ -135,6 +135,17 @@ def _load_decision_skip(path) -> frozenset[int]:
     return frozenset(pruned)
 
 
+def _check_cache_teacher(cache, cache_path, teacher, teacher_path) -> None:
+    """ConfigError unless ``cache`` (read from ``cache_path``) was built from
+    ``teacher`` (the checkpoint at ``teacher_path``)."""
+    expected = formats.network_fingerprint(teacher)
+    if cache.teacher_fingerprint != expected:
+        raise ConfigError(
+            f"cache {cache_path} was built from teacher fingerprint "
+            f"{cache.teacher_fingerprint:016x}, not {teacher_path}'s {expected:016x}"
+        )
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 
@@ -168,6 +179,7 @@ def _cmd_prune(args) -> None:
         if args.cache is None:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
+        _check_cache_teacher(cache, args.cache, network, args.checkpoint)
     decision = prune_by_method(
         args.method, network, prune_batch, prof, args.np, cache, args.k_steps, args.seed
     )
@@ -183,12 +195,8 @@ def _cmd_distill(args) -> None:
         if args.cache is not None:
             cache = PseudoLabelCache.load(args.cache)
             if args.teacher is not None:
-                expected = formats.network_fingerprint(formats.load_checkpoint(args.teacher))
-                if cache.teacher_fingerprint != expected:
-                    raise ConfigError(
-                        f"cache {args.cache} was built from teacher fingerprint "
-                        f"{cache.teacher_fingerprint:016x}, not {args.teacher}'s {expected:016x}"
-                    )
+                teacher = formats.load_checkpoint(args.teacher)
+                _check_cache_teacher(cache, args.cache, teacher, args.teacher)
         elif args.teacher is not None and args.samples is not None:
             teacher = formats.load_checkpoint(args.teacher)
             inputs, _ = formats.load_samples(args.samples)
@@ -320,7 +328,8 @@ def build_parser() -> _Parser:
     p.add_argument("--prune-batch", type=int, default=64)
     p.add_argument("--samples", default=None,
                    help="sample file providing the prune batch (all methods except random)")
-    p.add_argument("--cache", default=None, help="pseudo-label cache (oracle method)")
+    p.add_argument("--cache", default=None,
+                   help="pseudo-label cache built from --checkpoint (oracle method)")
     p.add_argument("--k-steps", type=int, default=ORACLE_K_STEPS,
                    help="oracle fine-tune steps per block")
     p.add_argument("--seed", type=int, default=0)

@@ -35,7 +35,7 @@ from .distill import (
     required_dataset_size,
 )
 from .errors import ConfigError, check_ints
-from .network import clone_network
+from .network import clone_network, square_parameter_count
 from .profiling import latency_saving, profile
 from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 
@@ -109,8 +109,7 @@ def run_cache_size(config: ExperimentConfig) -> int:
     cache_size, spec = config.cache_size, config.dataset
     if cache_size is None:
         width, n_blocks = config.arch["width"], config.arch["n_blocks"]
-        params = width * (spec.input_dim + 1) + (width + 1) * (2 * n_blocks * width
-                                                                 + spec.num_classes)
+        params = square_parameter_count(spec.input_dim, width, n_blocks, spec.num_classes)
         cache_size = required_dataset_size(params, label_pixels(config.feature_source, width))
     needed = config.prune_batch_size + cache_size
     if needed >= spec.samples_per_split:

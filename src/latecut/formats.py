@@ -1,22 +1,23 @@
 """Binary file layouts and atomic file writing.
 
 All integers are little-endian; all floats are little-endian IEEE-754
-float64, on any host.  Each loader checks the header, reads the file once,
-straight into the arrays the header sizes, and only then builds its result
-on them: a checkpoint's network is cut from the one aligned buffer its
-payload filled, a cache's inputs and labels are the columns of one array
-of records, a sample set's inputs are the array they were read into.  No
-loader holds its payload twice, and none zero-fills what it reads into:
-the checkpoint buffer comes from :func:`~latecut.network.aligned_empty`,
-the others from ``np.empty``.  Every element is written by the read before
-anything is built on it, a read that comes up short raises first, and the
-checkpoint buffer's alignment padding is never read.  At width 128 x 8
-blocks the skipped fill was about 0.1 ms of a 0.5 ms checkpoint load.  A
-header or payload that is short, a trailing byte, a bad magic or version,
-or sizes no array can hold raise :class:`~latecut.errors.FormatError`.
-Sizes are counted on the bytes read, so a pipe loads like a file, and a
-false header fails after one allocation and one short read, whatever file
-it comes from.  Three formats live here:
+float64, on any host.  Every layout is a header (magic, version, u32 size
+fields) then arrays, written by one encoder, ``_encode``, and read by one
+decoder, ``_decode``, which checks the header, reads the payload once,
+straight into the arrays the size fields allocate, and returns them; each
+loader then builds its result on them.  A checkpoint's network is cut from
+the one aligned buffer its payload filled, sized by
+:func:`~latecut.network.square_parameter_count` as experiment sizing is; a
+cache's inputs and labels are the columns of one array of records; a
+sample set's inputs are the array they were read into.  No loader holds
+its payload twice or zero-fills what it reads into: every element is
+written by the read before anything is built on it, a short read raises
+first, and alignment padding is never read (at width 128 x 8 blocks the
+fill cost 0.1 ms of a 0.5 ms checkpoint load).  A short header or payload,
+a trailing byte, a bad magic or version, or sizes no array can hold raise
+:class:`~latecut.errors.FormatError`.  Sizes are counted on the bytes
+read, so a pipe loads like a file, and a false header fails after one
+allocation and one short read.  Three formats live here:
 
 Checkpoint (magic ``LCUT``, version 1)
     magic[4] | version u32 | input_dim u32 | width u32 | n_blocks u32 |
@@ -51,7 +52,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .network import ResidualNetwork, aligned_empty, packed_network
+from .network import ResidualNetwork, aligned_empty, packed_network, square_parameter_count
 
 CHECKPOINT_MAGIC = b"LCUT"
 CACHE_MAGIC = b"LCCH"
@@ -61,6 +62,7 @@ CACHE_VERSION = 2
 # magic, version, then the u32 size fields listed in the module docstring
 _CHECKPOINT_HEADER = struct.Struct("<4sIIIII")
 _RECORDS_HEADER = struct.Struct("<4sIIII")  # cache and sample set
+_U32_MAX = 2**32 - 1
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -84,49 +86,20 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _f64_bytes(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+def _encode(header, magic, version, fields, arrays) -> bytes:
+    """``header`` packed from ``magic``, ``version`` and the size ``fields``,
+    then each of ``arrays``' bytes in order; callers give every array an
+    explicit little-endian dtype."""
+    return b"".join([header.pack(magic, version, *fields), *(a.tobytes() for a in arrays)])
 
 
-def checkpoint_bytes(network: ResidualNetwork) -> bytes:
-    width = network.width
-    for block in network.blocks:
-        if block.weight1.shape != (width, width):
-            raise ConfigError(
-                f"block {block.block_id} hidden width {block.weight1.shape[1]} != network "
-                f"width {width}; the checkpoint layout only covers square blocks"
-            )
-    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, network.input_dim, width,
-                                    network.n_blocks, network.num_classes)
-    body = b"".join(_f64_bytes(p) for p in network.parameter_arrays())
-    return header + body
-
-
-def save_checkpoint(network: ResidualNetwork, path) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(network))
-
-
-def load_checkpoint(path) -> ResidualNetwork:
-    def build(read, input_dim, width, n_blocks, num_classes):
-        size = (input_dim + 1 + 2 * n_blocks * (width + 1) + num_classes) * width + num_classes
-        [buffer] = read(lambda: [aligned_empty(size)])
-        shapes = [(input_dim, width), (width,)]
-        shapes += [(width, width), (width,)] * 2 * n_blocks
-        shapes += [(width, num_classes), (num_classes,)]
-        return packed_network(shapes, buffer)
-
-    return _load(path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, build)
-
-
-def _load(path, kind, header, magic, version, build):
-    """Check the ``kind`` file's ``header`` (magic, version, size fields)
-    and return ``build(read, *size_fields)``.  ``build`` calls
-    ``read(allocate)`` before it makes anything else: ``read`` makes the
-    arrays ``allocate()`` returns, reads the payload into them once, in
-    order and in place, checks its size and returns them.  Sizes are
-    counted on the bytes read, plus a one-byte probe for a trailing byte,
-    so a pipe loads like a file, and a header that claims more than its
-    file holds fails before anything is built from the claim."""
+def _decode(path, kind, header, magic, version, allocate):
+    """``(fields, arrays)`` of the ``kind`` file at ``path``: its
+    ``header``'s size fields, and the arrays ``allocate(*fields)`` made,
+    filled with the payload by one in-place read each.  Sizes are counted on
+    the bytes read, plus a one-byte probe for a trailing byte, so a pipe
+    loads like a file, and a header that claims more than its file holds
+    fails before anything is built from the claim."""
     source = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read(header.size)
@@ -137,24 +110,46 @@ def _load(path, kind, header, magic, version, build):
             raise FormatError(f"{source}: bad magic {found_magic!r}, expected {magic!r}")
         if found_version != version:
             raise FormatError(f"{source}: unsupported {kind} version {found_version}")
+        try:
+            arrays = allocate(*fields)
+        except (MemoryError, ValueError) as exc:
+            raise FormatError(f"{source}: header sizes {fields} cannot be allocated") from exc
+        expected = header.size + sum(a.nbytes for a in arrays)
+        found = header.size + sum(fh.readinto(a) for a in arrays)
+        if found < expected:
+            raise FormatError(f"{source}: expected {expected} bytes, found {found}")
+        if fh.read(1):
+            raise FormatError(f"{source}: expected {expected} bytes, found more")
+    if sys.byteorder == "big":
+        for array in arrays:
+            array.byteswap(inplace=True)
+    return fields, arrays
 
-        def read(allocate):
-            try:
-                arrays = allocate()
-            except (MemoryError, ValueError) as exc:
-                raise FormatError(f"{source}: header sizes {fields} cannot be allocated") from exc
-            expected = header.size + sum(a.nbytes for a in arrays)
-            found = header.size + sum(fh.readinto(a) for a in arrays)
-            if found < expected:
-                raise FormatError(f"{source}: expected {expected} bytes, found {found}")
-            if fh.read(1):
-                raise FormatError(f"{source}: expected {expected} bytes, found more")
-            if sys.byteorder == "big":
-                for array in arrays:
-                    array.byteswap(inplace=True)
-            return arrays
 
-        return build(read, *fields)
+def checkpoint_bytes(network: ResidualNetwork) -> bytes:
+    width = network.width
+    for block in network.blocks:
+        if block.weight1.shape != (width, width):
+            raise ConfigError(
+                f"block {block.block_id} hidden width {block.weight1.shape[1]} != network "
+                f"width {width}; the checkpoint layout only covers square blocks"
+            )
+    fields = (network.input_dim, width, network.n_blocks, network.num_classes)
+    arrays = [np.asarray(p, "<f8") for p in network.parameter_arrays()]
+    return _encode(_CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION, fields, arrays)
+
+
+def save_checkpoint(network: ResidualNetwork, path) -> None:
+    atomic_write_bytes(path, checkpoint_bytes(network))
+
+
+def load_checkpoint(path) -> ResidualNetwork:
+    (input_dim, width, n_blocks, num_classes), [buffer] = _decode(
+        path, "checkpoint", _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, FORMAT_VERSION,
+        lambda *shape: [aligned_empty(square_parameter_count(*shape))])
+    shapes = [(input_dim, width), (width,), *[(width, width), (width,)] * 2 * n_blocks,
+              (width, num_classes), (num_classes,)]
+    return packed_network(shapes, buffer)
 
 
 def network_fingerprint(network: ResidualNetwork) -> int:
@@ -170,10 +165,10 @@ def network_fingerprint(network: ResidualNetwork) -> int:
 
 def cache_bytes(inputs: np.ndarray, labels: np.ndarray, teacher_fingerprint: int) -> bytes:
     count, input_dim = inputs.shape
-    pixels = labels.shape[1]
-    header = _RECORDS_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, count, input_dim, pixels)
-    records = np.concatenate((inputs, labels), axis=1)  # one input+label row per record
-    return header + _f64_bytes(records) + struct.pack("<Q", teacher_fingerprint)
+    records = np.concatenate((inputs, labels), axis=1, dtype="<f8")  # one row per record
+    fingerprint = np.array([teacher_fingerprint], "<u8")
+    return _encode(_RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION, (count, input_dim, labels.shape[1]),
+                   [records, fingerprint])
 
 
 def save_cache_file(path, inputs, labels, teacher_fingerprint) -> None:
@@ -183,38 +178,41 @@ def save_cache_file(path, inputs, labels, teacher_fingerprint) -> None:
 def load_cache_file(path):
     """Returns ``(inputs, labels, teacher_fingerprint)``; ``inputs`` and
     ``labels`` are column views of the one array the records were read into."""
-    def build(read, count, input_dim, pixels):
-        records, fingerprint = read(lambda: [np.empty((count, input_dim + pixels)),
-                                             np.empty(1, np.uint64)])
-        return records[:, :input_dim], records[:, input_dim:], int(fingerprint[0])
-
-    return _load(path, "cache", _RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION, build)
+    (count, input_dim, pixels), (records, fingerprint) = _decode(
+        path, "cache", _RECORDS_HEADER, CACHE_MAGIC, CACHE_VERSION,
+        lambda count, input_dim, pixels: [np.empty((count, input_dim + pixels)),
+                                          np.empty(1, np.uint64)])
+    return records[:, :input_dim], records[:, input_dim:], int(fingerprint[0])
 
 
 def save_samples(path, inputs, labels=None) -> None:
-    inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+    """Labels, if given, must be integers in 0..2**32 - 1 (they are stored
+    as u32); anything else raises :class:`FormatError` and writes nothing."""
+    inputs = np.ascontiguousarray(inputs, dtype="<f8")
     if inputs.ndim != 2:
         raise FormatError(f"sample inputs must be 2-D, got shape {inputs.shape}")
     count, input_dim = inputs.shape
-    has_labels = labels is not None
-    header = _RECORDS_HEADER.pack(SAMPLES_MAGIC, FORMAT_VERSION, count, input_dim, int(has_labels))
-    parts = [header, _f64_bytes(inputs)]
-    if has_labels:
-        labels = np.ascontiguousarray(labels, dtype="<u4")
+    arrays = [inputs]
+    if labels is not None:
+        labels = np.ascontiguousarray(labels)
         if labels.shape != (count,):
             raise FormatError(f"labels must have shape ({count},), got {labels.shape}")
-        parts.append(labels.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0
+                            or labels.max() > _U32_MAX):
+            raise FormatError(f"labels must be integers in 0..{_U32_MAX}")
+        arrays.append(labels.astype("<u4"))
+    atomic_write_bytes(path, _encode(_RECORDS_HEADER, SAMPLES_MAGIC, FORMAT_VERSION,
+                                     (count, input_dim, int(labels is not None)), arrays))
 
 
 def load_samples(path):
     """Returns ``(inputs, labels_or_None)``: C-contiguous float64 inputs and
     int64 labels."""
-    def build(read, count, input_dim, has_labels):
+    def allocate(count, input_dim, has_labels):
         if has_labels not in (0, 1):
             raise FormatError(f"{os.fspath(path)}: has_labels is {has_labels}, not 0 or 1")
-        inputs, *labels = read(lambda: [np.empty((count, input_dim))]
-                               + ([np.empty(count, np.uint32)] if has_labels else []))
-        return inputs, labels[0].astype(np.int64) if labels else None
+        return [np.empty((count, input_dim))] + ([np.empty(count, np.uint32)] if has_labels else [])
 
-    return _load(path, "sample file", _RECORDS_HEADER, SAMPLES_MAGIC, FORMAT_VERSION, build)
+    _, (inputs, *labels) = _decode(path, "sample file", _RECORDS_HEADER, SAMPLES_MAGIC,
+                                   FORMAT_VERSION, allocate)
+    return inputs, labels[0].astype(np.int64) if labels else None

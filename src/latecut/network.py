@@ -303,16 +303,27 @@ class ForwardTrace:
     logits: np.ndarray
 
 
-def normalize_skip(network: ResidualNetwork, skip) -> frozenset[int]:
-    """Validate a skip set against the network's block ids.
-
-    A frozenset of ints, the form this returns, is range-checked as it is;
-    anything else is converted first.
-    """
+def block_ids(skip) -> frozenset[int]:
+    """``skip`` as a frozenset of block ids, not yet checked against any
+    network.  ``None`` is no blocks; otherwise every element must be a
+    Python or numpy integer (not a bool), else
+    :class:`~latecut.errors.InvalidBlockError`.  A frozenset of ints, the
+    form this returns, is returned as it is."""
     if skip is None:
         return frozenset()
-    if type(skip) is not frozenset or not all(type(j) is int for j in skip):
-        skip = frozenset(int(j) for j in skip)
+    if type(skip) is frozenset and all(type(j) is int for j in skip):
+        return skip
+    skip = list(skip)
+    for j in skip:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise InvalidBlockError(f"block id {j!r} is not an integer")
+    return frozenset(map(int, skip))
+
+
+def normalize_skip(network: ResidualNetwork, skip) -> frozenset[int]:
+    """Validate a skip set (:func:`block_ids`) against the network's block
+    ids."""
+    skip = block_ids(skip)
     n = network.n_blocks
     for j in skip:
         if j < 1 or j > n:
@@ -617,6 +628,11 @@ def sgd_step(network, grads, lr):
 def parameter_count(network) -> int:
     """Total parameter elements."""
     return int(sum(p.size for p in network.parameter_arrays()))
+
+
+def square_parameter_count(input_dim, width, n_blocks, num_classes) -> int:
+    """:func:`parameter_count` of this shape with square blocks, as checkpoints hold."""
+    return (input_dim + 1 + 2 * n_blocks * (width + 1) + num_classes) * width + num_classes
 
 
 def block_param_count(block: ResidualBlock) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidBlockError
-from .network import ResidualNetwork, compact, forward
+from .network import ResidualNetwork, block_ids, compact, forward
 
 MODE_MEASURED = "measured"
 MODE_MODELED = "modeled"
@@ -115,9 +115,10 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
 
 
 def latency_saving(prof: LatencyProfile, skip) -> float:
-    """Normalized latency saving of removing ``skip``: the sum of its
-    blocks' profiled savings, in either mode."""
-    return sum(map(prof.block_saving, frozenset(int(j) for j in (skip or ()))), 0.0)
+    """Normalized latency saving of removing ``skip`` (block ids as
+    :func:`~latecut.network.block_ids` reads them; None is no blocks): the
+    sum of its blocks' profiled savings, in either mode."""
+    return sum(map(prof.block_saving, block_ids(skip)), 0.0)
 
 
 def profile_to_dict(prof: LatencyProfile) -> dict:

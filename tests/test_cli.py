@@ -562,8 +562,8 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     "prune_np_9", "prune_oracle_k_steps_0", "profile_batch_0", "profile_measured_runs_1",
     "distill_block_99", "serve_np_9", "serve_arrivals_per_tick_0",
     # checked by the command before the library runs
-    "prune_without_samples", "prune_oracle_without_cache", "distill_cached_without_labels",
-    "prune_profile_without_per_block", "prune_profile_T_not_a_number",
+    "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
+    "distill_cached_without_labels", "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "report_malformed", "report_empty_tree",
 ])
 def test_invalid_run_writes_nothing(workspace, capsys, case):
@@ -572,6 +572,8 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
     cache = tmp / "cache.bin"
     build_cache(net, load_samples(data)[0]).save(cache)
+    other_cache = tmp / "other_cache.bin"
+    build_cache(random_network(6, 6, 3, 3, seed=1), load_samples(data)[0]).save(other_cache)
     decision = tmp / "decision.json"
     decision.write_text(json.dumps({"pruned": [99]}))
     malformed = tmp / "malformed"
@@ -608,6 +610,9 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"], "arrivals per tick"),
         "prune_without_samples": (prune, "needs --samples"),
         "prune_oracle_without_cache": (prune + samples + ["--method", "oracle"], "needs --cache"),
+        "prune_oracle_cache_of_another_teacher": (
+            prune + samples + ["--method", "oracle", "--cache", str(other_cache)],
+            "was built from teacher fingerprint"),
         "distill_cached_without_labels": (distill + ["--teacher", str(ckpt)],
                                           "cached mode needs --cache"),
         "prune_profile_without_per_block": (prune_with(no_per_block) + samples,

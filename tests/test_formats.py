@@ -67,16 +67,21 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
 @pytest.mark.parametrize("source", ["file", "pipe"])
 def test_checkpoint_header_sizes_checked_before_allocation(tmp_path, monkeypatch, source):
     # 24 bytes whose header claims 100000 blocks of width 1: the payload is
-    # read and found short before any block is built from the claim.
+    # read and found short before any block is built from the claim.  A
+    # claim of 2**32 - 1 blocks is sized arithmetically, so it fails at once
+    # (no buffer that large exists, or the read finds it short) instead of
+    # first building a list of its shapes.
     def no_block(*args, **kwargs):
         raise AssertionError("built a block from a header the payload does not back")
 
     monkeypatch.setattr(network, "ResidualBlock", no_block)
-    data = struct.pack("<4sIIIII", b"LCUT", 1, 1, 1, 100000, 1)
-    path = tmp_path / "claims.ckpt"
-    path.write_bytes(data)
-    with pytest.raises(FormatError, match="expected"):
-        load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
+    for n_blocks, message in [(100000, "expected"),
+                              (2**32 - 1, "cannot be allocated|expected")]:
+        data = struct.pack("<4sIIIII", b"LCUT", 1, 1, 1, n_blocks, 1)
+        path = tmp_path / "claims.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
 
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
@@ -102,6 +107,33 @@ def test_short_payload_into_an_unfilled_buffer_raises(tmp_path, nan_unfilled, so
     with pytest.raises(FormatError, match="expected"):
         load_checkpoint(path) if source == "file" else _load_piped(load_checkpoint, data)
     assert len(nan_unfilled) == 1
+
+
+def test_checkpoint_bytes_pinned_to_layout():
+    values = np.arange(1.0, 28.0) / 8  # exact in f64
+    expected = struct.pack("<4sIIIII", b"LCUT", 1, 2, 2, 1, 3) + struct.pack("<27d", *values)
+    assert checkpoint_bytes(_filled(2, 2, 3, 2, values)) == expected
+
+
+def _cast(net, dtype):
+    cast = lambda a: a.astype(dtype)
+    blocks = [network.ResidualBlock(cast(b.weight1), cast(b.bias1), cast(b.weight2),
+                                    cast(b.bias2), b.block_id) for b in net.blocks]
+    return ResidualNetwork(cast(net.stem_weight), cast(net.stem_bias), blocks,
+                           cast(net.classifier_weight), cast(net.classifier_bias))
+
+
+def test_float32_network_writes_the_float64_checkpoint():
+    narrow = _cast(random_network(5, 4, 2, 3, seed=3), np.float32)
+    assert narrow.stem_weight.dtype == np.float32
+    assert checkpoint_bytes(narrow) == checkpoint_bytes(_cast(narrow, np.float64))
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 3, 4), (1, 1, 0, 1), (3, 2, 0, 5), (2, 6, 8, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_square_parameter_count_is_the_networks_count(shape):
+    assert network.square_parameter_count(*shape) == network.parameter_count(
+        random_network(*shape, seed=0))
 
 
 def test_checkpoint_rejects_rectangular_blocks():
@@ -206,6 +238,28 @@ def test_samples_roundtrip(tmp_path, with_labels):
         assert got_labels.dtype == np.int64 and got_labels.flags.c_contiguous
     else:
         assert got_labels is None
+
+
+@pytest.mark.parametrize("with_labels", [True, False])
+def test_samples_bytes_pinned_to_layout(tmp_path, with_labels):
+    inputs = np.array([[1.0, -2.0, 0.25], [3.5, 4.0, -0.5]])
+    path = tmp_path / "data.bin"
+    save_samples(path, inputs, [0, 2**32 - 1] if with_labels else None)
+    expected = (struct.pack("<4sIIII", b"LCDT", 1, 2, 3, int(with_labels))
+                + struct.pack("<6d", 1.0, -2.0, 0.25, 3.5, 4.0, -0.5)
+                + (struct.pack("<2I", 0, 2**32 - 1) if with_labels else b""))
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("labels", [[-1, 5], [0, 2**32], [1.7, 2.2], [1.0, 2.0], [True, False],
+                                    ["1", "2"], [None, 1]],
+                         ids=["negative", "2**32", "fractional", "integral_floats", "bools",
+                              "strings", "none"])
+def test_save_samples_rejects_labels_outside_u32_integers(tmp_path, labels):
+    path = tmp_path / "data.bin"
+    with pytest.raises(FormatError, match="integers in 0..4294967295"):
+        save_samples(path, np.ones((2, 3)), labels)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

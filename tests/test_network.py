@@ -166,6 +166,10 @@ class TestNormalizeSkip:
         for bad in ({0}, [5], (-1,)):
             with pytest.raises(InvalidBlockError):
                 normalize_skip(net, bad)
+        # Only Python and numpy integers are block ids; nothing is coerced.
+        for bad in (["2"], [1.5], [True], [np.bool_(True)], np.array([1.0]), "2", [1, None]):
+            with pytest.raises(InvalidBlockError, match="not an integer"):
+                compact(net, bad)
 
 
 @pytest.fixture(params=["active", "einsum_fallback"])

@@ -92,6 +92,16 @@ class TestLatencySaving:
         with pytest.raises(InvalidBlockError):
             latency_saving(prof, {7})
 
+    def test_skip_read_as_block_ids(self):
+        # Only None is no blocks; an array is its elements, whatever its truth value.
+        net = random_network(4, 4, 2, 2, seed=0)
+        prof = profile(net, 8, mode="modeled")
+        assert latency_saving(prof, None) == 0.0
+        assert latency_saving(prof, np.array([1, 2])) == latency_saving(prof, {1, 2})
+        for bad in (np.array([0]), [True], ["1"], [1.0]):
+            with pytest.raises(InvalidBlockError):
+                latency_saving(prof, bad)
+
 
 class TestMeasured:
     def test_run_count_validation(self):
