@@ -12,11 +12,13 @@ trains Mbar twice from the loaded M at the workload's shape, untimed:
   ``compact``, with the first ``prune_batch`` samples as the prune batch and
   the next ``cache`` samples as the cache;
 * serving: ``serve`` over the same samples, one arrival per tick; it then
-  ticks without arrivals until the loop serves with Mbar.
+  ticks without arrivals until the loop serves with Mbar;
+* serving in bursts: the same, with stream-burst's burst of arrivals (64)
+  per tick.
 
 Prints one JSON line: the ``network_fingerprint`` of M, of the loaded M
-and of both Mbars, as 16 hex digits, and Mbar's held-out accuracy.  Exits 1
-if the loaded M differs from M or the two Mbars differ.  ``--expect FILE``
+and of the three Mbars, as 16 hex digits, and Mbar's held-out accuracy.
+Exits 1 if the loaded M differs from M or the three Mbars differ.  ``--expect FILE``
 takes such a line, printed by another checkout, and also exits 1 when any
 of its fields differs here, naming each one:
 
@@ -63,10 +65,11 @@ def offline_mbar(net, samples, shape, config: DistillConfig):
     return compact(student, decision.pruned)
 
 
-def serving_mbar(net, samples, shape, config: DistillConfig):
+def serving_mbar(net, samples, shape, config: DistillConfig, arrivals_per_tick=1):
     serve_config = ServeConfig(n_p=shape.n_p, prune_batch_size=shape.prune_batch,
                                cache_size=shape.cache, distill=config)
-    mbar, _, _ = serve(iter(samples[: shape.prune_batch + shape.cache]), net, serve_config)
+    mbar, _, _ = serve(iter(samples[: shape.prune_batch + shape.cache]), net, serve_config,
+                       arrivals_per_tick)
     return mbar
 
 
@@ -94,6 +97,7 @@ def main(argv=None) -> int:
     config = DistillConfig(steps=shape.steps, batch_size=64, lr0=shape.lr)
     offline = offline_mbar(net, inputs.samples, shape, config)
     served = serving_mbar(net, inputs.samples, shape, config)
+    burst = serving_mbar(net, inputs.samples, shape, config, WORKLOADS["stream-burst"].burst)
     digests = {
         "workload": args.workload,
         "seed": args.seed,
@@ -101,6 +105,7 @@ def main(argv=None) -> int:
         "M_loaded": f"{network_fingerprint(net):016x}",
         "offline_mbar": f"{network_fingerprint(offline):016x}",
         "serving_mbar": f"{network_fingerprint(served):016x}",
+        "serving_mbar_burst": f"{network_fingerprint(burst):016x}",
         "mbar_heldout_accuracy": evaluate_accuracy(offline, inputs.heldout_x, inputs.heldout_y),
     }
     print(json.dumps(digests))
@@ -109,6 +114,9 @@ def main(argv=None) -> int:
         return 1
     if digests["offline_mbar"] != digests["serving_mbar"]:
         print("offline and serving Mbar differ", file=sys.stderr)
+        return 1
+    if digests["serving_mbar_burst"] != digests["serving_mbar"]:
+        print("serving Mbar differs between 1 and a burst of arrivals per tick", file=sys.stderr)
         return 1
     if args.expect:
         with open(args.expect) as fh:

@@ -231,10 +231,7 @@ def _cmd_distill(args) -> None:
 def _cmd_serve(args) -> None:
     network = formats.load_checkpoint(args.checkpoint)
     inputs, labels = formats.load_samples(args.stream)
-    stream = (
-        (inputs[i], int(labels[i])) if labels is not None else inputs[i]
-        for i in range(inputs.shape[0])
-    )
+    stream = iter(inputs) if labels is None else zip(inputs, labels.tolist())
     config = ServeConfig(
         n_p=args.np,
         prune_batch_size=args.prune_batch,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError, check_ints
+from .errors import ConfigError, DimensionError, TrainingDivergedError, check_ints
 from .network import (
     ResidualNetwork,
     backprop_from_outputs,
@@ -163,10 +163,13 @@ PRETRAIN_BATCH = 64
 def evaluate_accuracy(network, x, y, skip=None) -> float:
     """Top-1 accuracy of ``compact(network, skip)``, in chunks of
     ``EVAL_CHUNK_ROWS`` rows: bitwise that of one forward over all of ``x``,
-    as the forward pass is batch-composition invariant."""
+    as the forward pass is batch-composition invariant.  ``y`` must hold
+    one label per row of ``x``, else :class:`DimensionError`."""
     if skip is not None:
         network = compact(network, skip)
     x = np.asarray(x, dtype=np.float64)
+    if np.shape(y) != (len(x),):
+        raise DimensionError(f"labels have shape {np.shape(y)}, expected ({len(x)},)")
     predictions = [
         np.argmax(forward(network, x[lo : lo + EVAL_CHUNK_ROWS])[0], axis=1)
         for lo in range(0, len(x), EVAL_CHUNK_ROWS)

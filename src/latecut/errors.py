@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage errors exit 1, data/config errors
 exit 2, numeric failures exit 3.
 """
 
+import numpy as np
+
 
 class LatecutError(Exception):
     """Base class for all package-specific errors."""
@@ -28,6 +30,11 @@ def check_ints(config, **lows) -> None:
         if type(value) is not int or value < low:
             raise ConfigError(f"{type(config).__name__}.{name} must be an integer >= {low}, "
                               f"got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class FormatError(LatecutError):

@@ -93,7 +93,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, InvalidBlockError, NumericError
+from .errors import DimensionError, InvalidBlockError, NumericError, is_integer
 
 
 class OpCounter:
@@ -315,7 +315,7 @@ def block_ids(skip) -> frozenset[int]:
         return skip
     skip = list(skip)
     for j in skip:
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        if not is_integer(j):
             raise InvalidBlockError(f"block id {j!r} is not an integer")
     return frozenset(map(int, skip))
 

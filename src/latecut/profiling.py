@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidBlockError
+from .errors import ConfigError, InvalidBlockError, is_integer
 from .network import ResidualNetwork, block_ids, compact, forward
 
 MODE_MEASURED = "measured"
@@ -79,7 +79,10 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
     """Profile full-network latency and each single-block-skipped latency
     for a batch of ``batch_size`` rows; measured mode times seeded random
     noise at the network's input width."""
-    batch_size = int(batch_size)
+    for name, value in (("batch size", batch_size), ("warmup_runs", warmup_runs),
+                        ("timed_runs", timed_runs)):
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be positive, got {batch_size}")
 
@@ -138,11 +141,19 @@ def profile_to_dict(prof: LatencyProfile) -> dict:
 
 
 def profile_from_dict(payload: dict) -> LatencyProfile:
+    """The profile a :func:`profile_to_dict` payload holds.  Block ids must
+    be unique integers and ``T`` and every latency numbers (JSON's, so not
+    bools or strings), else ConfigError."""
     try:
         mode = payload["mode"]
-        full = float(payload["T"])
-        skipped = {int(row["block_id"]): float(row["latency"]) for row in payload["per_block"]}
-    except (KeyError, TypeError, ValueError) as exc:
+        full = _number("T", payload["T"])
+        skipped = {}
+        for row in payload["per_block"]:
+            block_id = row["block_id"]
+            if not is_integer(block_id) or block_id in skipped:
+                raise TypeError(f"block id {block_id!r} is not a unique integer")
+            skipped[int(block_id)] = _number(f"block {block_id} latency", row["latency"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed profile payload: {exc}") from exc
     if mode not in (MODE_MEASURED, MODE_MODELED):
         raise ConfigError(f"unknown latency mode {mode!r}")
@@ -152,3 +163,9 @@ def profile_from_dict(payload: dict) -> LatencyProfile:
         if not np.isfinite(latency):
             raise ConfigError(f"block {block_id} latency must be finite, got {latency}")
     return LatencyProfile(mode, full, skipped)
+
+
+def _number(name, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} {value!r} is not a number")
+    return float(value)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .distill import (
     SOURCE_FINAL_BLOCK,
     teacher_labels,
 )
-from .errors import ConfigError, DimensionError, PartialRunError, check_ints
+from .errors import ConfigError, DimensionError, PartialRunError, check_ints, is_integer
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
@@ -223,9 +224,10 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
     model answers every arrival of a tick.  A unit that raises moves the
     loop to the Failed phase; the tick still returns its records.
 
-    Every arrival is converted and shape-checked before any is answered,
-    so a malformed one raises :class:`DimensionError` with the state
-    untouched: nothing answered, admitted or counted, the tick not spent."""
+    Every arrival is converted and its shape and label checked before any
+    is answered, so a malformed one raises :class:`DimensionError` with
+    the state untouched: nothing answered, admitted or counted, the tick
+    not spent."""
     shape = (state.network.input_dim,)
     samples = [_split_sample(sample) for sample in arrivals]
     for i, (x, _) in enumerate(samples):
@@ -253,27 +255,31 @@ def tick(state: ServingState, arrivals) -> list[ServingRecord]:
 
 def _split_sample(sample):
     """``(x, label)`` of one arrival, ``x`` as a float64 array and ``label``
-    an int, or None for an unlabelled arrival."""
+    an int, or None for an unlabelled arrival; DimensionError for a label
+    that is not a Python or numpy integer."""
     if isinstance(sample, tuple):
         x, label = sample
+        if not is_integer(label):
+            raise DimensionError(f"arrival label {label!r} is not an integer")
         return np.asarray(x, dtype=np.float64), int(label)
     return np.asarray(sample, dtype=np.float64), None
 
 
-def _normalize_schedule(arrival_schedule):
-    if isinstance(arrival_schedule, int):
-        if arrival_schedule < 1:
-            raise ConfigError(f"arrivals per tick must be >= 1, got {arrival_schedule}")
-        while True:
-            yield arrival_schedule
-    else:
-        yield from (int(k) for k in arrival_schedule)
-        while True:
-            yield 1
+def _arrival_count(count, low):
+    if not is_integer(count) or count < low:
+        raise ConfigError(f"arrivals per tick must be an integer >= {low}, got {count!r}")
+    return count
 
 
 def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_schedule=1):
-    """Run the full test-time loop over ``stream``.
+    """Run the full test-time loop over ``stream``: feed, then drain.
+
+    Feed hands each tick its count of arrivals (``arrival_schedule`` every
+    tick, or an iterable's counts and then 1 a tick) until a tick reads
+    fewer than its count; drain ticks with no arrivals until the loop
+    serves with Mbar or has failed.  A count is a Python or numpy integer,
+    not a bool: >= 1 for a fixed count, checked before any work, and >= 0
+    for a schedule's, checked when its tick comes; else ConfigError.
 
     Returns ``(final_model, timeline, timings)`` where ``final_model`` is
     Mbar, the pruned, fine-tuned network that serves the tail of the
@@ -284,33 +290,29 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
     stream has been answered, if background work failed (the unit's
     exception is the error's ``__cause__``).
     """
+    try:
+        counts = chain((_arrival_count(k, 0) for k in arrival_schedule), repeat(1))
+    except TypeError:  # not iterable: one count for every tick
+        counts = repeat(_arrival_count(arrival_schedule, 1))
     state = ServingState(pretrained, config)
     timeline = ServingTimeline()
-    it = iter(stream)
-    schedule = _normalize_schedule(arrival_schedule)
-    exhausted = False
-    while True:
-        arrivals = []
-        if not exhausted:
-            for _ in range(next(schedule)):
-                try:
-                    arrivals.append(next(it))
-                except StopIteration:
-                    exhausted = True
-                    break
+    stream = iter(stream)
+    for count in counts:
+        arrivals = list(islice(stream, count))
         timeline.records.extend(tick(state, arrivals))
-        if exhausted:
-            if state.phase is Phase.SERVING or state.phase is Phase.FAILED:
-                break
-            # Pruning and Distilling run out of work only while their seed
-            # samples are missing, and the stream will bring no more.
-            if state.waiting:
-                raise PartialRunError(
-                    f"stream exhausted after {state.samples_seen} samples, before the "
-                    f"prune batch ({config.prune_batch_size}) and cache "
-                    f"({config.cache_size}) could be seeded",
-                    timeline,
-                )
+        if len(arrivals) < count:
+            break
+    while state.phase is not Phase.SERVING and state.phase is not Phase.FAILED:
+        # Pruning and Distilling run out of work only while their seed
+        # samples are missing, and the stream will bring no more.
+        if state.waiting:
+            raise PartialRunError(
+                f"stream exhausted after {state.samples_seen} samples, before the "
+                f"prune batch ({config.prune_batch_size}) and cache "
+                f"({config.cache_size}) could be seeded",
+                timeline,
+            )
+        timeline.records.extend(tick(state, []))
     state.timings.total_ticks = state.tick_index
     if state.failure is not None:
         raise PartialRunError(

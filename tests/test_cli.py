@@ -564,6 +564,8 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
     "distill_cached_without_labels", "prune_profile_without_per_block", "prune_profile_T_not_a_number",
+    "prune_profile_extra_float_block_id", "prune_profile_float_and_bool_block_ids",
+    "prune_profile_duplicate_block_id", "prune_profile_latency_bool",
     "report_malformed", "report_empty_tree",
 ])
 def test_invalid_run_writes_nothing(workspace, capsys, case):
@@ -585,6 +587,20 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     no_per_block.write_text(json.dumps({"mode": "modeled", "T": 1.0}))
     t_not_a_number = tmp / "t_not_a_number.json"
     t_not_a_number.write_text(json.dumps({**json.loads(profile_json.read_text()), "T": "fast"}))
+    # Coerced, each of these would read as another profile: 1.9 would
+    # replace block 1's row, and 1.7 and true would collapse into block 1.
+    bad_profiles = {}
+    for name, edit in {
+        "extra_float_block_id": lambda p, rows: rows + [{"block_id": 1.9, "latency": 0.5 * p["T"]}],
+        "float_and_bool_block_ids": lambda p, rows: [dict(rows[0], block_id=1.7),
+                                                     dict(rows[1], block_id=True)] + rows[2:],
+        "duplicate_block_id": lambda p, rows: rows + rows[:1],
+        "latency_bool": lambda p, rows: [dict(rows[0], latency=True)] + rows[1:],
+    }.items():
+        payload = json.loads(profile_json.read_text())
+        payload["per_block"] = edit(payload, payload["per_block"])
+        bad_profiles[name] = tmp / f"{name}.json"
+        bad_profiles[name].write_text(json.dumps(payload))
     out = tmp / "out"
 
     def prune_with(profile):
@@ -619,6 +635,8 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
                                             "malformed profile payload"),
         "prune_profile_T_not_a_number": (prune_with(t_not_a_number) + samples,
                                          "malformed profile payload"),
+        **{f"prune_profile_{name}": (prune_with(path) + samples, "malformed profile payload")
+           for name, path in bad_profiles.items()},
         "report_malformed": (["report", "--results", str(malformed)], "malformed report"),
         "report_empty_tree": (["report", "--results", str(empty)], "no report JSON files"),
     }[case]

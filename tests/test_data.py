@@ -212,3 +212,15 @@ def test_evaluate_accuracy_chunks_match_one_full_forward():
     accuracy = evaluate_accuracy(net, x, y, {1})
     assert op_counter.forward_passes == 3
     assert accuracy == float((np.argmax(logits, axis=1) == y).mean())
+
+
+@pytest.mark.parametrize("labels", [[1], [1] * 9, [1] * 11, [[1]] * 10, 1],
+                         ids=["one", "short", "long", "column", "scalar"])
+def test_evaluate_accuracy_needs_one_label_per_row(labels):
+    """Labels of another shape are refused, not broadcast: ten rows against
+    ``[1]`` would score every row against class 1."""
+    net = random_network(6, 9, 2, 3, seed=4)
+    x = np.random.default_rng(4).standard_normal((10, 6))
+    with pytest.raises(DimensionError, match=r"expected \(10,\)"):
+        evaluate_accuracy(net, x, np.array(labels))
+    assert evaluate_accuracy(net, x, [1] * 10) == evaluate_accuracy(net, x, np.ones(10, int))

@@ -1,8 +1,8 @@
 """``scripts/model_digests.py`` runs against this checkout and finds M
 bitwise equal after a checkpoint round trip, and the offline and serving
-pipelines' Mbar bitwise equal, at both benchmark workload shapes and on
-seeds 0 and 7; its ``--expect`` comparison names every field that
-differs."""
+pipelines' Mbar bitwise equal, serving one arrival or a burst per tick,
+at both benchmark workload shapes and on seeds 0 and 7; its ``--expect``
+comparison names every field that differs."""
 
 import importlib.util
 import json
@@ -36,6 +36,7 @@ def test_offline_and_serving_mbar_digests_agree(workload, seed):
     digests = json.loads(result.stdout)
     assert digests["M_loaded"] == digests["M"]
     assert digests["offline_mbar"] == digests["serving_mbar"] != digests["M"]
+    assert digests["serving_mbar_burst"] == digests["serving_mbar"]
     assert 0.0 < digests["mbar_heldout_accuracy"] <= 1.0
 
 

@@ -185,3 +185,57 @@ def test_profile_json_roundtrip():
     assert [row["delta_t"] for row in payload["per_block"]] == [
         prof.block_saving(j) for j in (1, 2, 3)
     ]
+
+
+@pytest.mark.parametrize("counts", [
+    {"batch_size": 2.9}, {"batch_size": True}, {"batch_size": "8"},
+    {"warmup_runs": 1.5}, {"timed_runs": 9.0}, {"timed_runs": np.bool_(True)},
+], ids=["batch_float", "batch_bool", "batch_str", "warmup_float", "runs_float", "runs_np_bool"])
+@pytest.mark.parametrize("mode", ["modeled", "measured"])
+def test_profile_counts_are_integers(mode, counts):
+    """A count is never coerced: ``int(2.9)`` would profile batch 2."""
+    net = random_network(4, 4, 2, 2, seed=0)
+    kwargs = dict(batch_size=8, warmup_runs=1, timed_runs=3) | counts
+    with pytest.raises(ConfigError, match="must be an integer"):
+        profile(net, mode=mode, **kwargs)
+    numpy_counts = profile(net, np.int64(8), mode=mode, warmup_runs=np.int32(1),
+                           timed_runs=np.uint8(3))
+    assert numpy_counts.skipped_latency.keys() == {1, 2}
+    if mode == "modeled":
+        assert numpy_counts == profile(net, 8)
+
+
+def _payload_with(**changes):
+    payload = profile_to_dict(profile(random_network(5, 4, 3, 2, seed=6), 8))
+    rows = changes.pop("rows", None)
+    if rows is not None:
+        payload["per_block"] = rows(payload["per_block"])
+    return json.loads(json.dumps(payload | changes))
+
+
+@pytest.mark.parametrize("payload", [
+    _payload_with(rows=lambda rows: rows + [{"block_id": 1.9, "latency": 0.5}]),
+    _payload_with(rows=lambda rows: [dict(rows[0], block_id=1.7), dict(rows[1], block_id=True),
+                                     rows[2]]),
+    _payload_with(rows=lambda rows: rows + [dict(rows[0])]),
+    _payload_with(rows=lambda rows: [dict(rows[0], block_id="1")] + rows[1:]),
+    _payload_with(rows=lambda rows: [dict(rows[0], latency="5.0")] + rows[1:]),
+    _payload_with(rows=lambda rows: [dict(rows[0], latency=False)] + rows[1:]),
+    _payload_with(rows=lambda rows: [dict(rows[0], latency=None)] + rows[1:]),
+    _payload_with(T=True),
+    _payload_with(T="96.0"),
+    _payload_with(T=10**400),
+], ids=["extra_float_id", "float_and_bool_ids", "duplicate_id", "string_id", "string_latency",
+        "bool_latency", "null_latency", "bool_T", "string_T", "T_beyond_float"])
+def test_profile_from_dict_reads_only_unique_integer_ids_and_numbers(payload):
+    with pytest.raises(ConfigError, match="malformed profile payload"):
+        profile_from_dict(payload)
+
+
+def test_profile_from_dict_reads_integral_json_numbers_as_floats():
+    payload = _payload_with(T=96)
+    payload["per_block"][0]["latency"] = 80
+    prof = profile_from_dict(payload)
+    assert prof.full_latency == 96.0 and type(prof.full_latency) is float
+    assert prof.skipped_latency[1] == 80.0 and type(prof.skipped_latency[1]) is float
+    assert profile_from_dict(profile_to_dict(prof)) == prof

@@ -113,6 +113,30 @@ class TestTick:
         assert [(r.sample_index, r.arrival_tick) for r in records] == [(0, 0), (1, 0)]
         assert state.samples_seen == 2 and len(state.prune_samples) == 2
 
+    @pytest.mark.parametrize("label", [1.7, "2", True, np.bool_(True), None],
+                             ids=["float", "str", "bool", "np_bool", "none"])
+    def test_non_integer_label_raises_before_any_is_answered(self, label):
+        """A label is never coerced: ``int(1.7)`` would score the arrival
+        against class 1."""
+        net = random_network(4, 4, 2, 3, seed=6)
+        state = ServingState(net, small_config())
+        arrivals = make_stream(net, 3, seed=6, with_labels=True)
+        arrivals[2] = (arrivals[2][0], label)
+        before = op_counter.forward_passes
+        with pytest.raises(DimensionError, match="label"):
+            tick(state, arrivals)
+        assert op_counter.forward_passes == before
+        assert state.samples_seen == 0 and state.prune_samples == [] and state.tick_index == 0
+
+    def test_numpy_integer_labels_score_as_ints(self):
+        net = random_network(4, 4, 2, 3, seed=6)
+        arrivals = make_stream(net, 6, seed=6, with_labels=True)
+        plain = tick(ServingState(net, small_config()), arrivals)
+        numpy = tick(ServingState(net, small_config()),
+                     [(x, np.uint32(label)) for x, label in arrivals])
+        assert numpy == plain
+        assert all(type(r.correct) is bool for r in numpy)
+
 
 class TestServe:
     def test_degenerate_config_serves_unchanged_model(self):
@@ -248,6 +272,66 @@ class TestServe:
             serve(iter(stream), net, small_config(prune_batch_size=10, cache_size=10))
         timeline = excinfo.value.timeline
         assert len(timeline.records) == 5
+
+    # Pinned tick accounting: (total_ticks, prune_done_tick,
+    # distill_done_tick, the last record's arrival_tick).
+    # small_config seeds 6 + 8 samples; 14 in 2s end on a full tick, so the
+    # feed ends on an empty read, and 15 in 2s end on a short one.
+    @pytest.mark.parametrize("count, schedule, expected", [
+        (14, 2, (11, 2, 10, 6)),
+        (15, 2, (11, 2, 10, 7)),
+        (16, 4, (9, 1, 8, 3)),
+        (45, [0, 3, 1, 2], (44, 3, 15, 42)),
+    ], ids=["14_by_2", "15_by_2", "16_by_4", "45_scheduled"])
+    def test_tick_accounting_pinned(self, count, schedule, expected):
+        net = random_network(4, 4, 2, 3, seed=9)
+        xs = np.random.default_rng(9).standard_normal((45, 4))[:count]
+        _, timeline, timings = serve(iter(xs), net, small_config(), schedule)
+        last = timeline.records[-1].arrival_tick
+        assert (timings.total_ticks, timings.prune_done_tick, timings.distill_done_tick,
+                last) == expected
+        assert [r.sample_index for r in timeline.records] == list(range(count))
+
+    def test_tick_accounting_pinned_partial(self):
+        net = random_network(4, 4, 2, 3, seed=9)
+        xs = np.random.default_rng(9).standard_normal((45, 4))[:13]
+        with pytest.raises(PartialRunError, match="exhausted after 13 samples") as excinfo:
+            serve(iter(xs), net, small_config(), 2)
+        assert [r.sample_index for r in excinfo.value.timeline.records] == list(range(13))
+
+    def test_numpy_integer_counts_serve_as_ints(self):
+        net = random_network(4, 4, 2, 3, seed=9)
+        xs = np.random.default_rng(9).standard_normal((45, 4))
+        for plain, numpy in ((2, np.int64(2)), ([0, 3, 1, 2], np.array([0, 3, 1, 2]))):
+            _, expected, timings = serve(iter(xs), net, small_config(), plain)
+            _, timeline, numpy_timings = serve(iter(xs), net, small_config(), numpy)
+            assert timeline == expected and numpy_timings == timings
+
+    @pytest.mark.parametrize("count", [True, 0, -1, 2.5], ids=["bool", "zero", "negative", "float"])
+    def test_bad_arrival_count_raises_before_anything_is_profiled(self, monkeypatch, count):
+        net = random_network(4, 4, 2, 3, seed=9)
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("profiled before the arrival count was checked")
+
+        monkeypatch.setattr(serving, "profile", no_profile)
+        with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 1"):
+            serve(iter(make_stream(net, 20)), net, small_config(), count)
+
+    @pytest.mark.parametrize("entry", [2.7, True, -1], ids=["float", "bool", "negative"])
+    def test_bad_schedule_entry_raises_when_its_tick_comes(self, monkeypatch, entry):
+        net = random_network(4, 4, 2, 3, seed=9)
+        real_tick = serving.tick
+        ticks = []
+
+        def counting_tick(state, arrivals):
+            ticks.append(len(arrivals))
+            return real_tick(state, arrivals)
+
+        monkeypatch.setattr(serving, "tick", counting_tick)
+        with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 0"):
+            serve(iter(make_stream(net, 20)), net, small_config(), [2, 0, entry, 1])
+        assert ticks == [2, 0]
 
     # The unit that raises, as (kind, index): the baseline pass, a block's
     # score, a cache sample's label or a distillation step.  small_config on a
