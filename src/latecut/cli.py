@@ -6,8 +6,10 @@ Errors print one machine-parseable line on stderr.  A run that succeeds
 logs its resolved configuration as ``<command>_config.json`` beside its
 ``--out`` (inside it for ``experiment``), or into ``--output-dir``; ``report``
 printing its table logs nothing.  A run that stops with an error writes no
-log and no outputs: each output is written once the work is done.  Every
-file is written atomically (temp file + rename), creating its directory.
+log and no outputs: each output is written once the work is done.  The
+exception is a ``serve`` run that fails after answering: it still writes
+its ``--timeline``, every answer it gave.  Every file is written
+atomically (temp file + rename), creating its directory.
 The LATECUT_SEED environment variable overrides any configured seed, a
 grid's ``seed`` axis included, and the logged configuration shows the seed
 that ran: ``experiment`` logs its resolved base config and grid beside the
@@ -239,7 +241,12 @@ def _cmd_serve(args) -> None:
         distill=_distill_config(args),
         budget_per_tick=args.budget,
     )
-    final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
+    try:
+        final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
+    except PartialRunError as exc:
+        # The answers are the run's output: a failed run still hands them over.
+        _write_json(args.timeline, exc.timeline.to_rows())
+        raise
     formats.save_checkpoint(final_model, args.out)
     _write_json(args.timeline, timeline.to_rows())
     log.info(

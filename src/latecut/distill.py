@@ -167,11 +167,11 @@ def feature_loss_and_grads(student, batch, targets, feature_source=SOURCE_FINAL_
     and ``targets``, and the loss's exact gradients, written into ``out``
     when given (see :func:`~latecut.network.backprop_from_outputs`).
 
-    The loss never touches the classifier, so its gradients are identically
-    zero: the classifier is frozen by construction.  A non-finite loss
-    raises NumericError before any gradient is computed.
+    The loss never touches the classifier (its trace skips it), so its
+    gradients are zero: the classifier is frozen by construction.  A
+    non-finite loss raises NumericError before any gradient is computed.
     """
-    trace = forward_trace(student, batch)
+    trace = forward_trace(student, batch, logits=False)
     feats = trace.features
     predicted = _project(feats, feature_source)
     targets = np.asarray(targets, dtype=np.float64)

@@ -20,34 +20,34 @@ Only :func:`compact` turns a skip set into a network: :func:`forward`,
 ``evaluate_accuracy``, ``distill`` and ``distill_live`` resolve theirs
 through it on entry, and nothing below them sees one.
 
-The forward path is one tile pipeline.  It pads the batch once with zero
-rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map on
-that stack through :data:`tile_kernel`, one ``(TILE_ROWS, in) x (in, out)``
-GEMM per tile.  BLAS picks its blocking, and so its reduction order, from
-the operand shapes; with one shape for every call, each row's sums are
-computed the same way whatever the batch size or the row's position in it.
-That makes every sample's features bitwise independent of which batch it
-rides in, which cached pseudo-labels rely on (a label generated for one
-sample must exactly equal the same model's output for that sample inside
-any mini-batch).  Bias, ReLU and residual adds are in-place ufuncs on
-arrays the pass allocated, and the output is cut back to the batch's rows
-once, at the end.  A one-row batch, the one serving answers each arrival
-with, runs the same GEMM per map on one zero-padded 2-D ``(TILE_ROWS, d)``
-tile through :data:`row_kernel` (``np.dot``, the same 4-row dgemm without
-the gufunc's per-call overhead), but adds each bias, applies the ReLU and
-adds each residual on the row alone, as 1-D in-place ufuncs (README's
-design notes give the timings behind both choices).  Only GEMMs write the
-padding rows, so they start at zero and stay zero, and rows never mix, so
-the row's answer is bitwise its batched one.  One import-time self-check
-chooses both kernels: it keeps ``(np.matmul, np.dot)`` only if every row
-``np.dot`` computes alone equals, bitwise, the same row inside
+The forward path is one tile pipeline, run by one stack pass for
+:func:`forward` and :func:`forward_trace` alike.  It pads the batch once with
+zero rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map
+on that stack through :data:`tile_kernel`, one ``(TILE_ROWS, in) x (in,
+out)`` GEMM per tile.  BLAS picks its blocking, and so its reduction order,
+from the operand shapes; with one shape for every call, each row's sums are
+computed the same way whatever the batch size or the row's position in it,
+so every sample's features are bitwise independent of which batch it rides
+in, which cached pseudo-labels rely on.  Bias, ReLU and residual adds are
+in-place ufuncs on arrays the pass allocated; a trace, which keeps views of
+each block's input, adds residuals into new arrays instead, and
+distillation's trace skips the classifier.  A one-row batch, the one serving
+answers each arrival with, runs the same GEMM per map on one zero-padded 2-D
+``(TILE_ROWS, d)`` tile through :data:`row_kernel` (``np.dot``, the same
+4-row dgemm without the gufunc's per-call overhead), but adds each bias,
+applies the ReLU and adds each residual on the row alone, as 1-D in-place
+ufuncs (README's design notes give the timings behind both choices).  Only
+GEMMs write the padding rows, so they start at zero and stay zero, and rows
+never mix, so the row's answer is bitwise its batched one.  One import-time
+self-check chooses both kernels: it keeps ``(np.matmul, np.dot)`` only if
+every row ``np.dot`` computes alone equals, bitwise, the same row inside
 ``np.matmul`` stacks of several sizes and offsets, at the served shapes and
 a few others.  Where the local BLAS fails it, both are einsum instead (the
 row path runs the stack kernel on a one-tile stack), whose reduction order
 depends only on the operand widths but which runs several times slower on
-batches.  :data:`KERNEL_PAIR` names the pair chosen.  Gradient math uses
-plain matmul; it has no such contract and is verified against finite
-differences instead.
+batches.  :data:`KERNEL_PAIR` names the pair chosen.  Gradient math uses plain
+matmul; it has no such contract and is verified against finite differences
+instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
 checkpoint order, as views from one aligned buffer that holds their
@@ -300,7 +300,7 @@ class ForwardTrace:
     block_inputs: dict[int, np.ndarray]  # x entering each block, by block id
     block_hidden: dict[int, np.ndarray]  # relu(x @ W1 + b1)
     features: np.ndarray                 # final pre-classifier features
-    logits: np.ndarray
+    logits: np.ndarray | None            # None when traced without the classifier
 
 
 def block_ids(skip) -> frozenset[int]:
@@ -427,6 +427,27 @@ def _affine(stack, weight, bias) -> np.ndarray:
     return out
 
 
+def _stack_pass(network, x, logits=True, inputs=None, hiddens=None):
+    """Stem, blocks and, if ``logits``, classifier on ``x`` as a tile stack:
+    ``(logits or None, features)``, cut to ``x``'s rows.  Given ``inputs``
+    and ``hiddens`` dicts, it records each block's input and hidden rows in
+    them by block id, and adds each residual into a new array."""
+    rows = x.shape[0]
+    # Rows are independent, so the padding rows are computed and dropped.
+    h = _affine(_tile_stack(x), network.stem_weight, network.stem_bias)
+    for block in network.blocks:
+        z = _affine(h, block.weight1, block.bias1)
+        np.maximum(z, 0.0, out=z)
+        branch = _affine(z, block.weight2, block.bias2)
+        if inputs is None:
+            h += branch
+        else:
+            inputs[block.block_id], hiddens[block.block_id] = _rows(h, rows), _rows(z, rows)
+            h = h + branch
+    out = _affine(h, network.classifier_weight, network.classifier_bias) if logits else None
+    return (None if out is None else _rows(out, rows)), _rows(h, rows)
+
+
 def forward(network, batch, skip=None):
     """Run ``network``, or ``compact(network, skip)`` when ``skip`` is given.
 
@@ -441,15 +462,7 @@ def forward(network, batch, skip=None):
     op_counter.forward_passes += 1
     if x.shape[0] == 1:
         return _forward_row(network, x)
-    # Rows are independent, so the padding rows are computed and dropped.
-    h = _affine(_tile_stack(x), network.stem_weight, network.stem_bias)
-    for block in network.blocks:
-        z = _affine(h, block.weight1, block.bias1)
-        np.maximum(z, 0.0, out=z)
-        h += _affine(z, block.weight2, block.bias2)
-    logits = _affine(h, network.classifier_weight, network.classifier_bias)
-    rows = x.shape[0]
-    return _rows(logits, rows), _rows(h, rows)
+    return _stack_pass(network, x)
 
 
 # What the row path's ReLU compares against.  A 0-d array is not converted
@@ -508,29 +521,16 @@ def compact(network, skip) -> ResidualNetwork:
                            network.classifier_weight, network.classifier_bias)
 
 
-def forward_trace(network, batch) -> ForwardTrace:
-    """Forward sweep that records per-block intermediates.
-
-    Computes the exact same expressions as :func:`forward`, so features and
-    logits are bitwise identical to a plain forward on the same inputs.  The
-    ReLU is applied in place, as there; the recorded block inputs are views,
-    so the residual add allocates a new array here instead of overwriting
-    them.
-    """
+def forward_trace(network, batch, logits=True) -> ForwardTrace:
+    """Forward sweep that records per-block intermediates: :func:`forward`'s
+    stack pass, so features and logits are bitwise a plain forward's.  With
+    ``logits=False`` it skips the classifier (``logits`` is None), as
+    distillation, whose loss reads only the features, does."""
     batch = _check_batch(network, batch)
     op_counter.forward_passes += 1
-    rows = batch.shape[0]
-    inputs: dict[int, np.ndarray] = {}
-    hiddens: dict[int, np.ndarray] = {}
-    h = _affine(_tile_stack(batch), network.stem_weight, network.stem_bias)
-    for block in network.blocks:
-        hidden = _affine(h, block.weight1, block.bias1)
-        np.maximum(hidden, 0.0, out=hidden)
-        inputs[block.block_id] = _rows(h, rows)
-        hiddens[block.block_id] = _rows(hidden, rows)
-        h = h + _affine(hidden, block.weight2, block.bias2)
-    logits = _affine(h, network.classifier_weight, network.classifier_bias)
-    return ForwardTrace(batch, inputs, hiddens, _rows(h, rows), _rows(logits, rows))
+    inputs, hiddens = {}, {}
+    out, features = _stack_pass(network, batch, logits, inputs, hiddens)
+    return ForwardTrace(batch, inputs, hiddens, features, out)
 
 
 def mean_square(diff) -> float:

@@ -117,6 +117,15 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
     return LatencyProfile(MODE_MEASURED, full, skipped)
 
 
+def check_profile_blocks(prof: LatencyProfile, network) -> None:
+    """ConfigError unless ``prof`` profiles exactly blocks 1..n of
+    ``network``, the network it ranks: a profile written for another
+    network would rank this one by that network's latencies."""
+    if set(prof.skipped_latency) != set(range(1, network.n_blocks + 1)):
+        raise ConfigError(f"profile covers blocks {sorted(prof.skipped_latency)}, "
+                          f"not exactly 1..{network.n_blocks} of the network it ranks")
+
+
 def latency_saving(prof: LatencyProfile, skip) -> float:
     """Normalized latency saving of removing ``skip`` (block ids as
     :func:`~latecut.network.block_ids` reads them; None is no blocks): the

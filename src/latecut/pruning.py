@@ -38,7 +38,7 @@ from .network import (
     forward_trace,
     parameter_count,
 )
-from .profiling import LatencyProfile, latency_saving
+from .profiling import LatencyProfile, check_profile_blocks, latency_saving
 
 METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
 
@@ -140,8 +140,10 @@ def score_block(network, block_id, epsilon, latency_profile: LatencyProfile) -> 
 
 def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: int) -> PruneDecision:
     """Score every block against the unpruned network in a single pass and
-    prune the ``n_p`` lowest-importance blocks (ties broken by lower id)."""
+    prune the ``n_p`` lowest-importance blocks (ties broken by lower id).
+    ``latency_profile`` must profile exactly blocks 1..n, else ConfigError."""
     check_n_p(network, n_p)
+    check_profile_blocks(latency_profile, network)
     _, baseline = forward(network, prune_batch)
     rows = [
         score_block(
@@ -169,7 +171,7 @@ def baseline_l2_ratio(network, prune_batch, n_p) -> PruneDecision:
     """Prune blocks whose output stays closest to their input: score by
     ||out - in||_2 / ||in||_2 over the prune batch, one forward pass."""
     check_n_p(network, n_p)
-    trace = forward_trace(network, prune_batch)
+    trace = forward_trace(network, prune_batch, logits=False)
     rows = []
     for block in network.blocks:
         x_in = trace.block_inputs[block.block_id]
@@ -210,8 +212,10 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     post-fine-tuning feature noise on the prune batch divided by the block's
     latency saving in ``latency_profile``, the profile the proxy ranks with
     (small loss and large saving rank first).  Each candidate is distilled
-    with :class:`DistillConfig`'s default rate and batch, seeded by ``seed``."""
+    with :class:`DistillConfig`'s default rate and batch, seeded by ``seed``.
+    ``latency_profile`` must profile exactly blocks 1..n, else ConfigError."""
     check_n_p(network, n_p)
+    check_profile_blocks(latency_profile, network)
     if k_steps < 1:
         raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
     batch = np.asarray(prune_batch, dtype=np.float64)

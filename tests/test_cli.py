@@ -13,6 +13,7 @@ import pytest
 from latecut import network, serving
 from latecut.cli import build_parser, main
 from latecut.distill import DistillConfig, build_cache, distill
+from latecut.errors import PartialRunError
 from latecut.experiment import ExperimentConfig, ExperimentReport, experiment_config_from_dict
 from latecut.formats import (
     checkpoint_bytes,
@@ -331,6 +332,29 @@ def test_serve_numeric_failure_exits_3(workspace, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "kind=numeric" in err and "all 120 samples were answered" in err
+    assert len(json.loads((tmp / "timeline.json").read_text())) == 120
+    assert not (tmp / "served.ckpt").exists() and not (tmp / "serve_config.json").exists()
+
+
+def test_failed_serve_still_writes_every_answer(workspace, capsys):
+    # 100 rows cannot seed a prune batch of 64 and a cache of 64: the run
+    # fails, but every sample was answered and the answers are its output.
+    tmp, net, ckpt, data = workspace
+    inputs, labels = load_samples(data)
+    short = tmp / "short.bin"
+    save_samples(short, inputs[:100], labels[:100])
+    config = serving.ServeConfig(n_p=1, prune_batch_size=64, cache_size=64)
+    with pytest.raises(PartialRunError) as caught:
+        serving.serve(zip(inputs[:100], labels[:100].tolist()), net, config, 1)
+    timeline = tmp / "timeline.json"
+    capsys.readouterr()
+    assert main(["serve", "--checkpoint", str(ckpt), "--stream", str(short), "--np", "1",
+                 "--prune-batch", "64", "--cache-size", "64",
+                 "--timeline", str(timeline), "--out", str(tmp / "served.ckpt")]) == 2
+    assert "stream exhausted after 100 samples" in _one_data_error_line(capsys)
+    rows = json.loads(timeline.read_text())
+    assert len(rows) == 100 and rows == caught.value.timeline.to_rows()
+    assert not (tmp / "served.ckpt").exists() and not (tmp / "serve_config.json").exists()
 
 
 def test_seed_env_override(workspace, monkeypatch):
@@ -561,6 +585,7 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     # checked by the library once the work has begun
     "prune_np_9", "prune_oracle_k_steps_0", "profile_batch_0", "profile_measured_runs_1",
     "distill_block_99", "serve_np_9", "serve_arrivals_per_tick_0",
+    "prune_profile_of_another_network",
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
     "distill_cached_without_labels", "prune_profile_without_per_block", "prune_profile_T_not_a_number",
@@ -601,6 +626,11 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         payload["per_block"] = edit(payload, payload["per_block"])
         bad_profiles[name] = tmp / f"{name}.json"
         bad_profiles[name].write_text(json.dumps(payload))
+    # Rows for blocks 9 and -2 (one slower than T): written for another network.
+    foreign = json.loads(profile_json.read_text())
+    foreign["per_block"] += [{"block_id": 9, "latency": 1.0}, {"block_id": -2, "latency": 1e9}]
+    foreign_profile = tmp / "foreign.json"
+    foreign_profile.write_text(json.dumps(foreign))
     out = tmp / "out"
 
     def prune_with(profile):
@@ -624,6 +654,8 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
                              "block id 99 outside 1..3"),
         "serve_np_9": (serve + ["--np", "9"], "n_p=9"),
         "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"], "arrivals per tick"),
+        "prune_profile_of_another_network": (prune_with(foreign_profile) + samples,
+                                             "not exactly 1..3"),
         "prune_without_samples": (prune, "needs --samples"),
         "prune_oracle_without_cache": (prune + samples + ["--method", "oracle"], "needs --cache"),
         "prune_oracle_cache_of_another_teacher": (

@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from latecut import network
 from latecut.distill import (
     DistillConfig,
     DistillRun,
@@ -195,6 +196,26 @@ class TestDistill:
         assert all(a is b for arrays in seen[1:] for a, b in zip(seen[0], arrays))
         assert all(a is b for a, b in zip(seen[0], run.gradients.parameter_arrays()))
         assert_packed(run.gradients)
+
+    @pytest.mark.parametrize("source", [SOURCE_FINAL_BLOCK, SOURCE_POOLED])
+    def test_a_step_computes_no_logits(self, monkeypatch, source):
+        # The feature loss reads no logits, so a step's trace runs the stem
+        # and each kept block's two maps, and never the classifier.
+        teacher = make_teacher(seed=7, n_blocks=4)
+        cache = build_cache(teacher, make_samples(teacher, 16, seed=7), source)
+        student = compact(clone_network(teacher), {2})
+        run = DistillRun(student, cache, DistillConfig(steps=2, batch_size=8))
+        weights = []
+        real_kernel = network.tile_kernel
+
+        def counted(stack, weight, *args, **kwargs):
+            weights.append(weight)
+            return real_kernel(stack, weight, *args, **kwargs)
+
+        monkeypatch.setattr(network, "tile_kernel", counted)
+        run.step()
+        assert len(weights) == 1 + 2 * student.n_blocks
+        assert not any(w is student.classifier_weight for w in weights)
 
     def test_run_refuses_a_step_past_its_configured_steps(self):
         teacher = make_teacher(seed=6)

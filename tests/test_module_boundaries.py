@@ -1,6 +1,7 @@
 """Each latecut module uses only the public names of the others, so a step
 of the method cannot be re-implemented behind another module's private
-helper; and only ``network.compact`` turns a skip set into a network."""
+helper; only ``network.compact`` turns a skip set into a network; and only
+``network._stack_pass`` runs the batched stem, block and classifier maps."""
 
 import ast
 from pathlib import Path
@@ -46,9 +47,9 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == {}
 
 
-def skip_resolvers(source: str) -> list[str]:
-    """The function (``<module>`` outside any) of every use of the name
-    ``normalize_skip`` in ``source``, as a call or as a value."""
+def users_of(name: str, source: str) -> list[str]:
+    """The function (``<module>`` outside any) of every use of ``name`` in
+    ``source``, as a call or as a value, bare or as an attribute."""
     found = []
 
     def visit(node, owner):
@@ -56,8 +57,8 @@ def skip_resolvers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == "normalize_skip"
-                    or isinstance(child, ast.Attribute) and child.attr == "normalize_skip"):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
                 found.append(owner)
             visit(child, owner)
 
@@ -75,13 +76,41 @@ def test_detector_sees_every_use_of_normalize_skip():
         "    return inner()\n"
         "resolve = normalize_skip\n"
     )
-    assert skip_resolvers(source) == ["compact", "inner", "<module>"]
+    assert users_of("normalize_skip", source) == ["compact", "inner", "<module>"]
 
 
 def test_only_compact_resolves_skip_sets():
     users = {
         path.name: names
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if (names := skip_resolvers(path.read_text(encoding="utf-8")))
+        if (names := users_of("normalize_skip", path.read_text(encoding="utf-8")))
     }
     assert users == {"network.py": ["compact"]}
+
+
+def test_detector_sees_every_use_of_affine():
+    source = (
+        "def _affine(stack, weight, bias):\n"
+        "    return stack @ weight + bias\n"
+        "def _stack_pass(net, x):\n"
+        "    return _affine(x, net.w, net.b)\n"
+        "def forward_trace(net, x):\n"
+        "    apply = network._affine\n"
+        "    return apply(x, net.w, net.b)\n"
+        "class Layer:\n"
+        "    def __call__(self, x):\n"
+        "        return _affine(x, self.w, self.b)\n"
+    )
+    assert users_of("_affine", source) == ["_stack_pass", "forward_trace", "__call__"]
+
+
+def test_only_the_stack_pass_runs_affine_maps():
+    """One implementation of the batched layer sequence: every affine map on
+    a tile stack goes through ``_affine``, and only the stack pass calls it
+    (the batch-1 row path runs the row kernel instead)."""
+    users = {
+        path.name: set(names)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := users_of("_affine", path.read_text(encoding="utf-8")))
+    }
+    assert users == {"network.py": {"_stack_pass"}}

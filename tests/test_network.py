@@ -263,6 +263,21 @@ class TestInPlacePipeline:
             logits, feats = forward(net, batch)
             assert np.array_equal(logits, ref_logits) and np.array_equal(feats, ref_feats)
 
+    def test_trace_without_logits_keeps_every_other_output(self, tile_kernel_impl):
+        net = _net_with_biases(5)
+        rng = np.random.default_rng(5)
+        for rows in PIPELINE_ROWS:
+            batch = rng.standard_normal((rows, 6))
+            for skip in PIPELINE_SKIPS:
+                view = compact(net, skip)
+                full = forward_trace(view, batch)
+                bare = forward_trace(view, batch, logits=False)
+                assert bare.logits is None and np.array_equal(bare.features, full.features)
+                for got, want in ((bare.block_inputs, full.block_inputs),
+                                  (bare.block_hidden, full.block_hidden)):
+                    assert list(got) == list(want)
+                    assert all(np.array_equal(got[j], want[j]) for j in want), (rows, skip)
+
     def test_one_call_is_one_forward_pass_at_every_batch_size(self):
         net = _net_with_biases(4)
         for rows in PIPELINE_ROWS + [128, 200]:

@@ -181,6 +181,19 @@ class TestRankAndPrune:
                             seed=0)
         assert op_counter.backward_passes == 0  # the oracle distilled no candidate first
 
+    @pytest.mark.parametrize("method", ["proposed", "oracle"])
+    @pytest.mark.parametrize("blocks", [{1: 0.8, 2: 0.8, 3: 0.8, 9: 0.8, -2: 1e9},
+                                        {1: 0.8, 2: 0.8}, {1: 0.8, 2: 0.8, 4: 0.8}],
+                             ids=["extra", "missing", "shifted"])
+    def test_profile_of_another_network_is_rejected_before_any_work(self, method, blocks):
+        net = random_network(4, 4, 3, 2, seed=0)
+        cache = build_cache(net, toy_batch(net, size=8, seed=1))
+        op_counter.reset()
+        with pytest.raises(ConfigError, match="not exactly 1..3"):
+            prune_by_method(method, net, toy_batch(net, size=8),
+                            LatencyProfile("measured", 1.0, blocks), 1, cache, k_steps=2, seed=0)
+        assert op_counter.forward_passes == op_counter.backward_passes == 0
+
     def test_n_p_out_of_range(self):
         net = random_network(4, 4, 3, 2, seed=0)
         prof = profile(net, 8, mode="modeled")
