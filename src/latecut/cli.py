@@ -32,14 +32,7 @@ from dataclasses import asdict, replace
 
 from . import formats
 from .distill import DistillConfig, PseudoLabelCache, build_cache, distill, distill_live
-from .errors import (
-    ConfigError,
-    DegenerateBlockError,
-    LatecutError,
-    NumericError,
-    PartialRunError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, LatecutError, NumericError, PartialRunError
 from .experiment import (
     ExperimentReport,
     experiment_config_from_dict,
@@ -58,8 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (NumericError, DegenerateBlockError, TrainingDivergedError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,12 +390,12 @@ def main(argv=None) -> int:
             args.seed = _resolve_seed(args.seed)
         args.func(args)
         _log_resolved_config(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         _print_error("numeric", exc)
         return EXIT_NUMERIC
     except PartialRunError as exc:
         # A serving run whose background work failed exits as its cause.
-        numeric = isinstance(exc.__cause__, _NUMERIC_ERRORS)
+        numeric = isinstance(exc.__cause__, NumericError)
         _print_error("numeric" if numeric else "data", exc)
         return EXIT_NUMERIC if numeric else EXIT_DATA
     except (LatecutError, OSError, json.JSONDecodeError) as exc:

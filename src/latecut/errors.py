@@ -42,15 +42,16 @@ class FormatError(LatecutError):
 
 
 class NumericError(LatecutError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values, or cannot
+    produce a usable number: the base of every numeric failure."""
 
 
-class DegenerateBlockError(LatecutError):
+class DegenerateBlockError(NumericError):
     """A block has no positive latency saving, so its importance score is
     undefined."""
 
 
-class TrainingDivergedError(LatecutError):
+class TrainingDivergedError(NumericError):
     """Source-model pretraining failed to reach the minimum train accuracy."""
 
 

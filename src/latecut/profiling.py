@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidBlockError, is_integer
+from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, is_integer
 from .network import ResidualNetwork, block_ids, compact, forward
 
 MODE_MEASURED = "measured"
@@ -117,13 +117,22 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
     return LatencyProfile(MODE_MEASURED, full, skipped)
 
 
-def check_profile_blocks(prof: LatencyProfile, network) -> None:
-    """ConfigError unless ``prof`` profiles exactly blocks 1..n of
-    ``network``, the network it ranks: a profile written for another
-    network would rank this one by that network's latencies."""
-    if set(prof.skipped_latency) != set(range(1, network.n_blocks + 1)):
+def check_profile(prof: LatencyProfile, network) -> None:
+    """Whether ``prof`` can rank ``network``, decided before any pass.
+    ConfigError unless it profiles exactly blocks 1..n: a profile written
+    for another network would rank this one by that network's latencies.
+    Then DegenerateBlockError, naming the lowest such block, if a block's
+    latency saving is not positive: a skipped latency measured above T
+    would give a negative score that ranks the block first."""
+    blocks = range(1, network.n_blocks + 1)
+    if set(prof.skipped_latency) != set(blocks):
         raise ConfigError(f"profile covers blocks {sorted(prof.skipped_latency)}, "
                           f"not exactly 1..{network.n_blocks} of the network it ranks")
+    for block_id in blocks:
+        saving = prof.block_saving(block_id)
+        if saving <= 0.0:
+            raise DegenerateBlockError(f"block {block_id} has latency saving {saving}, "
+                                       "not positive; importance undefined")
 
 
 def latency_saving(prof: LatencyProfile, skip) -> float:
@@ -151,8 +160,8 @@ def profile_to_dict(prof: LatencyProfile) -> dict:
 
 def profile_from_dict(payload: dict) -> LatencyProfile:
     """The profile a :func:`profile_to_dict` payload holds.  Block ids must
-    be unique integers and ``T`` and every latency numbers (JSON's, so not
-    bools or strings), else ConfigError."""
+    be unique integers and ``T`` and every latency positive, finite numbers
+    (JSON's, so not bools or strings), else ConfigError."""
     try:
         mode = payload["mode"]
         full = _number("T", payload["T"])
@@ -169,8 +178,9 @@ def profile_from_dict(payload: dict) -> LatencyProfile:
     if not 0 < full < np.inf:
         raise ConfigError(f"profile T must be positive and finite, got {full}")
     for block_id, latency in skipped.items():
-        if not np.isfinite(latency):
-            raise ConfigError(f"block {block_id} latency must be finite, got {latency}")
+        if not 0 < latency < np.inf:
+            raise ConfigError(f"block {block_id} latency must be positive and finite, "
+                              f"got {latency}")
     return LatencyProfile(mode, full, skipped)
 
 

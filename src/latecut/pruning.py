@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import log_softmax
 from .distill import DistillConfig, DistillRun, PseudoLabelCache
-from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
+from .errors import ConfigError, InvalidBlockError, NumericError
 from .network import (
     block_param_count,
     clone_network,
@@ -38,7 +38,7 @@ from .network import (
     forward_trace,
     parameter_count,
 )
-from .profiling import LatencyProfile, check_profile_blocks, latency_saving
+from .profiling import LatencyProfile, check_profile, latency_saving
 
 METHODS = ("proposed", "random", "l2ratio", "curl", "oracle")
 
@@ -110,40 +110,24 @@ def capacity_gap(network, block_id) -> float:
     return block_param_count(network.blocks[block_id - 1]) / parameter_count(network)
 
 
-def importance(row: BlockProfile) -> float:
-    """I = epsilon_ini * G / delta_T from a profile row's stored fields."""
-    if row.delta_t is None or row.epsilon_ini is None or row.capacity_gap is None:
-        raise ConfigError(f"block {row.block_id}: importance needs epsilon, G and delta_T")
-    if row.delta_t <= 0.0:
-        # A negative saving (a skipped latency measured above T) would make
-        # the importance negative and prune the block first whatever its
-        # epsilon.
-        raise DegenerateBlockError(
-            f"block {row.block_id} has latency saving {row.delta_t}, not positive; "
-            "importance undefined"
-        )
-    return row.epsilon_ini * row.capacity_gap / row.delta_t
-
-
 def score_block(network, block_id, epsilon, latency_profile: LatencyProfile) -> BlockProfile:
     """The proposed method's row for one block, given its ``epsilon_ini``:
-    capacity gap G, latency saving delta_T and importance."""
-    row = BlockProfile(
-        block_id=block_id,
-        epsilon_ini=epsilon,
-        capacity_gap=capacity_gap(network, block_id),
-        delta_t=latency_saving(latency_profile, {block_id}),
-    )
-    row.importance = importance(row)
-    return row
+    capacity gap G, latency saving delta_T and importance
+    I = epsilon_ini * G / delta_T.  ``latency_profile`` must have passed
+    :func:`~latecut.profiling.check_profile` for ``network``."""
+    gap = capacity_gap(network, block_id)
+    delta_t = latency_saving(latency_profile, {block_id})
+    return BlockProfile(block_id=block_id, epsilon_ini=epsilon, capacity_gap=gap,
+                        delta_t=delta_t, importance=epsilon * gap / delta_t)
 
 
 def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: int) -> PruneDecision:
     """Score every block against the unpruned network in a single pass and
     prune the ``n_p`` lowest-importance blocks (ties broken by lower id).
-    ``latency_profile`` must profile exactly blocks 1..n, else ConfigError."""
+    ``latency_profile`` is checked by :func:`~latecut.profiling.check_profile`
+    before the first pass."""
     check_n_p(network, n_p)
-    check_profile_blocks(latency_profile, network)
+    check_profile(latency_profile, network)
     _, baseline = forward(network, prune_batch)
     rows = [
         score_block(
@@ -213,23 +197,17 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     latency saving in ``latency_profile``, the profile the proxy ranks with
     (small loss and large saving rank first).  Each candidate is distilled
     with :class:`DistillConfig`'s default rate and batch, seeded by ``seed``.
-    ``latency_profile`` must profile exactly blocks 1..n, else ConfigError."""
+    ``latency_profile`` is checked by :func:`~latecut.profiling.check_profile`
+    before the first pass."""
     check_n_p(network, n_p)
-    check_profile_blocks(latency_profile, network)
+    check_profile(latency_profile, network)
     if k_steps < 1:
         raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
     batch = np.asarray(prune_batch, dtype=np.float64)
-    # Every block's saving is checked before the first candidate is distilled.
-    delta_ts = [latency_saving(latency_profile, {block.block_id}) for block in network.blocks]
-    for block, delta_t in zip(network.blocks, delta_ts):
-        if delta_t <= 0.0:
-            raise DegenerateBlockError(
-                f"block {block.block_id} has latency saving {delta_t}, not positive; "
-                "oracle score undefined"
-            )
     _, teacher_features = forward(network, batch)
     rows = []
-    for block, delta_t in zip(network.blocks, delta_ts):
+    for block in network.blocks:
+        delta_t = latency_saving(latency_profile, {block.block_id})
         student = clone_network(compact(network, {block.block_id}))
         run = DistillRun(student, cache, DistillConfig(steps=k_steps, seed=seed))
         while not run.done:

@@ -49,7 +49,7 @@ from .errors import ConfigError, DimensionError, PartialRunError, check_ints, is
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
-from .profiling import profile
+from .profiling import check_profile, profile
 
 
 class Phase(enum.Enum):
@@ -135,8 +135,9 @@ class ServingState:
         self.failure: Exception | None = None  # what ended background work early
         self.waiting = False  # the last unit pulled waits for a sample
         # Modeled profile for the prune decision; free of forward passes.
-        self._work = _background_work(
-            weakref.proxy(self), profile(pretrained, config.prune_batch_size, mode="modeled"))
+        latency_profile = profile(pretrained, config.prune_batch_size, mode="modeled")
+        check_profile(latency_profile, pretrained)
+        self._work = _background_work(weakref.proxy(self), latency_profile)
 
     # -- sample intake -------------------------------------------------
 

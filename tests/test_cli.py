@@ -319,6 +319,29 @@ def test_prune_nan_sample_exits_3(workspace, capsys):
     assert not (tmp / "decision.json").exists()
 
 
+@pytest.mark.parametrize("method", ["proposed", "oracle"])
+def test_prune_latency_above_T_exits_3_before_any_pass(workspace, capsys, method):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    payload = json.loads(profile_json.read_text())
+    payload["per_block"][1]["latency"] = 1.005 * payload["T"]
+    profile_json.write_text(json.dumps(payload))
+    cache = tmp / "cache.bin"
+    build_cache(net, load_samples(data)[0]).save(cache)
+    capsys.readouterr()
+    network.op_counter.reset()
+    code = main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--method", method, "--cache", str(cache), "--np", "1",
+                 "--prune-batch", "16", "--samples", str(data),
+                 "--out", str(tmp / "decision.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "kind=numeric" in err and "block 2 has latency saving" in err
+    assert network.op_counter.forward_passes == network.op_counter.backward_passes == 0
+    assert not (tmp / "decision.json").exists() and not (tmp / "prune_config.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_serve_numeric_failure_exits_3(workspace, capsys):
@@ -591,6 +614,7 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     "distill_cached_without_labels", "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "prune_profile_extra_float_block_id", "prune_profile_float_and_bool_block_ids",
     "prune_profile_duplicate_block_id", "prune_profile_latency_bool",
+    "prune_profile_nonpositive_latency_negative", "prune_profile_nonpositive_latency_zero",
     "report_malformed", "report_empty_tree",
 ])
 def test_invalid_run_writes_nothing(workspace, capsys, case):
@@ -626,6 +650,14 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         payload["per_block"] = edit(payload, payload["per_block"])
         bad_profiles[name] = tmp / f"{name}.json"
         bad_profiles[name].write_text(json.dumps(payload))
+    # Read as given, a latency of -1.0 or 0.0 would be a saving of at least
+    # the whole network's cost, ranking block 3 first.
+    nonpositive = {}
+    for name, latency in {"negative": -1.0, "zero": 0.0}.items():
+        payload = json.loads(profile_json.read_text())
+        payload["per_block"][2]["latency"] = latency
+        nonpositive[name] = tmp / f"nonpositive_{name}.json"
+        nonpositive[name].write_text(json.dumps(payload))
     # Rows for blocks 9 and -2 (one slower than T): written for another network.
     foreign = json.loads(profile_json.read_text())
     foreign["per_block"] += [{"block_id": 9, "latency": 1.0}, {"block_id": -2, "latency": 1e9}]
@@ -669,6 +701,9 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
                                          "malformed profile payload"),
         **{f"prune_profile_{name}": (prune_with(path) + samples, "malformed profile payload")
            for name, path in bad_profiles.items()},
+        **{f"prune_profile_nonpositive_latency_{name}": (
+            prune_with(path) + samples, "block 3 latency must be positive and finite")
+           for name, path in nonpositive.items()},
         "report_malformed": (["report", "--results", str(malformed)], "malformed report"),
         "report_empty_tree": (["report", "--results", str(empty)], "no report JSON files"),
     }[case]

@@ -1,7 +1,8 @@
 """Each latecut module uses only the public names of the others, so a step
 of the method cannot be re-implemented behind another module's private
-helper; only ``network.compact`` turns a skip set into a network; and only
-``network._stack_pass`` runs the batched stem, block and classifier maps."""
+helper; only ``network.compact`` turns a skip set into a network; only
+``network._stack_pass`` runs the batched stem, block and classifier maps;
+and only ``profiling.check_profile`` refuses a block's latency saving."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,30 @@ def test_only_the_stack_pass_runs_affine_maps():
         if (names := users_of("_affine", path.read_text(encoding="utf-8")))
     }
     assert users == {"network.py": {"_stack_pass"}}
+
+
+def test_detector_sees_every_raise_of_degenerate_block_error():
+    source = (
+        "from .errors import DegenerateBlockError\n"
+        "class DegenerateBlockError(NumericError):\n"
+        "    pass\n"
+        "def check_profile(prof, net):\n"
+        "    raise DegenerateBlockError('block 1')\n"
+        "def importance(row):\n"
+        "    raise errors.DegenerateBlockError('block 2')\n"
+        "__all__ = ['DegenerateBlockError']\n"
+    )
+    assert users_of("DegenerateBlockError", source) == ["check_profile", "importance"]
+
+
+def test_only_check_profile_refuses_a_latency_saving():
+    """One implementation of the rule that every block's latency saving is
+    positive: the package names ``DegenerateBlockError`` only where
+    ``check_profile`` raises it (its definition, imports and exports are
+    not uses)."""
+    users = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := users_of("DegenerateBlockError", path.read_text(encoding="utf-8")))
+    }
+    assert users == {"profiling.py": ["check_profile"]}

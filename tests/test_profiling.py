@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from latecut import profiling
-from latecut.errors import ConfigError, InvalidBlockError
+from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError
 from latecut.network import random_network
 from latecut.profiling import (
+    LatencyProfile,
     _measure_lock,
     block_cost_macs,
+    check_profile,
     latency_saving,
     network_cost_macs,
     profile,
@@ -239,3 +241,28 @@ def test_profile_from_dict_reads_integral_json_numbers_as_floats():
     assert prof.full_latency == 96.0 and type(prof.full_latency) is float
     assert prof.skipped_latency[1] == 80.0 and type(prof.skipped_latency[1]) is float
     assert profile_from_dict(profile_to_dict(prof)) == prof
+
+
+@pytest.mark.parametrize("latency", [-1.0, 0.0], ids=["negative", "zero"])
+def test_profile_from_dict_refuses_a_nonpositive_latency(latency):
+    # Read as given, -1.0 would be a saving above 1, more than the whole
+    # network costs, ranking block 3 first.
+    payload = _payload_with(rows=lambda rows: rows[:2] + [dict(rows[2], latency=latency)])
+    with pytest.raises(ConfigError, match="block 3 latency must be positive and finite"):
+        profile_from_dict(payload)
+
+
+class TestCheckProfile:
+    @pytest.mark.parametrize("latency", [pytest.param(1.0, id="zero"),
+                                         pytest.param(1.005, id="negative")])
+    def test_nonpositive_saving_is_degenerate(self, latency):
+        net = random_network(4, 4, 3, 2, seed=0)
+        prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: latency, 3: 0.8})
+        with pytest.raises(DegenerateBlockError, match="block 2 has latency saving"):
+            check_profile(prof, net)
+
+    def test_names_the_lowest_degenerate_block(self):
+        net = random_network(4, 4, 4, 2, seed=0)
+        prof = LatencyProfile("measured", 1.0, {4: 1.5, 3: 1.01, 1: 0.8, 2: 0.8})
+        with pytest.raises(DegenerateBlockError, match="block 3 "):
+            check_profile(prof, net)

@@ -8,17 +8,16 @@ from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError,
 from latecut.network import forward, op_counter, random_network
 from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
-    BlockProfile,
     baseline_curl,
     baseline_finetune_oracle,
     baseline_l2_ratio,
     baseline_random,
     capacity_gap,
-    importance,
     initial_noise,
     kl_divergence,
     prune_by_method,
     rank_and_prune,
+    score_block,
 )
 
 from conftest import zero_block
@@ -88,21 +87,20 @@ class TestCapacityGap:
         assert sum(capacity_gap(net, j) for j in range(1, 5)) < 1.0
 
 
-class TestImportance:
+class TestScoreBlock:
     def test_zero_epsilon_gives_zero(self):
-        row = BlockProfile(1, epsilon_ini=0.0, capacity_gap=0.3, delta_t=0.2)
-        assert importance(row) == 0.0
+        net = random_network(4, 4, 3, 2, seed=0)
+        prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 0.8, 3: 0.8})
+        assert score_block(net, 1, 0.0, prof).importance == 0.0
 
-    def test_arithmetic(self):
-        row = BlockProfile(1, epsilon_ini=0.2, capacity_gap=0.1, delta_t=0.25)
-        assert importance(row) == pytest.approx(0.08, abs=1e-15)
-
-    @pytest.mark.parametrize("delta_t", [pytest.param(0.0, id="zero"),
-                                         pytest.param(-0.005, id="negative")])
-    def test_zero_delta_t_is_degenerate(self, delta_t):
-        row = BlockProfile(1, epsilon_ini=0.2, capacity_gap=0.1, delta_t=delta_t)
-        with pytest.raises(DegenerateBlockError):
-            importance(row)
+    def test_importance_is_epsilon_times_gap_over_saving(self):
+        # With these values epsilon * (G / delta_T) differs in the last bit.
+        net = random_network(6, 5, 3, 2, seed=1)
+        prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 0.6, 3: 0.8})
+        row = score_block(net, 2, 0.7, prof)
+        gap = capacity_gap(net, 2)
+        assert (row.epsilon_ini, row.capacity_gap, row.delta_t) == (0.7, gap, 0.4)
+        assert row.importance == 0.7 * gap / 0.4  # bitwise, in this order
 
 
 class TestRankAndPrune:
@@ -170,16 +168,19 @@ class TestRankAndPrune:
         prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 1.005, 3: 0.8, 4: 0.8})
         with pytest.raises(DegenerateBlockError, match="block 2 "):
             rank_and_prune(net, toy_batch(net), prof, 1)
+        assert op_counter.forward_passes == 0  # refused before the baseline pass
 
     @pytest.mark.parametrize("method", ["proposed", "oracle"])
     def test_negative_latency_saving_raises_for_every_latency_rule(self, method):
         net = random_network(4, 4, 3, 2, seed=0)
         prof = LatencyProfile("measured", 1.0, {1: 0.8, 2: 0.8, 3: 1.01})
         cache = build_cache(net, toy_batch(net, size=8, seed=1))
+        op_counter.reset()
         with pytest.raises(DegenerateBlockError, match="block 3 "):
             prune_by_method(method, net, toy_batch(net, size=8), prof, 1, cache, k_steps=2,
                             seed=0)
-        assert op_counter.backward_passes == 0  # the oracle distilled no candidate first
+        # Refused before the first pass: nothing scored, no candidate distilled.
+        assert op_counter.forward_passes == op_counter.backward_passes == 0
 
     @pytest.mark.parametrize("method", ["proposed", "oracle"])
     @pytest.mark.parametrize("blocks", [{1: 0.8, 2: 0.8, 3: 0.8, 9: 0.8, -2: 1e9},

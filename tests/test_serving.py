@@ -8,9 +8,15 @@ import pytest
 
 from latecut import serving
 from latecut.distill import DistillConfig, DistillRun, build_cache, distill
-from latecut.errors import ConfigError, DimensionError, NumericError, PartialRunError
+from latecut.errors import (
+    ConfigError,
+    DegenerateBlockError,
+    DimensionError,
+    NumericError,
+    PartialRunError,
+)
 from latecut.network import clone_network, forward, op_counter, random_network
-from latecut.profiling import latency_saving, network_cost_macs, profile
+from latecut.profiling import LatencyProfile, latency_saving, network_cost_macs, profile
 from latecut.pruning import rank_and_prune
 from latecut.serving import (
     MODEL_FULL,
@@ -317,6 +323,24 @@ class TestServe:
         monkeypatch.setattr(serving, "profile", no_profile)
         with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 1"):
             serve(iter(make_stream(net, 20)), net, small_config(), count)
+
+    def test_degenerate_profile_raises_before_any_tick(self, monkeypatch):
+        net = random_network(4, 4, 3, 3, seed=9)
+        real_tick = serving.tick
+        ticks = []
+
+        def counting_tick(state, arrivals):
+            ticks.append(len(arrivals))
+            return real_tick(state, arrivals)
+
+        # Block 2's skipped latency above T: its saving is negative.
+        monkeypatch.setattr(serving, "profile", lambda network, *args, **kwargs:
+                            LatencyProfile("measured", 1.0, {1: 0.8, 2: 1.01, 3: 0.8}))
+        monkeypatch.setattr(serving, "tick", counting_tick)
+        with pytest.raises(DegenerateBlockError, match="block 2 "):
+            serve(iter(make_stream(net, 40)), net, small_config())
+        assert ticks == []
+        assert op_counter.forward_passes == 0
 
     @pytest.mark.parametrize("entry", [2.7, True, -1], ids=["float", "bool", "negative"])
     def test_bad_schedule_entry_raises_when_its_tick_comes(self, monkeypatch, entry):
