@@ -1,96 +1,2 @@
 """latecut: test-time residual-block pruning, cached feature-map
 distillation, and a streaming serving loop that interleaves all three."""
-
-from .distill import (
-    DistillConfig,
-    DistillReport,
-    PseudoLabelCache,
-    build_cache,
-    distill,
-    distill_live,
-    feature_loss_and_grads,
-    lr_at,
-    required_dataset_size,
-)
-from .errors import (
-    ConfigError,
-    DegenerateBlockError,
-    DimensionError,
-    FormatError,
-    InvalidBlockError,
-    LatecutError,
-    NumericError,
-    PartialRunError,
-    TrainingDivergedError,
-)
-from .network import (
-    Gradients,
-    ResidualBlock,
-    ResidualNetwork,
-    compact,
-    feature_mse,
-    forward,
-    parameter_count,
-    random_network,
-    sgd_step,
-)
-from .profiling import LatencyProfile, latency_saving, profile
-from .pruning import (
-    BlockProfile,
-    PruneDecision,
-    baseline_curl,
-    baseline_finetune_oracle,
-    baseline_l2_ratio,
-    baseline_random,
-    capacity_gap,
-    initial_noise,
-    rank_and_prune,
-)
-from .serving import ServeConfig, ServingTimeline, serve
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BlockProfile",
-    "ConfigError",
-    "DegenerateBlockError",
-    "DimensionError",
-    "DistillConfig",
-    "DistillReport",
-    "FormatError",
-    "Gradients",
-    "InvalidBlockError",
-    "LatecutError",
-    "LatencyProfile",
-    "NumericError",
-    "PartialRunError",
-    "PruneDecision",
-    "PseudoLabelCache",
-    "ResidualBlock",
-    "ResidualNetwork",
-    "ServeConfig",
-    "ServingTimeline",
-    "TrainingDivergedError",
-    "baseline_curl",
-    "baseline_finetune_oracle",
-    "baseline_l2_ratio",
-    "baseline_random",
-    "build_cache",
-    "capacity_gap",
-    "compact",
-    "distill",
-    "distill_live",
-    "feature_loss_and_grads",
-    "feature_mse",
-    "forward",
-    "initial_noise",
-    "latency_saving",
-    "lr_at",
-    "parameter_count",
-    "profile",
-    "random_network",
-    "rank_and_prune",
-    "required_dataset_size",
-    "serve",
-    "sgd_step",
-]

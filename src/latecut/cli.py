@@ -181,6 +181,9 @@ def _cmd_prune(args) -> None:
 
 
 def _cmd_distill(args) -> None:
+    if args.mode == "live" and (args.cache is not None or args.save_cache is not None):
+        raise ConfigError("live mode queries the teacher every step: --cache and --save-cache "
+                          "apply only to cached mode")
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
     config = _distill_config(args)

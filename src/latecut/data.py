@@ -163,11 +163,13 @@ PRETRAIN_BATCH = 64
 def evaluate_accuracy(network, x, y, skip=None) -> float:
     """Top-1 accuracy of ``compact(network, skip)``, in chunks of
     ``EVAL_CHUNK_ROWS`` rows: bitwise that of one forward over all of ``x``,
-    as the forward pass is batch-composition invariant.  ``y`` must hold
-    one label per row of ``x``, else :class:`DimensionError`."""
+    as the forward pass is batch-composition invariant.  ``x`` must hold at
+    least one row and ``y`` one label per row, else :class:`DimensionError`."""
     if skip is not None:
         network = compact(network, skip)
     x = np.asarray(x, dtype=np.float64)
+    if len(x) == 0:
+        raise DimensionError("accuracy needs at least one row, got 0")
     if np.shape(y) != (len(x),):
         raise DimensionError(f"labels have shape {np.shape(y)}, expected ({len(x)},)")
     predictions = [

@@ -24,12 +24,14 @@ class ConfigError(LatecutError):
 
 
 def check_ints(config, **lows) -> None:
-    """ConfigError unless each named field of ``config`` is an int, not a bool, >= its bound."""
+    """ConfigError unless each named field of ``config`` is a Python int,
+    not a bool or numpy integer, >= its bound: config fields stay Python
+    ints, which the CLI's JSON config log needs."""
     for name, low in lows.items():
         value = getattr(config, name)
         if type(value) is not int or value < low:
-            raise ConfigError(f"{type(config).__name__}.{name} must be an integer >= {low}, "
-                              f"got {value!r}")
+            raise ConfigError(f"{type(config).__name__}.{name} must be a Python int >= {low} "
+                              f"(not a bool or numpy integer), got {value!r}")
 
 
 def is_integer(value) -> bool:

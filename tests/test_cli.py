@@ -611,7 +611,8 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     "prune_profile_of_another_network",
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
-    "distill_cached_without_labels", "prune_profile_without_per_block", "prune_profile_T_not_a_number",
+    "distill_cached_without_labels", "distill_live_save_cache", "distill_live_cache",
+    "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "prune_profile_extra_float_block_id", "prune_profile_float_and_bool_block_ids",
     "prune_profile_duplicate_block_id", "prune_profile_latency_bool",
     "prune_profile_nonpositive_latency_negative", "prune_profile_nonpositive_latency_zero",
@@ -695,6 +696,13 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
             "was built from teacher fingerprint"),
         "distill_cached_without_labels": (distill + ["--teacher", str(ckpt)],
                                           "cached mode needs --cache"),
+        # live mode would ignore either flag: write no cache, read none
+        "distill_live_save_cache": (distill + ["--teacher", str(ckpt), "--mode", "live",
+                                               "--save-cache", str(out / "cache.bin")] + samples,
+                                    "apply only to cached mode"),
+        "distill_live_cache": (distill + ["--teacher", str(ckpt), "--mode", "live",
+                                          "--cache", str(tmp / "nonexistent.bin")] + samples,
+                               "apply only to cached mode"),
         "prune_profile_without_per_block": (prune_with(no_per_block) + samples,
                                             "malformed profile payload"),
         "prune_profile_T_not_a_number": (prune_with(t_not_a_number) + samples,

@@ -11,6 +11,7 @@ from latecut.data import (
     make_dataset,
     pretrain_source,
 )
+from latecut.distill import DistillConfig
 from latecut.errors import ConfigError, DimensionError, TrainingDivergedError
 from latecut.network import (
     clone_network,
@@ -20,6 +21,7 @@ from latecut.network import (
     random_network,
     sgd_step,
 )
+from latecut.serving import ServeConfig
 
 from oracles import (
     finite_difference_grads,
@@ -224,3 +226,28 @@ def test_evaluate_accuracy_needs_one_label_per_row(labels):
     with pytest.raises(DimensionError, match=r"expected \(10,\)"):
         evaluate_accuracy(net, x, np.array(labels))
     assert evaluate_accuracy(net, x, [1] * 10) == evaluate_accuracy(net, x, np.ones(10, int))
+
+
+def test_evaluate_accuracy_refuses_zero_rows():
+    """An empty batch has no accuracy: refused before any forward pass,
+    not left to fail inside numpy."""
+    net = random_network(6, 9, 2, 3, seed=4)
+    op_counter.reset()
+    with pytest.raises(DimensionError, match="at least one row"):
+        evaluate_accuracy(net, np.empty((0, 6)), np.empty(0, dtype=int))
+    assert op_counter.forward_passes == 0
+
+
+@pytest.mark.parametrize("value", [np.int64(1), True], ids=["numpy_int", "bool"])
+@pytest.mark.parametrize("make, field", [
+    (lambda value: ServeConfig(n_p=value), "ServeConfig.n_p"),
+    (lambda value: DistillConfig(steps=value), "DistillConfig.steps"),
+    (lambda value: DatasetSpec(seed=value), "DatasetSpec.seed"),
+], ids=["serve", "distill", "dataset"])
+def test_config_int_fields_refuse_bools_and_numpy_integers(make, field, value):
+    """Config fields stay Python ints, which the CLI's JSON config log
+    needs, and the message says so rather than asking for "an integer"."""
+    with pytest.raises(ConfigError) as info:
+        make(value)
+    assert str(info.value) == (f"{field} must be a Python int >= 0 "
+                               f"(not a bool or numpy integer), got {value!r}")
