@@ -153,6 +153,15 @@ def _cmd_profile(args) -> None:
 
 
 def _cmd_prune(args) -> None:
+    oracle = args.method == "oracle"
+    # A flag the method would not read is refused, not ignored.
+    for flag, value, unread in (("--samples", args.samples, args.method == "random"),
+                                ("--cache", args.cache, not oracle),
+                                ("--k-steps", args.k_steps, not oracle)):
+        if unread and value is not None:
+            raise ConfigError(f"method {args.method!r} does not read {flag}")
+    if oracle and args.k_steps is None:
+        args.k_steps = ORACLE_K_STEPS  # logged as the steps that ran
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
@@ -168,7 +177,7 @@ def _cmd_prune(args) -> None:
             )
         prune_batch = inputs[: args.prune_batch]
     cache = None
-    if args.method == "oracle":
+    if oracle:
         if args.cache is None:
             raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
@@ -184,6 +193,8 @@ def _cmd_distill(args) -> None:
     if args.mode == "live" and (args.cache is not None or args.save_cache is not None):
         raise ConfigError("live mode queries the teacher every step: --cache and --save-cache "
                           "apply only to cached mode")
+    if args.cache is not None and args.samples is not None:
+        raise ConfigError("--cache holds the labelled samples: --samples does not apply beside it")
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
     config = _distill_config(args)
@@ -328,8 +339,8 @@ def build_parser() -> _Parser:
                    help="sample file providing the prune batch (all methods except random)")
     p.add_argument("--cache", default=None,
                    help="pseudo-label cache built from --checkpoint (oracle method)")
-    p.add_argument("--k-steps", type=int, default=ORACLE_K_STEPS,
-                   help="oracle fine-tune steps per block")
+    p.add_argument("--k-steps", type=int, default=None,
+                   help=f"oracle fine-tune steps per block (default {ORACLE_K_STEPS})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)

@@ -21,33 +21,33 @@ Only :func:`compact` turns a skip set into a network: :func:`forward`,
 through it on entry, and nothing below them sees one.
 
 The forward path is one tile pipeline, run by one stack pass for
-:func:`forward` and :func:`forward_trace` alike.  It pads the batch once with
-zero rows into a ``(k, TILE_ROWS, d)`` stack and evaluates every affine map
-on that stack through :data:`tile_kernel`, one ``(TILE_ROWS, in) x (in,
-out)`` GEMM per tile.  BLAS picks its blocking, and so its reduction order,
-from the operand shapes; with one shape for every call, each row's sums are
-computed the same way whatever the batch size or the row's position in it,
-so every sample's features are bitwise independent of which batch it rides
-in, which cached pseudo-labels rely on.  Bias, ReLU and residual adds are
-in-place ufuncs on arrays the pass allocated; a trace, which keeps views of
-each block's input, adds residuals into new arrays instead, and
-distillation's trace skips the classifier.  A one-row batch, the one serving
-answers each arrival with, runs the same GEMM per map on one zero-padded 2-D
-``(TILE_ROWS, d)`` tile through :data:`row_kernel` (``np.dot``, the same
-4-row dgemm without the gufunc's per-call overhead), but adds each bias,
-applies the ReLU and adds each residual on the row alone, as 1-D in-place
-ufuncs (README's design notes give the timings behind both choices).  Only
-GEMMs write the padding rows, so they start at zero and stay zero, and rows
-never mix, so the row's answer is bitwise its batched one.  One import-time
-self-check chooses both kernels: it keeps ``(np.matmul, np.dot)`` only if
-every row ``np.dot`` computes alone equals, bitwise, the same row inside
+:func:`forward` and :func:`forward_trace` alike.  It pads the batch with
+zero rows to whole tiles of ``TILE_ROWS`` rows and evaluates every affine
+map as one ``(TILE_ROWS, in) x (in, out)`` GEMM per tile.  BLAS picks its
+blocking, and so its reduction order, from the operand shapes; with one
+shape for every call, each row's sums are computed the same way whatever
+the batch size or the row's position in it, so every sample's features are
+bitwise independent of which batch it rides in, which cached pseudo-labels
+rely on.  The row count picks, once, the kernel and the width of each bias,
+ReLU and residual add.  Two or more rows run :data:`tile_kernel` on a
+``(k, TILE_ROWS, d)`` stack and add on the whole stack.  One row, as
+serving answers each arrival, runs :data:`row_kernel` (``np.dot``, the same
+4-row dgemm without the gufunc's per-call overhead) on one 2-D
+``(TILE_ROWS, d)`` tile and adds on the row alone, as 1-D ufuncs (README's
+design notes time both choices); only GEMMs write its padding rows, so they
+stay zero.  Rows never mix, so a row's answer is bitwise its batched one.
+Adds are in place on arrays the pass allocated; a trace, which keeps views
+of each block's input and hidden rows, gives each block new arrays instead,
+and distillation's trace skips the classifier.  One import-time self-check
+chooses both kernels: it keeps ``(np.matmul, np.dot)`` only if every row
+``np.dot`` computes alone equals, bitwise, the same row inside
 ``np.matmul`` stacks of several sizes and offsets, at the served shapes and
-a few others.  Where the local BLAS fails it, both are einsum instead (the
-row path runs the stack kernel on a one-tile stack), whose reduction order
+a few others.  Where the local BLAS fails it, both are einsum (the row
+kernel runs the stack kernel on a one-tile stack), whose reduction order
 depends only on the operand widths but which runs several times slower on
-batches.  :data:`KERNEL_PAIR` names the pair chosen.  Gradient math uses plain
-matmul; it has no such contract and is verified against finite differences
-instead.
+batches.  :data:`KERNEL_PAIR` names the pair chosen.  Gradient math uses
+plain matmul; it has no such contract and is verified against finite
+differences instead.
 
 Storage is packed.  :func:`packed_network` cuts a network's tensors, in
 checkpoint order, as views from one aligned buffer that holds their
@@ -362,8 +362,9 @@ def _tile_stack(x) -> np.ndarray:
 
 
 def _rows(stack, rows) -> np.ndarray:
-    """The first ``rows`` rows of a tile stack, as a 2-D view."""
-    return stack.reshape(-1, stack.shape[2])[:rows]
+    """The first ``rows`` rows of a tile stack or of one 2-D tile, as a 2-D
+    view."""
+    return stack.reshape(-1, stack.shape[-1])[:rows]
 
 
 def einsum_tiles(stack, weight, out=None):
@@ -372,11 +373,10 @@ def einsum_tiles(stack, weight, out=None):
     return np.einsum("ktd,dw->ktw", stack, weight, out=out)
 
 
-def einsum_row(tile, weight, out):
+def einsum_row(tile, weight, out=None):
     """Row kernel of the einsum fallback: :func:`einsum_tiles` on ``tile``
-    as a one-tile stack, into ``out``."""
-    einsum_tiles(tile[None], weight, out=out[None])
-    return out
+    as a one-tile stack."""
+    return einsum_tiles(tile[None], weight, None if out is None else out[None])[0]
 
 
 # (in, out) widths the self-check runs at: the stem, block and classifier
@@ -385,8 +385,8 @@ def einsum_row(tile, weight, out):
 _CHECKED_SHAPES = ((16, 32), (32, 32), (32, 4), (16, 128), (128, 128), (128, 4), (33, 4))
 
 
-def kernel_pair_is_batch_invariant(stack_kernel, row_kernel) -> bool:
-    """Whether ``row_kernel``, given one row on a zero-padded
+def kernel_pair_is_batch_invariant(stack_kernel, one_tile_kernel) -> bool:
+    """Whether ``one_tile_kernel``, given one row on a zero-padded
     ``(TILE_ROWS, in)`` tile, gives it bitwise the row ``stack_kernel``
     gives it inside tile stacks built from batches of several sizes and
     offsets."""
@@ -399,7 +399,7 @@ def kernel_pair_is_batch_invariant(stack_kernel, row_kernel) -> bool:
         alone = np.empty((len(pool), out_dim))
         for i, row in enumerate(pool):
             tile[0] = row
-            alone[i] = row_kernel(tile, weight, out)[0]
+            alone[i] = one_tile_kernel(tile, weight, out)[0]
         for lo, hi in ((0, 67), (1, 67), (2, 5), (3, 64), (0, 64), (5, 6)):
             out_rows = _rows(stack_kernel(_tile_stack(pool[lo:hi]), weight), hi - lo)
             if not np.array_equal(out_rows, alone[lo:hi]):
@@ -410,98 +410,85 @@ def kernel_pair_is_batch_invariant(stack_kernel, row_kernel) -> bool:
 # The kernel pair every forward calls, chosen here once.  ``tile_kernel``
 # computes ``stack @ weight`` for a ``(k, TILE_ROWS, in)`` stack, one
 # ``(TILE_ROWS, in) x (in, out)`` GEMM per tile, with a reduction order
-# that does not depend on k (see module docstring); it takes ``out=``.
-# ``row_kernel(tile, weight, out)`` is the same GEMM on one 2-D
-# ``(TILE_ROWS, in)`` tile, for the row path.  ``KERNEL_PAIR`` names the
-# pair for the log.
+# that does not depend on k (see module docstring).  ``row_kernel`` is the
+# same GEMM on one 2-D ``(TILE_ROWS, in)`` tile, for a one-row batch.  Both
+# take ``out=``.  ``KERNEL_PAIR`` names the pair for the log.
 if kernel_pair_is_batch_invariant(np.matmul, np.dot):
     tile_kernel, row_kernel, KERNEL_PAIR = np.matmul, np.dot, "matmul/dot"
 else:
     tile_kernel, row_kernel, KERNEL_PAIR = einsum_tiles, einsum_row, "einsum fallback"
 
 
-def _affine(stack, weight, bias) -> np.ndarray:
-    """``stack @ weight + bias`` as a new stack; the bias is added in place."""
-    out = tile_kernel(stack, weight)
-    out += bias
-    return out
+# What the ReLU compares against.  A 0-d array is not converted on every
+# call as a Python float is: 0.46 against 0.67 us per ReLU.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def _stack_pass(network, x, logits=True, inputs=None, hiddens=None):
-    """Stem, blocks and, if ``logits``, classifier on ``x`` as a tile stack:
-    ``(logits or None, features)``, cut to ``x``'s rows.  Given ``inputs``
-    and ``hiddens`` dicts, it records each block's input and hidden rows in
-    them by block id, and adds each residual into a new array."""
+    """Stem, blocks and, if ``logits``, classifier on ``x``: ``(logits or
+    None, features)``, cut to ``x``'s rows, with the kernel and add width its
+    row count picks (see the module docstring).  One hidden and one branch
+    array serve every block, the hidden one remade when the hidden width
+    changes; they live for this call only, as a network may be handed
+    between threads.  Given ``inputs`` and ``hiddens`` dicts, it records
+    each block's input and hidden rows there by block id, so each block
+    gets a new hidden array and adds its residual into a new one."""
     rows = x.shape[0]
-    # Rows are independent, so the padding rows are computed and dropped.
-    h = _affine(_tile_stack(x), network.stem_weight, network.stem_bias)
+    if rows == 1:
+        gemm, part, stack = row_kernel, 0, np.zeros((TILE_ROWS, x.shape[1]))
+        stack[0] = x
+    else:
+        # Rows are independent, so the padding rows are computed and dropped.
+        gemm, part, stack = tile_kernel, ..., _tile_stack(x)
+    add, keep = np.add, inputs is not None
+    h = gemm(stack, network.stem_weight)
+    h_part = h[part]
+    add(h_part, network.stem_bias, h_part)
+    branch = np.empty(h.shape)
+    branch_part = branch[part]
+    width = 0
     for block in network.blocks:
-        z = _affine(h, block.weight1, block.bias1)
-        np.maximum(z, 0.0, out=z)
-        branch = _affine(z, block.weight2, block.bias2)
-        if inputs is None:
-            h += branch
+        bias1 = block.bias1
+        if keep or bias1.size != width:
+            width = bias1.size
+            z = gemm(h, block.weight1)
+            z_part = z[part]
         else:
+            gemm(h, block.weight1, z)
+        add(z_part, bias1, z_part)
+        np.maximum(z_part, _ZERO, out=z_part)
+        gemm(z, block.weight2, branch)
+        add(branch_part, block.bias2, branch_part)
+        if keep:
             inputs[block.block_id], hiddens[block.block_id] = _rows(h, rows), _rows(z, rows)
             h = h + branch
-    out = _affine(h, network.classifier_weight, network.classifier_bias) if logits else None
-    return (None if out is None else _rows(out, rows)), _rows(h, rows)
+            h_part = h[part]
+        else:
+            add(h_part, branch_part, h_part)
+    out = None
+    if logits:
+        out = gemm(h, network.classifier_weight)
+        out_part = out[part]
+        add(out_part, network.classifier_bias, out_part)
+        out = out[:1] if rows == 1 else _rows(out, rows)
+    return out, h[:1] if rows == 1 else _rows(h, rows)
 
 
 def forward(network, batch, skip=None):
     """Run ``network``, or ``compact(network, skip)`` when ``skip`` is given.
 
     Returns ``(logits, final_features)`` where ``final_features`` is the
-    output of the last non-classifier stage.  Every stage works in place on
-    arrays this call allocated; ``batch`` is only read.  A one-row batch
-    takes :func:`_forward_row`, with bitwise the same result.
+    output of the last non-classifier stage.  Every row count takes the one
+    stack pass, whose kernel and add width follow the row count.  Every
+    stage works in place on arrays this call allocated; ``batch`` is only
+    read.
     """
     if skip is not None:
         network = compact(network, skip)
     x = _check_batch(network, batch)
     op_counter.forward_passes += 1
-    if x.shape[0] == 1:
-        return _forward_row(network, x)
     return _stack_pass(network, x)
-
-
-# What the row path's ReLU compares against.  A 0-d array is not converted
-# on every call as a Python float is: 0.46 against 0.67 us per ReLU.
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
-
-
-def _forward_row(network, x):
-    """:func:`forward` of a one-row batch ``x`` (see the module docstring).
-    One hidden and one branch tile serve every block, the hidden one
-    reallocated only when the hidden width changes.  They live for this
-    call only: a network may be handed between threads."""
-    gemm, add = row_kernel, np.add
-    tile = np.zeros((TILE_ROWS, x.shape[1]))
-    tile[0] = x
-    width = network.stem_bias.size
-    h = gemm(tile, network.stem_weight, np.empty((TILE_ROWS, width)))
-    row = h[0]
-    add(row, network.stem_bias, row)
-    branch = np.empty((TILE_ROWS, width))
-    branch_row = branch[0]
-    z = None
-    for block in network.blocks:
-        bias1 = block.bias1
-        if z is None or z.size != bias1.size:
-            hidden = np.empty((TILE_ROWS, bias1.size))
-            z = hidden[0]
-        gemm(h, block.weight1, hidden)
-        add(z, bias1, z)
-        np.maximum(z, _ZERO, out=z)
-        gemm(hidden, block.weight2, branch)
-        add(branch_row, block.bias2, branch_row)
-        add(row, branch_row, row)
-    logits = gemm(h, network.classifier_weight,
-                  np.empty((TILE_ROWS, network.classifier_bias.size)))
-    out = logits[0]
-    add(out, network.classifier_bias, out)
-    return logits[:1], h[:1]
 
 
 def compact(network, skip) -> ResidualNetwork:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latecut import network, serving
+from latecut import cli, network, serving
 from latecut.cli import build_parser, main
 from latecut.distill import DistillConfig, build_cache, distill
 from latecut.errors import PartialRunError
@@ -24,6 +24,7 @@ from latecut.formats import (
     save_samples,
 )
 from latecut.network import clone_network, compact, forward, random_network
+from latecut.pruning import prune_by_method
 
 
 @pytest.fixture()
@@ -74,9 +75,31 @@ def test_flag_defaults_are_the_configs_defaults():
         serve_config.budget_per_tick)
     assert (args.steps, args.lr, args.batch, args.seed) == (
         distill_config.steps, distill_config.lr0, distill_config.batch_size, distill_config.seed)
+    # Only oracle reads --k-steps, and it fills in the default when it runs
+    # (test_oracle_without_k_steps_runs_the_configs_default).
     args = parser.parse_args(["prune", "--checkpoint", "c", "--profile", "p", "--np", "1",
                               "--out", "o"])
-    assert args.k_steps == ExperimentConfig().oracle_k_steps
+    assert args.k_steps is None
+
+
+def test_oracle_without_k_steps_runs_the_configs_default(workspace, monkeypatch):
+    tmp, net, ckpt, data = workspace
+    profile_json, cache, out = tmp / "profile.json", tmp / "cache.bin", tmp / "oracle.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    build_cache(net, load_samples(data)[0]).save(cache)
+    ran = []
+
+    def recorded(*args):
+        ran.append(args[-2])  # k_steps
+        return prune_by_method(*args)
+
+    monkeypatch.setattr(cli, "prune_by_method", recorded)
+    assert main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--method", "oracle", "--np", "1", "--prune-batch", "16",
+                 "--samples", str(data), "--cache", str(cache), "--out", str(out)]) == 0
+    steps = ExperimentConfig().oracle_k_steps
+    assert ran == [steps]
+    assert json.loads((tmp / "prune_config.json").read_text())["k_steps"] == steps
 
 
 def test_profile_prune_distill_serve_pipeline(workspace):
@@ -331,8 +354,9 @@ def test_prune_latency_above_T_exits_3_before_any_pass(workspace, capsys, method
     build_cache(net, load_samples(data)[0]).save(cache)
     capsys.readouterr()
     network.op_counter.reset()
+    oracle_cache = ["--cache", str(cache)] if method == "oracle" else []
     code = main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
-                 "--method", method, "--cache", str(cache), "--np", "1",
+                 "--method", method, *oracle_cache, "--np", "1",
                  "--prune-batch", "16", "--samples", str(data),
                  "--out", str(tmp / "decision.json")])
     assert code == 3
@@ -612,6 +636,8 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
     "distill_cached_without_labels", "distill_live_save_cache", "distill_live_cache",
+    "distill_cache_and_samples", "prune_random_samples", "prune_proposed_cache",
+    "prune_proposed_k_steps",
     "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "prune_profile_extra_float_block_id", "prune_profile_float_and_bool_block_ids",
     "prune_profile_duplicate_block_id", "prune_profile_latency_bool",
@@ -703,6 +729,17 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         "distill_live_cache": (distill + ["--teacher", str(ckpt), "--mode", "live",
                                           "--cache", str(tmp / "nonexistent.bin")] + samples,
                                "apply only to cached mode"),
+        # Each flag below would be ignored, so neither named file need exist.
+        "distill_cache_and_samples": (distill + ["--cache", str(tmp / "nonexistent.bin"),
+                                                 "--samples", str(tmp / "nonexistent2.bin")],
+                                      "--samples does not apply"),
+        "prune_random_samples": (prune + ["--method", "random", "--samples",
+                                          str(tmp / "nonexistent.bin")],
+                                 "method 'random' does not read --samples"),
+        "prune_proposed_cache": (prune + samples + ["--cache", str(tmp / "nonexistent.bin")],
+                                 "method 'proposed' does not read --cache"),
+        "prune_proposed_k_steps": (prune + samples + ["--k-steps", "5"],
+                                   "method 'proposed' does not read --k-steps"),
         "prune_profile_without_per_block": (prune_with(no_per_block) + samples,
                                             "malformed profile payload"),
         "prune_profile_T_not_a_number": (prune_with(t_not_a_number) + samples,

@@ -1,10 +1,10 @@
 """Each latecut module uses only the public names of the others, so a step
 of the method cannot be re-implemented behind another module's private
 helper; only ``network.compact`` turns a skip set into a network; only
-``network._stack_pass`` runs the batched stem, block and classifier maps;
-only ``profiling.check_profile`` refuses a block's latency saving; and
-every name has one import path, the module that defines it, since the
-package root is its docstring alone."""
+``network._stack_pass`` runs the forward kernels; only
+``profiling.check_profile`` refuses a block's latency saving; and every
+name has one import path, the module that defines it, since the package
+root is its docstring alone."""
 
 import ast
 import os
@@ -95,32 +95,34 @@ def test_only_compact_resolves_skip_sets():
     assert users == {"network.py": ["compact"]}
 
 
-def test_detector_sees_every_use_of_affine():
+def test_detector_sees_every_use_of_a_kernel():
     source = (
-        "def _affine(stack, weight, bias):\n"
-        "    return stack @ weight + bias\n"
+        "tile_kernel, row_kernel = np.matmul, np.dot\n"
         "def _stack_pass(net, x):\n"
-        "    return _affine(x, net.w, net.b)\n"
+        "    gemm = row_kernel if len(x) == 1 else tile_kernel\n"
+        "    return gemm(x, net.w)\n"
         "def forward_trace(net, x):\n"
-        "    apply = network._affine\n"
-        "    return apply(x, net.w, net.b)\n"
+        "    return network.tile_kernel(x, net.w)\n"
         "class Layer:\n"
         "    def __call__(self, x):\n"
-        "        return _affine(x, self.w, self.b)\n"
+        "        return row_kernel(x, self.w)\n"
     )
-    assert users_of("_affine", source) == ["_stack_pass", "forward_trace", "__call__"]
+    assert users_of("tile_kernel", source) == ["<module>", "_stack_pass", "forward_trace"]
+    assert users_of("row_kernel", source) == ["<module>", "_stack_pass", "__call__"]
 
 
 def test_only_the_stack_pass_runs_affine_maps():
-    """One implementation of the batched layer sequence: every affine map on
-    a tile stack goes through ``_affine``, and only the stack pass calls it
-    (the batch-1 row path runs the row kernel instead)."""
-    users = {
-        path.name: set(names)
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if (names := users_of("_affine", path.read_text(encoding="utf-8")))
-    }
-    assert users == {"network.py": {"_stack_pass"}}
+    """One implementation of the layer sequence: every affine map of a
+    forward or a trace runs through ``tile_kernel`` or ``row_kernel``, and
+    only the stack pass calls them; outside it the package only selects the
+    pair at import (the self-check takes the pair it checks as arguments)."""
+    for kernel in ("tile_kernel", "row_kernel"):
+        users = {
+            path.name: set(names)
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            if (names := users_of(kernel, path.read_text(encoding="utf-8")))
+        }
+        assert users == {"network.py": {"<module>", "_stack_pass"}}, kernel
 
 
 def test_detector_sees_every_raise_of_degenerate_block_error():

@@ -278,6 +278,26 @@ class TestInPlacePipeline:
                     assert list(got) == list(want)
                     assert all(np.array_equal(got[j], want[j]) for j in want), (rows, skip)
 
+    def test_each_call_returns_arrays_of_its_own(self, tile_kernel_impl):
+        """A pass reuses its arrays from block to block, never from one call
+        to the next: a second call leaves the first one's results intact."""
+        net = _net_with_biases(9)
+        rng = np.random.default_rng(9)
+
+        def traced(x):
+            trace = forward_trace(net, x)
+            return [trace.features, trace.logits, *trace.block_inputs.values(),
+                    *trace.block_hidden.values()]
+
+        for rows in (1, 64):
+            a, b = rng.standard_normal((2, rows, 6))
+            for run in (lambda x: list(forward(net, x)), traced):
+                first = run(a)
+                kept = [out.copy() for out in first]
+                second = run(b)
+                assert not any(np.shares_memory(p, q) for p in first for q in second), rows
+                assert all(map(np.array_equal, first, kept)), rows
+
     def test_one_call_is_one_forward_pass_at_every_batch_size(self):
         net = _net_with_biases(4)
         for rows in PIPELINE_ROWS + [128, 200]:
