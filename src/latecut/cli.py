@@ -14,6 +14,8 @@ The LATECUT_SEED environment variable overrides any configured seed, a
 grid's ``seed`` axis included, and the logged configuration shows the seed
 that ran: ``experiment`` logs its resolved base config and grid beside the
 command line.
+``prune`` and ``distill`` settle every flag before they read a file: a flag
+the method or mode does not read is refused, and one it needs is required.
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
@@ -153,85 +155,77 @@ def _cmd_profile(args) -> None:
 
 
 def _cmd_prune(args) -> None:
-    oracle = args.method == "oracle"
-    # A flag the method would not read is refused, not ignored.
-    for flag, value, unread in (("--samples", args.samples, args.method == "random"),
-                                ("--cache", args.cache, not oracle),
-                                ("--k-steps", args.k_steps, not oracle)):
-        if unread and value is not None:
+    # A flag the method reads takes its default (logged as what ran) or,
+    # having none, is required; one it does not read is refused.
+    batched, oracle = args.method != "random", args.method == "oracle"
+    for flag, read, default in (("--samples", batched, None),
+                                ("--prune-batch", batched, ServeConfig.prune_batch_size),
+                                ("--cache", oracle, None),
+                                ("--k-steps", oracle, ORACLE_K_STEPS)):
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if value is not None and not read:
             raise ConfigError(f"method {args.method!r} does not read {flag}")
-    if oracle and args.k_steps is None:
-        args.k_steps = ORACLE_K_STEPS  # logged as the steps that ran
+        if value is None and read:
+            if default is None:
+                raise ConfigError(f"method {args.method!r} needs {flag}")
+            setattr(args, dest, default)
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
-    prune_batch = None
-    if args.method != "random":
-        if args.samples is None:
-            raise ConfigError(f"method {args.method!r} needs --samples for its prune batch")
+    prune_batch = cache = None
+    if batched:
         inputs, _ = formats.load_samples(args.samples)
         if not 1 <= args.prune_batch <= inputs.shape[0]:
-            raise ConfigError(
-                f"--prune-batch {args.prune_batch} must be within 1..{inputs.shape[0]}, "
-                f"the number of samples"
-            )
+            raise ConfigError(f"--prune-batch {args.prune_batch} must be within "
+                              f"1..{inputs.shape[0]}, the number of samples")
         prune_batch = inputs[: args.prune_batch]
-    cache = None
     if oracle:
-        if args.cache is None:
-            raise ConfigError("method 'oracle' needs --cache to distill candidates against")
         cache = PseudoLabelCache.load(args.cache)
         _check_cache_teacher(cache, args.cache, network, args.checkpoint)
-    decision = prune_by_method(
-        args.method, network, prune_batch, prof, args.np, cache, args.k_steps, args.seed
-    )
+    decision = prune_by_method(args.method, network, prune_batch, prof, args.np, cache,
+                               args.k_steps, args.seed)
     _write_json(args.out, _decision_to_dict(decision))
     log.info("%s pruned blocks %s -> %s", args.method, sorted(decision.pruned), args.out)
 
 
 def _cmd_distill(args) -> None:
-    if args.mode == "live" and (args.cache is not None or args.save_cache is not None):
+    cached = args.mode == "cached"
+    if not cached and (args.cache is not None or args.save_cache is not None):
         raise ConfigError("live mode queries the teacher every step: --cache and --save-cache "
                           "apply only to cached mode")
     if args.cache is not None and args.samples is not None:
         raise ConfigError("--cache holds the labelled samples: --samples does not apply beside it")
+    if args.cache is None and (args.teacher is None or args.samples is None):
+        raise ConfigError("cached mode needs --cache, or --teacher with --samples" if cached
+                          else "live mode needs --teacher and --samples")
+    config = _distill_config(args)
     student = formats.load_checkpoint(args.student)
     skip = _load_decision_skip(args.decision)
-    config = _distill_config(args)
-    if args.mode == "cached":
-        if args.cache is not None:
-            cache = PseudoLabelCache.load(args.cache)
-            if args.teacher is not None:
-                teacher = formats.load_checkpoint(args.teacher)
-                _check_cache_teacher(cache, args.cache, teacher, args.teacher)
-        elif args.teacher is not None and args.samples is not None:
-            teacher = formats.load_checkpoint(args.teacher)
-            inputs, _ = formats.load_samples(args.samples)
+    teacher = None if args.teacher is None else formats.load_checkpoint(args.teacher)
+    inputs = None if args.samples is None else formats.load_samples(args.samples)[0]
+    if cached:
+        if args.cache is None:
             cache = build_cache(teacher, inputs)
         else:
-            raise ConfigError("cached mode needs --cache, or --teacher with --samples")
+            cache = PseudoLabelCache.load(args.cache)
+            if teacher is not None:
+                _check_cache_teacher(cache, args.cache, teacher, args.teacher)
         if args.save_cache:
             cache.save(args.save_cache)
         student, report = distill(student, skip, cache, config)
     else:
-        if args.teacher is None or args.samples is None:
-            raise ConfigError("live mode needs --teacher and --samples")
-        teacher = formats.load_checkpoint(args.teacher)
-        inputs, _ = formats.load_samples(args.samples)
         student, report = distill_live(student, skip, teacher, inputs, config)
     formats.save_checkpoint(compact(student, skip), args.out)
     if args.report:
-        _write_json(
-            args.report,
-            {
-                "mode": args.mode,
-                "steps": config.steps,
-                "final_loss": report.final_loss,
-                "wall_time": report.wall_time,
-                "teacher_query_count": report.teacher_query_count,
-                "loss_trace": report.loss_trace,
-            },
-        )
+        _write_json(args.report, {
+            "mode": args.mode,
+            "steps": config.steps,
+            "final_loss": report.final_loss,
+            "wall_time": report.wall_time,
+            "teacher_query_count": report.teacher_query_count,
+            "loss_trace": report.loss_trace,
+        })
     log.info("distilled %d steps (%s), final loss %.6g", config.steps, args.mode, report.final_loss)
 
 
@@ -334,7 +328,9 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", required=True)
     p.add_argument("--method", choices=METHODS, default="proposed")
     p.add_argument("--np", type=int, required=True)
-    p.add_argument("--prune-batch", type=int, default=64)
+    p.add_argument("--prune-batch", type=int, default=None,
+                   help="rows of --samples to rank on (all methods except random; "
+                        f"default {ServeConfig.prune_batch_size})")
     p.add_argument("--samples", default=None,
                    help="sample file providing the prune batch (all methods except random)")
     p.add_argument("--cache", default=None,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import log_softmax
 from .distill import DistillConfig, DistillRun, PseudoLabelCache
-from .errors import ConfigError, InvalidBlockError, NumericError
+from .errors import ConfigError, InvalidBlockError, NumericError, is_integer
 from .network import (
     block_param_count,
     clone_network,
@@ -76,9 +76,19 @@ class PruneDecision:
 
 
 def check_n_p(network, n_p: int) -> None:
-    """ConfigError unless ``n_p`` blocks of ``network`` can be pruned."""
-    if n_p < 0 or n_p > network.n_blocks:
-        raise ConfigError(f"n_p={n_p} outside 0..{network.n_blocks} removable blocks")
+    """ConfigError unless ``n_p`` is an integer (a Python or numpy one, not a
+    bool) and that many blocks of ``network`` can be pruned."""
+    if not (is_integer(n_p) and 0 <= n_p <= network.n_blocks):
+        raise ConfigError(f"n_p={n_p!r} must be an integer within 0..{network.n_blocks} "
+                          f"removable blocks")
+
+
+def _count(name, value, low) -> int:
+    """``value`` as a Python int: ConfigError, naming ``name``, unless it is
+    an integer (a Python or numpy one, not a bool) >= ``low``."""
+    if not (is_integer(value) and value >= low):
+        raise ConfigError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
+    return int(value)
 
 
 def decide(method, n_p, rows) -> PruneDecision:
@@ -141,9 +151,10 @@ def rank_and_prune(network, prune_batch, latency_profile: LatencyProfile, n_p: i
 
 
 def baseline_random(network, n_p, seed) -> PruneDecision:
-    """Uniform block sample without replacement."""
+    """Uniform block sample without replacement, seeded by an integer
+    ``seed`` >= 0."""
     check_n_p(network, n_p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     order = rng.permutation(network.n_blocks) + 1
     chosen = sorted(int(j) for j in order[:n_p])
     rest = sorted(int(j) for j in order[n_p:])
@@ -197,19 +208,19 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     latency saving in ``latency_profile``, the profile the proxy ranks with
     (small loss and large saving rank first).  Each candidate is distilled
     with :class:`DistillConfig`'s default rate and batch, seeded by ``seed``.
-    ``latency_profile`` is checked by :func:`~latecut.profiling.check_profile`
-    before the first pass."""
+    ``latency_profile`` is checked by :func:`~latecut.profiling.check_profile`,
+    and ``k_steps`` (an integer >= 1) and ``seed`` (>= 0), before the first
+    pass."""
     check_n_p(network, n_p)
     check_profile(latency_profile, network)
-    if k_steps < 1:
-        raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
+    config = DistillConfig(steps=_count("k_steps", k_steps, 1), seed=_count("seed", seed, 0))
     batch = np.asarray(prune_batch, dtype=np.float64)
     _, teacher_features = forward(network, batch)
     rows = []
     for block in network.blocks:
         delta_t = latency_saving(latency_profile, {block.block_id})
         student = clone_network(compact(network, {block.block_id}))
-        run = DistillRun(student, cache, DistillConfig(steps=k_steps, seed=seed))
+        run = DistillRun(student, cache, config)
         while not run.done:
             run.step()
         _, student_features = forward(student, batch)

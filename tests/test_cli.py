@@ -75,11 +75,12 @@ def test_flag_defaults_are_the_configs_defaults():
         serve_config.budget_per_tick)
     assert (args.steps, args.lr, args.batch, args.seed) == (
         distill_config.steps, distill_config.lr0, distill_config.batch_size, distill_config.seed)
-    # Only oracle reads --k-steps, and it fills in the default when it runs
-    # (test_oracle_without_k_steps_runs_the_configs_default).
+    # prune fills in --prune-batch and --k-steps only for a method that reads
+    # them (test_prune_batch_default_is_the_serving_default,
+    # test_oracle_without_k_steps_runs_the_configs_default).
     args = parser.parse_args(["prune", "--checkpoint", "c", "--profile", "p", "--np", "1",
                               "--out", "o"])
-    assert args.k_steps is None
+    assert (args.prune_batch, args.k_steps) == (None, None)
 
 
 def test_oracle_without_k_steps_runs_the_configs_default(workspace, monkeypatch):
@@ -100,6 +101,26 @@ def test_oracle_without_k_steps_runs_the_configs_default(workspace, monkeypatch)
     steps = ExperimentConfig().oracle_k_steps
     assert ran == [steps]
     assert json.loads((tmp / "prune_config.json").read_text())["k_steps"] == steps
+
+
+@pytest.mark.parametrize("method", ["proposed", "random"])
+def test_prune_batch_default_is_the_serving_default(workspace, monkeypatch, method):
+    tmp, net, ckpt, data = workspace
+    profile_json, out = tmp / "profile.json", tmp / "decision.json"
+    assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
+    ranked_on = []
+
+    def recorded(*args):
+        ranked_on.append(None if args[2] is None else len(args[2]))  # the prune batch
+        return prune_by_method(*args)
+
+    monkeypatch.setattr(cli, "prune_by_method", recorded)
+    samples = [] if method == "random" else ["--samples", str(data)]
+    assert main(["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json),
+                 "--method", method, "--np", "1", *samples, "--out", str(out)]) == 0
+    rows = None if method == "random" else serving.ServeConfig.prune_batch_size
+    assert ranked_on == [rows]
+    assert json.loads((tmp / "prune_config.json").read_text())["prune_batch"] == rows
 
 
 def test_profile_prune_distill_serve_pipeline(workspace):
@@ -636,8 +657,8 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
     # checked by the command before the library runs
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
     "distill_cached_without_labels", "distill_live_save_cache", "distill_live_cache",
-    "distill_cache_and_samples", "prune_random_samples", "prune_proposed_cache",
-    "prune_proposed_k_steps",
+    "distill_cache_and_samples", "prune_random_samples", "prune_random_prune_batch_0",
+    "prune_proposed_cache", "prune_proposed_k_steps",
     "prune_profile_without_per_block", "prune_profile_T_not_a_number",
     "prune_profile_extra_float_block_id", "prune_profile_float_and_bool_block_ids",
     "prune_profile_duplicate_block_id", "prune_profile_latency_bool",
@@ -736,6 +757,9 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         "prune_random_samples": (prune + ["--method", "random", "--samples",
                                           str(tmp / "nonexistent.bin")],
                                  "method 'random' does not read --samples"),
+        # random reads no prune batch, so it checks no value of the flag
+        "prune_random_prune_batch_0": (prune + ["--method", "random", "--prune-batch", "0"],
+                                       "method 'random' does not read --prune-batch"),
         "prune_proposed_cache": (prune + samples + ["--cache", str(tmp / "nonexistent.bin")],
                                  "method 'proposed' does not read --cache"),
         "prune_proposed_k_steps": (prune + samples + ["--k-steps", "5"],
@@ -755,6 +779,54 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     capsys.readouterr()
     assert main(argv + ["--out", str(out / "result")]) == 2
     assert message in _one_data_error_line(capsys)
+    assert not out.exists()
+
+
+# Each path below is "FILE": a file that does not exist.  The prune and
+# distill flags are settled before any file is read, so every refusal and
+# requirement is reported in place of a missing-file error.
+_PRUNE = ["prune", "--checkpoint", "FILE", "--profile", "FILE", "--np", "1"]
+_DISTILL = ["distill", "--student", "FILE", "--decision", "FILE"]
+
+
+def _prune(method, *flags):
+    samples = [] if method == "random" else ["--samples", "FILE"]
+    return _PRUNE + ["--method", method, *samples, *flags]
+
+
+_REFUSALS = [
+    (_prune("random", "--samples", "FILE"), "method 'random' does not read --samples"),
+    (_prune("random", "--prune-batch", "16"), "method 'random' does not read --prune-batch"),
+    *[(_prune(method, flag, value), f"method '{method}' does not read {flag}")
+      for flag, value in (("--cache", "FILE"), ("--k-steps", "5"))
+      for method in ("proposed", "random", "l2ratio", "curl")],
+    *[(_PRUNE + ["--method", method], f"method '{method}' needs --samples")
+      for method in ("proposed", "l2ratio", "curl", "oracle")],
+    (_prune("oracle"), "method 'oracle' needs --cache"),
+    (_DISTILL + ["--mode", "live", "--teacher", "FILE", "--samples", "FILE", "--cache", "FILE"],
+     "apply only to cached mode"),
+    (_DISTILL + ["--mode", "live", "--teacher", "FILE", "--samples", "FILE",
+                 "--save-cache", "FILE"], "apply only to cached mode"),
+    (_DISTILL + ["--cache", "FILE", "--samples", "FILE"], "--samples does not apply"),
+    *[(_DISTILL + given, "cached mode needs --cache")
+      for given in ([], ["--teacher", "FILE"], ["--samples", "FILE"])],
+    *[(_DISTILL + ["--mode", "live"] + given, "live mode needs --teacher")
+      for given in ([], ["--teacher", "FILE"], ["--samples", "FILE"])],
+]
+
+
+@pytest.mark.parametrize("argv,message", _REFUSALS, ids=[
+    # "prune random --samples": the command, its method or mode and the flags given
+    " ".join(a for a in argv if a not in ("FILE", "--checkpoint", "--profile", "--np", "1",
+                                          "--student", "--decision", "--method", "--mode"))
+    for argv, _ in _REFUSALS
+])
+def test_flag_refusal_reads_no_file(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / f"nonexistent{i}") if a == "FILE" else a for i, a in enumerate(argv)]
+    assert main(argv + ["--out", str(out / "result")]) == 2
+    err = _one_data_error_line(capsys)
+    assert message in err and "No such file" not in err
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError,
 from latecut.network import forward, op_counter, random_network
 from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
+    METHODS,
     baseline_curl,
     baseline_finetune_oracle,
     baseline_l2_ratio,
@@ -202,6 +203,53 @@ class TestRankAndPrune:
             rank_and_prune(net, toy_batch(net), prof, 4)
         with pytest.raises(ConfigError):
             rank_and_prune(net, toy_batch(net), prof, -1)
+
+
+def _method_function(method, net, batch, prof, n_p, cache, k_steps, seed):
+    """The public function behind ``method``, called as prune_by_method calls it."""
+    return {
+        "proposed": lambda: rank_and_prune(net, batch, prof, n_p),
+        "random": lambda: baseline_random(net, n_p, seed),
+        "l2ratio": lambda: baseline_l2_ratio(net, batch, n_p),
+        "curl": lambda: baseline_curl(net, batch, n_p),
+        "oracle": lambda: baseline_finetune_oracle(net, batch, cache, n_p, k_steps, prof, seed),
+    }[method]()
+
+
+def _prune_with_counts(route, method, **counts):
+    """Prune a 3-block network through ``route`` with n_p=1, k_steps=2 and
+    seed=0 except as ``counts`` says, counting passes from the first call."""
+    net = random_network(4, 4, 3, 2, seed=0)
+    batch, prof = toy_batch(net, size=8), profile(net, 8, mode="modeled")
+    cache = build_cache(net, toy_batch(net, size=8, seed=1))
+    counts = {"n_p": 1, "k_steps": 2, "seed": 0, **counts}
+    call = prune_by_method if route == "prune_by_method" else _method_function
+    op_counter.reset()
+    return call(method, net, batch, prof, counts["n_p"], cache, counts["k_steps"], counts["seed"])
+
+
+@pytest.mark.parametrize("route", ["prune_by_method", "function"])
+@pytest.mark.parametrize("method,name,value", [
+    *[(method, "n_p", value) for method in METHODS for value in (True, 1.5, -1, 4)],
+    *[("oracle", "k_steps", value) for value in (2.5, True, 0)],
+    *[(method, "seed", value) for method in ("random", "oracle") for value in (1.5, True, -1)],
+])
+def test_bad_count_is_refused_before_any_pass(route, method, name, value):
+    # A bool is no count: n_p=True would prune one block, seed=True seed 1.
+    with pytest.raises(ConfigError, match=rf"^{name}\b"):
+        _prune_with_counts(route, method, **{name: value})
+    assert op_counter.forward_passes == op_counter.backward_passes == 0
+
+
+@pytest.mark.parametrize("route", ["prune_by_method", "function"])
+@pytest.mark.parametrize("method", METHODS)
+def test_numpy_integer_counts_run_as_their_ints(route, method):
+    ints = _prune_with_counts(route, method)
+    numpy_ints = _prune_with_counts(route, method, n_p=np.int64(1), k_steps=np.int64(2),
+                                    seed=np.int64(0))
+    assert numpy_ints.pruned == ints.pruned
+    assert [(r.block_id, r.importance) for r in numpy_ints.ranked] == [
+        (r.block_id, r.importance) for r in ints.ranked]
 
 
 @pytest.mark.parametrize("method", ["proposed", "l2ratio", "curl", "oracle"])
