@@ -10,12 +10,14 @@ log and no outputs: each output is written once the work is done.  The
 exception is a ``serve`` run that fails after answering: it still writes
 its ``--timeline``, every answer it gave.  Every file is written
 atomically (temp file + rename), creating its directory.
-The LATECUT_SEED environment variable overrides any configured seed, a
-grid's ``seed`` axis included, and the logged configuration shows the seed
-that ran: ``experiment`` logs its resolved base config and grid beside the
-command line.
-``prune`` and ``distill`` settle every flag before they read a file: a flag
-the method or mode does not read is refused, and one it needs is required.
+The LATECUT_SEED environment variable overrides the seed of a run that
+reads one, a grid's ``seed`` axis included (a run that reads none ignores
+it), and the logged configuration shows the seed that ran: ``experiment``
+logs its resolved base config and grid beside the command line.
+``profile``, ``prune`` and ``distill`` settle every flag before they read a
+file: one the method or mode reads takes its default or is required, and
+one it does not read is refused (and logged as null when absent).  Only
+``prune --profile`` is accepted unread (by random, l2ratio and curl).
 
 ``experiment`` runs every config as a grid (one without a grid is a grid of
 one run) and writes ``report_NNN.json`` per run plus ``results.csv``;
@@ -34,7 +36,7 @@ from dataclasses import asdict, replace
 
 from . import formats
 from .distill import DistillConfig, PseudoLabelCache, build_cache, distill, distill_live
-from .errors import ConfigError, LatecutError, NumericError, PartialRunError
+from .errors import ConfigError, LatecutError, NumericError, PartialRunError, check_count
 from .experiment import (
     ExperimentReport,
     experiment_config_from_dict,
@@ -43,7 +45,7 @@ from .experiment import (
     run_grid,
 )
 from .network import KERNEL_PAIR, compact
-from .profiling import profile, profile_from_dict, profile_to_dict
+from .profiling import MODE_MEASURED, profile, profile_from_dict, profile_to_dict
 from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
 from .serving import ServeConfig, serve
 
@@ -98,6 +100,7 @@ def _resolve_seed(seed: int) -> int:
 
 
 def _distill_config(args) -> DistillConfig:
+    args.seed = _resolve_seed(args.seed)  # logged as the seed that ran
     return DistillConfig(steps=args.steps, batch_size=args.batch, lr0=args.lr, seed=args.seed)
 
 
@@ -144,41 +147,53 @@ def _check_cache_teacher(cache, cache_path, teacher, teacher_path) -> None:
 # -- subcommand handlers ---------------------------------------------------
 
 
+def _settle(args, reader, flags) -> None:
+    """Settle each ``(flag, read, default)`` before any file is read: a flag
+    ``reader`` (the run's method or mode) reads takes its default or, having
+    none, is required; one it does not read is refused.  Then LATECUT_SEED
+    applies if the run reads a seed."""
+    for flag, read, default in flags:
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if value is not None and not read:
+            raise ConfigError(f"{reader} does not read {flag}")
+        if value is None and read:
+            if default is None:
+                raise ConfigError(f"{reader} needs {flag}")
+            setattr(args, dest, default)
+    if args.seed is not None:
+        args.seed = _resolve_seed(args.seed)
+
+
 def _cmd_profile(args) -> None:
+    measured = args.mode == MODE_MEASURED
+    _settle(args, f"mode {args.mode!r}",
+            (("--warmup", measured, 3), ("--runs", measured, 9), ("--seed", measured, 0)))
+    timing = {} if not measured else dict(warmup_runs=args.warmup, timed_runs=args.runs,
+                                          seed=args.seed)
     network = formats.load_checkpoint(args.checkpoint)
-    prof = profile(
-        network, args.batch, mode=args.mode, warmup_runs=args.warmup,
-        timed_runs=args.runs, seed=args.seed,
-    )
+    prof = profile(network, args.batch, mode=args.mode, **timing)
     _write_json(args.out, profile_to_dict(prof))
     log.info("profiled %d blocks in %s mode -> %s", network.n_blocks, args.mode, args.out)
 
 
 def _cmd_prune(args) -> None:
-    # A flag the method reads takes its default (logged as what ran) or,
-    # having none, is required; one it does not read is refused.
     batched, oracle = args.method != "random", args.method == "oracle"
-    for flag, read, default in (("--samples", batched, None),
-                                ("--prune-batch", batched, ServeConfig.prune_batch_size),
-                                ("--cache", oracle, None),
-                                ("--k-steps", oracle, ORACLE_K_STEPS)):
-        dest = flag[2:].replace("-", "_")
-        value = getattr(args, dest)
-        if value is not None and not read:
-            raise ConfigError(f"method {args.method!r} does not read {flag}")
-        if value is None and read:
-            if default is None:
-                raise ConfigError(f"method {args.method!r} needs {flag}")
-            setattr(args, dest, default)
+    _settle(args, f"method {args.method!r}",
+            (("--samples", batched, None),
+             ("--prune-batch", batched, ServeConfig.prune_batch_size),
+             ("--cache", oracle, None),
+             ("--k-steps", oracle, ORACLE_K_STEPS),
+             ("--seed", args.method in ("random", "oracle"), 0)))
+    if batched:  # at most the number of samples, once they are read
+        check_count("--prune-batch", args.prune_batch, 1)
     network = formats.load_checkpoint(args.checkpoint)
     with open(args.profile) as fh:
         prof = profile_from_dict(json.load(fh))
     prune_batch = cache = None
     if batched:
         inputs, _ = formats.load_samples(args.samples)
-        if not 1 <= args.prune_batch <= inputs.shape[0]:
-            raise ConfigError(f"--prune-batch {args.prune_batch} must be within "
-                              f"1..{inputs.shape[0]}, the number of samples")
+        check_count("--prune-batch", args.prune_batch, 1, inputs.shape[0])
         prune_batch = inputs[: args.prune_batch]
     if oracle:
         cache = PseudoLabelCache.load(args.cache)
@@ -230,9 +245,6 @@ def _cmd_distill(args) -> None:
 
 
 def _cmd_serve(args) -> None:
-    network = formats.load_checkpoint(args.checkpoint)
-    inputs, labels = formats.load_samples(args.stream)
-    stream = iter(inputs) if labels is None else zip(inputs, labels.tolist())
     config = ServeConfig(
         n_p=args.np,
         prune_batch_size=args.prune_batch,
@@ -240,6 +252,9 @@ def _cmd_serve(args) -> None:
         distill=_distill_config(args),
         budget_per_tick=args.budget,
     )
+    network = formats.load_checkpoint(args.checkpoint)
+    inputs, labels = formats.load_samples(args.stream)
+    stream = iter(inputs) if labels is None else zip(inputs, labels.tolist())
     try:
         final_model, timeline, timings = serve(stream, network, config, args.arrivals_per_tick)
     except PartialRunError as exc:
@@ -316,10 +331,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile", help="measure or model per-block latency")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=["measured", "modeled"], default="modeled")
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--runs", type=int, default=9)
+    p.add_argument("--warmup", type=int, help="warmup passes (measured mode; default 3)")
+    p.add_argument("--runs", type=int, help="timed rounds (measured mode; default 9)")
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="timed batch seed (measured mode; default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_profile)
 
@@ -337,7 +352,7 @@ def build_parser() -> _Parser:
                    help="pseudo-label cache built from --checkpoint (oracle method)")
     p.add_argument("--k-steps", type=int, default=None,
                    help=f"oracle fine-tune steps per block (default {ORACLE_K_STEPS})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random and oracle methods (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
 
@@ -396,8 +411,6 @@ def main(argv=None) -> int:
     # The einsum fallback runs batches several times slower; say which ran.
     log.info("forward kernels: %s", KERNEL_PAIR)
     try:
-        if "seed" in vars(args):  # experiment resolves its config's seed
-            args.seed = _resolve_seed(args.seed)
         args.func(args)
         _log_resolved_config(args)
     except NumericError as exc:

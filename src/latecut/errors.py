@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its two count rules.
 
 The CLI maps these onto exit codes: usage errors exit 1, data/config errors
-exit 2, numeric failures exit 3.
+exit 2, numeric failures exit 3.  A count is never coerced: :func:`check_count`
+decides every integer argument of a library function (a Python or numpy
+integer, not a bool), and :func:`check_ints` a config dataclass's integer
+fields (Python ints only, which the CLI's JSON config log needs).
 """
 
 import numpy as np
@@ -37,6 +40,16 @@ def check_ints(config, **lows) -> None:
 def is_integer(value) -> bool:
     """True for a Python or numpy integer, False for a bool or anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name, value, low, high=None) -> int:
+    """``value`` as a Python int, else ConfigError naming ``name``, its
+    bounds and ``value``: an integer (:func:`is_integer`) within ``low..high``
+    (no upper bound when ``high`` is None)."""
+    if not (is_integer(value) and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"within {low}..{high}"
+        raise ConfigError(f"{name} must be an integer {bounds} (not a bool), got {value!r}")
+    return int(value)
 
 
 class FormatError(LatecutError):

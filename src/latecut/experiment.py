@@ -255,13 +255,6 @@ def run_grid(base: ExperimentConfig, grid: dict) -> list[ExperimentReport]:
     return reports
 
 
-def saturation_knee(reports) -> int:
-    """The smallest cache size whose accuracy is within 0.5 points of the
-    best, over a ``cache_size`` grid's reports in any order."""
-    best = max(report.accuracy for report in reports)
-    return min(report.cache_size for report in reports if report.accuracy >= best - 0.5)
-
-
 def reports_to_csv(reports) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")

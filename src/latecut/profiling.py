@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, is_integer
+from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, check_count, is_integer
 from .network import ResidualNetwork, block_ids, compact, forward
 
 MODE_MEASURED = "measured"
@@ -78,13 +78,11 @@ def _forward_seconds(network, batch) -> float:
 def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9, seed=0):
     """Profile full-network latency and each single-block-skipped latency
     for a batch of ``batch_size`` rows; measured mode times seeded random
-    noise at the network's input width."""
-    for name, value in (("batch size", batch_size), ("warmup_runs", warmup_runs),
-                        ("timed_runs", timed_runs)):
-        if not is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be positive, got {batch_size}")
+    noise at the network's input width.  Either mode first checks its counts:
+    ``batch_size`` and ``warmup_runs`` >= 1, ``timed_runs`` >= 3."""
+    batch_size = check_count("batch_size", batch_size, 1)
+    warmup_runs = check_count("warmup_runs", warmup_runs, 1)
+    timed_runs = check_count("timed_runs", timed_runs, 3)
 
     if mode == MODE_MODELED:
         full = network_cost_macs(network, batch_size)
@@ -96,10 +94,6 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
 
     if mode != MODE_MEASURED:
         raise ConfigError(f"unknown latency mode {mode!r}")
-    if warmup_runs < 1:
-        raise ConfigError(f"measured mode needs warmup_runs >= 1, got {warmup_runs}")
-    if timed_runs < 3:
-        raise ConfigError(f"measured mode needs timed_runs >= 3, got {timed_runs}")
 
     batch = np.random.default_rng(seed).standard_normal((batch_size, network.input_dim))
     views = {block.block_id: compact(network, {block.block_id}) for block in network.blocks}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import log_softmax
 from .distill import DistillConfig, DistillRun, PseudoLabelCache
-from .errors import ConfigError, InvalidBlockError, NumericError, is_integer
+from .errors import ConfigError, InvalidBlockError, NumericError, check_count
 from .network import (
     block_param_count,
     clone_network,
@@ -76,19 +76,9 @@ class PruneDecision:
 
 
 def check_n_p(network, n_p: int) -> None:
-    """ConfigError unless ``n_p`` is an integer (a Python or numpy one, not a
-    bool) and that many blocks of ``network`` can be pruned."""
-    if not (is_integer(n_p) and 0 <= n_p <= network.n_blocks):
-        raise ConfigError(f"n_p={n_p!r} must be an integer within 0..{network.n_blocks} "
-                          f"removable blocks")
-
-
-def _count(name, value, low) -> int:
-    """``value`` as a Python int: ConfigError, naming ``name``, unless it is
-    an integer (a Python or numpy one, not a bool) >= ``low``."""
-    if not (is_integer(value) and value >= low):
-        raise ConfigError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
-    return int(value)
+    """ConfigError unless ``n_p`` is a count of blocks of ``network`` that can
+    be pruned, 0..n (:func:`~latecut.errors.check_count`)."""
+    check_count("n_p", n_p, 0, network.n_blocks)
 
 
 def decide(method, n_p, rows) -> PruneDecision:
@@ -154,7 +144,7 @@ def baseline_random(network, n_p, seed) -> PruneDecision:
     """Uniform block sample without replacement, seeded by an integer
     ``seed`` >= 0."""
     check_n_p(network, n_p)
-    rng = np.random.default_rng(_count("seed", seed, 0))
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     order = rng.permutation(network.n_blocks) + 1
     chosen = sorted(int(j) for j in order[:n_p])
     rest = sorted(int(j) for j in order[n_p:])
@@ -213,7 +203,8 @@ def baseline_finetune_oracle(network, prune_batch, cache: PseudoLabelCache, n_p,
     pass."""
     check_n_p(network, n_p)
     check_profile(latency_profile, network)
-    config = DistillConfig(steps=_count("k_steps", k_steps, 1), seed=_count("seed", seed, 0))
+    config = DistillConfig(steps=check_count("k_steps", k_steps, 1),
+                          seed=check_count("seed", seed, 0))
     batch = np.asarray(prune_batch, dtype=np.float64)
     _, teacher_features = forward(network, batch)
     rows = []

@@ -45,7 +45,7 @@ from .distill import (
     SOURCE_FINAL_BLOCK,
     teacher_labels,
 )
-from .errors import ConfigError, DimensionError, PartialRunError, check_ints, is_integer
+from .errors import DimensionError, PartialRunError, check_count, check_ints, is_integer
 from .formats import network_fingerprint
 from .network import ResidualNetwork, clone_network, compact, forward
 from .pruning import BlockProfile, PruneDecision, check_n_p, decide, initial_noise, score_block
@@ -266,12 +266,6 @@ def _split_sample(sample):
     return np.asarray(sample, dtype=np.float64), None
 
 
-def _arrival_count(count, low):
-    if not is_integer(count) or count < low:
-        raise ConfigError(f"arrivals per tick must be an integer >= {low}, got {count!r}")
-    return count
-
-
 def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_schedule=1):
     """Run the full test-time loop over ``stream``: feed, then drain.
 
@@ -292,9 +286,10 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
     exception is the error's ``__cause__``).
     """
     try:
-        counts = chain((_arrival_count(k, 0) for k in arrival_schedule), repeat(1))
+        counts = chain((check_count("arrivals per tick", k, 0) for k in arrival_schedule),
+                       repeat(1))
     except TypeError:  # not iterable: one count for every tick
-        counts = repeat(_arrival_count(arrival_schedule, 1))
+        counts = repeat(check_count("arrivals per tick", arrival_schedule, 1))
     state = ServingState(pretrained, config)
     timeline = ServingTimeline()
     stream = iter(stream)

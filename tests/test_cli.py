@@ -1,11 +1,15 @@
 import csv
+import inspect
 import io
 import json
 import logging
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from latecut.formats import (
     save_samples,
 )
 from latecut.network import clone_network, compact, forward, random_network
+from latecut.profiling import profile
 from latecut.pruning import prune_by_method
 
 
@@ -75,12 +80,15 @@ def test_flag_defaults_are_the_configs_defaults():
         serve_config.budget_per_tick)
     assert (args.steps, args.lr, args.batch, args.seed) == (
         distill_config.steps, distill_config.lr0, distill_config.batch_size, distill_config.seed)
-    # prune fills in --prune-batch and --k-steps only for a method that reads
-    # them (test_prune_batch_default_is_the_serving_default,
-    # test_oracle_without_k_steps_runs_the_configs_default).
+    # prune and profile fill in a flag's default only where the method or
+    # mode reads it (test_prune_batch_default_is_the_serving_default,
+    # test_oracle_without_k_steps_runs_the_configs_default,
+    # test_unread_flags_log_null_and_latecut_seed_needs_a_reader).
     args = parser.parse_args(["prune", "--checkpoint", "c", "--profile", "p", "--np", "1",
                               "--out", "o"])
-    assert (args.prune_batch, args.k_steps) == (None, None)
+    assert (args.prune_batch, args.k_steps, args.seed) == (None, None, None)
+    args = parser.parse_args(["profile", "--checkpoint", "c", "--out", "o"])
+    assert (args.warmup, args.runs, args.seed) == (None, None, None)
 
 
 def test_oracle_without_k_steps_runs_the_configs_default(workspace, monkeypatch):
@@ -121,6 +129,72 @@ def test_prune_batch_default_is_the_serving_default(workspace, monkeypatch, meth
     rows = None if method == "random" else serving.ServeConfig.prune_batch_size
     assert ranked_on == [rows]
     assert json.loads((tmp / "prune_config.json").read_text())["prune_batch"] == rows
+
+
+def test_unread_flags_log_null_and_latecut_seed_needs_a_reader(workspace, monkeypatch, capsys):
+    tmp, net, ckpt, data = workspace
+    profile_json = tmp / "profile.json"
+
+    def logged(command, *keys):
+        config = json.loads((tmp / f"{command}_config.json").read_text())
+        return [config[key] for key in keys]
+
+    def run(*argv):
+        out = profile_json if argv[0] == "profile" else tmp / "decision.json"
+        return main([*argv, "--out", str(out)])
+
+    # Measured mode reads --warmup, --runs and --seed, with profile's defaults.
+    assert run("profile", "--checkpoint", str(ckpt), "--mode", "measured") == 0
+    defaults = inspect.signature(profile).parameters
+    assert logged("profile", "warmup", "runs", "seed") == [
+        defaults[name].default for name in ("warmup_runs", "timed_runs", "seed")]
+    # A run that reads no seed ignores LATECUT_SEED, however malformed.
+    monkeypatch.setenv("LATECUT_SEED", "abc")
+    assert run("profile", "--checkpoint", str(ckpt)) == 0
+    assert logged("profile", "warmup", "runs", "seed") == [None, None, None]
+    prune = ["prune", "--checkpoint", str(ckpt), "--profile", str(profile_json), "--np", "1"]
+    for method in ("proposed", "l2ratio", "curl"):
+        assert run(*prune, "--method", method, "--samples", str(data)) == 0
+        assert logged("prune", "seed") == [None]
+    # random reads a seed, so LATECUT_SEED is checked and applied.
+    capsys.readouterr()
+    assert run(*prune, "--method", "random") == 2
+    assert "LATECUT_SEED" in _one_data_error_line(capsys)
+    monkeypatch.setenv("LATECUT_SEED", "7")
+    assert run(*prune, "--method", "random", "--seed", "3") == 0
+    assert logged("prune", "seed") == [7]
+    monkeypatch.delenv("LATECUT_SEED")
+    assert run(*prune, "--method", "random") == 0
+    assert logged("prune", "seed") == [0]
+
+
+def _readme_walkthrough() -> list[list[str]]:
+    """Each command of README.md's CLI walkthrough as an argv: comment lines
+    dropped, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    text = "\n".join(line for line in block.splitlines() if not line.lstrip().startswith("#"))
+    return [shlex.split(line) for line in text.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
+    save_checkpoint(random_network(16, 8, 3, 3, seed=0), tmp_path / "model.ckpt")
+    rng = np.random.default_rng(0)
+    save_samples(tmp_path / "data.bin", rng.standard_normal((200, 16)), rng.integers(0, 3, 200))
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "dataset": {"samples_per_split": 300, "class_sep": 2.0},
+        "arch": {"width": 8, "n_blocks": 2}, "prune_batch_size": 16, "cache_size": 16,
+        "distill": {"steps": 2, "batch_size": 8}, "pretrain_epochs": 2}))
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_walkthrough()
+    assert [argv[:2] for argv in commands] == [["latecut", command] for command in (
+        "profile", "prune", "distill", "serve", "experiment", "report")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)
+    for output in ("profile.json", "decision.json", "finetuned.ckpt", "report.json",
+                   "timeline.json", "results/results.csv", "table.csv"):
+        assert (tmp_path / output).exists(), output
 
 
 def test_profile_prune_distill_serve_pipeline(workspace):
@@ -599,6 +673,9 @@ def test_bad_experiment_config_exits_2_before_pretraining(workspace, capsys, mon
 
 @pytest.mark.parametrize("prune_batch", ["-5", "0", "121"])
 def test_prune_batch_outside_sample_count_exits_2(workspace, capsys, prune_batch):
+    # Below 1 is refused as the flag is settled, above the sample count
+    # once the samples are read.
+    message = "1..120" if prune_batch == "121" else "--prune-batch must be an integer >= 1"
     tmp, net, ckpt, data = workspace
     profile_json = tmp / "profile.json"
     assert main(["profile", "--checkpoint", str(ckpt), "--out", str(profile_json)]) == 0
@@ -608,7 +685,7 @@ def test_prune_batch_outside_sample_count_exits_2(workspace, capsys, prune_batch
                  "--out", str(tmp / "decision.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "kind=data" in err and "1..120" in err
+    assert err.count("\n") == 1 and "kind=data" in err and message in err
     assert not (tmp / "decision.json").exists()
 
 
@@ -723,16 +800,17 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     serve = ["serve", "--checkpoint", str(ckpt), "--stream", str(data),
              "--timeline", str(out / "timeline.json")]
     argv, message = {
-        "prune_np_9": (prune + samples + ["--np", "9"], "n_p=9"),
+        "prune_np_9": (prune + samples + ["--np", "9"], "n_p must be an integer within 0..3"),
         "prune_oracle_k_steps_0": (prune + samples + ["--method", "oracle", "--cache", str(cache),
-                                                      "--k-steps", "0"], "k_steps must be >= 1"),
+                                                      "--k-steps", "0"],
+                                   "k_steps must be an integer >= 1"),
         "profile_batch_0": (["profile", "--checkpoint", str(ckpt), "--batch", "0"],
-                            "batch size must be positive"),
+                            "batch_size must be an integer >= 1"),
         "profile_measured_runs_1": (["profile", "--checkpoint", str(ckpt), "--mode", "measured",
-                                     "--runs", "1"], "timed_runs >= 3"),
+                                     "--runs", "1"], "timed_runs must be an integer >= 3"),
         "distill_block_99": (distill + ["--teacher", str(ckpt)] + samples,
                              "block id 99 outside 1..3"),
-        "serve_np_9": (serve + ["--np", "9"], "n_p=9"),
+        "serve_np_9": (serve + ["--np", "9"], "n_p must be an integer within 0..3"),
         "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"], "arrivals per tick"),
         "prune_profile_of_another_network": (prune_with(foreign_profile) + samples,
                                              "not exactly 1..3"),
@@ -782,11 +860,12 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     assert not out.exists()
 
 
-# Each path below is "FILE": a file that does not exist.  The prune and
-# distill flags are settled before any file is read, so every refusal and
+# Each path below is "FILE": a file that does not exist.  The profile, prune
+# and distill flags are settled before any file is read, so every refusal and
 # requirement is reported in place of a missing-file error.
 _PRUNE = ["prune", "--checkpoint", "FILE", "--profile", "FILE", "--np", "1"]
 _DISTILL = ["distill", "--student", "FILE", "--decision", "FILE"]
+_PROFILE = ["profile", "--checkpoint", "FILE"]
 
 
 def _prune(method, *flags):
@@ -803,6 +882,13 @@ _REFUSALS = [
     *[(_PRUNE + ["--method", method], f"method '{method}' needs --samples")
       for method in ("proposed", "l2ratio", "curl", "oracle")],
     (_prune("oracle"), "method 'oracle' needs --cache"),
+    *[(_prune(method, "--seed", "5"), f"method '{method}' does not read --seed")
+      for method in ("proposed", "l2ratio", "curl")],
+    *[(_prune(method, "--prune-batch", value), "--prune-batch must be an integer >= 1")
+      for method, value in (("proposed", "0"), ("l2ratio", "-5"))],
+    *[(_PROFILE + mode + [flag, value], "mode 'modeled' does not read " + flag)
+      for mode in ([], ["--mode", "modeled"])
+      for flag, value in (("--warmup", "2"), ("--runs", "20"), ("--seed", "5"))],
     (_DISTILL + ["--mode", "live", "--teacher", "FILE", "--samples", "FILE", "--cache", "FILE"],
      "apply only to cached mode"),
     (_DISTILL + ["--mode", "live", "--teacher", "FILE", "--samples", "FILE",
@@ -918,8 +1004,7 @@ def test_subcommands_idempotent_in_modeled_mode(workspace):
     for out in (decision_a, decision_b):
         assert main([
             "prune", "--checkpoint", str(ckpt), "--profile", str(profile_a),
-            "--np", "1", "--prune-batch", "16", "--samples", str(data),
-            "--seed", "4", "--out", str(out),
+            "--np", "1", "--prune-batch", "16", "--samples", str(data), "--out", str(out),
         ]) == 0
     assert decision_a.read_bytes() == decision_b.read_bytes()
     tuned_a, tuned_b = tmp / "ta.ckpt", tmp / "tb.ckpt"

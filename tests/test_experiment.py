@@ -23,7 +23,6 @@ from latecut.experiment import (
     run_cache_size,
     run_experiment,
     run_grid,
-    saturation_knee,
 )
 from latecut.network import parameter_count
 from latecut.profiling import latency_saving, profile
@@ -252,30 +251,12 @@ class TestGridAxes:
 
 
 class TestSweepCacheSizes:
-    def test_knee_detection(self):
-        config = small_config(
-            seed=4,
-            dataset=replace(small_config().dataset, seed=4),
-            distill=DistillConfig(steps=20, batch_size=16),
-        )
-        reports = run_grid(config, {"cache_size": [8, 16, 32, 64]})
-        assert [report.cache_size for report in reports] == [8, 16, 32, 64]
-        knee = saturation_knee(reports)
-        best = max(report.accuracy for report in reports)
-        assert {report.cache_size: report.accuracy for report in reports}[knee] >= best - 0.5
-
     def test_pretrains_once_for_all_sizes(self, monkeypatch):
         calls = counting_pretrain(monkeypatch)
         config = small_config(distill=DistillConfig(steps=2, batch_size=16), pretrain_epochs=2)
         reports = run_grid(config, {"cache_size": [8, 16, 32]})
-        assert len(reports) == 3
+        assert [report.cache_size for report in reports] == [8, 16, 32]
         assert len(calls) == 1
-
-    def test_knee_is_the_smallest_size_within_half_a_point(self):
-        reports = [SimpleNamespace(cache_size=size, accuracy=accuracy)
-                   for size, accuracy in [(8, 60.0), (16, 79.6), (32, 80.0), (64, 79.9)]]
-        assert saturation_knee(reports) == 16
-        assert saturation_knee(reports[::-1]) == 16  # whatever the grid's order
 
 
 class TestConfigParsing:

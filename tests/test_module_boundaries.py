@@ -2,7 +2,8 @@
 of the method cannot be re-implemented behind another module's private
 helper; only ``network.compact`` turns a skip set into a network; only
 ``network._stack_pass`` runs the forward kernels; only
-``profiling.check_profile`` refuses a block's latency saving; and every
+``profiling.check_profile`` refuses a block's latency saving; only
+``errors.check_count`` decides a count a library function takes; and every
 name has one import path, the module that defines it, since the package
 root is its docstring alone."""
 
@@ -150,6 +151,20 @@ def test_only_check_profile_refuses_a_latency_saving():
         if (names := users_of("DegenerateBlockError", path.read_text(encoding="utf-8")))
     }
     assert users == {"profiling.py": ["check_profile"]}
+
+
+def test_only_check_count_decides_a_count():
+    """One implementation of the count rule for library arguments: besides
+    ``check_count``, ``is_integer`` checks only a block id (``block_ids``,
+    ``profile_from_dict``) and an arrival's label (``_split_sample``), which
+    are no counts."""
+    users = {
+        path.name: sorted(set(names))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := users_of("is_integer", path.read_text(encoding="utf-8")))
+    }
+    assert users == {"errors.py": ["check_count"], "network.py": ["block_ids"],
+                     "profiling.py": ["profile_from_dict"], "serving.py": ["_split_sample"]}
 
 
 def test_package_root_is_its_docstring_only():

@@ -6,7 +6,7 @@ import pytest
 
 from latecut import profiling
 from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError
-from latecut.network import random_network
+from latecut.network import op_counter, random_network
 from latecut.profiling import (
     LatencyProfile,
     _measure_lock,
@@ -189,17 +189,22 @@ def test_profile_json_roundtrip():
     ]
 
 
-@pytest.mark.parametrize("counts", [
-    {"batch_size": 2.9}, {"batch_size": True}, {"batch_size": "8"},
-    {"warmup_runs": 1.5}, {"timed_runs": 9.0}, {"timed_runs": np.bool_(True)},
-], ids=["batch_float", "batch_bool", "batch_str", "warmup_float", "runs_float", "runs_np_bool"])
+@pytest.mark.parametrize("name,value", [
+    ("batch_size", 2.9), ("batch_size", True), ("batch_size", "8"), ("batch_size", 0),
+    ("warmup_runs", 1.5), ("warmup_runs", 0),
+    ("timed_runs", 9.0), ("timed_runs", np.bool_(True)), ("timed_runs", 2),
+], ids=["batch_float", "batch_bool", "batch_str", "batch_0", "warmup_float", "warmup_0",
+        "runs_float", "runs_np_bool", "runs_2"])
 @pytest.mark.parametrize("mode", ["modeled", "measured"])
-def test_profile_counts_are_integers(mode, counts):
-    """A count is never coerced: ``int(2.9)`` would profile batch 2."""
+def test_profile_counts_are_integers(mode, name, value):
+    """A count is never coerced (``int(2.9)`` would profile batch 2), and
+    each is checked in either mode before any pass."""
     net = random_network(4, 4, 2, 2, seed=0)
-    kwargs = dict(batch_size=8, warmup_runs=1, timed_runs=3) | counts
-    with pytest.raises(ConfigError, match="must be an integer"):
+    kwargs = dict(batch_size=8, warmup_runs=1, timed_runs=3) | {name: value}
+    low = 3 if name == "timed_runs" else 1
+    with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= {low} .* got "):
         profile(net, mode=mode, **kwargs)
+    assert op_counter.forward_passes == 0
     numpy_counts = profile(net, np.int64(8), mode=mode, warmup_runs=np.int32(1),
                            timed_runs=np.uint8(3))
     assert numpy_counts.skipped_latency.keys() == {1, 2}

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from latecut.distill import build_cache
-from latecut.errors import ConfigError, DegenerateBlockError, InvalidBlockError, NumericError
+from latecut.errors import (
+    ConfigError,
+    DegenerateBlockError,
+    InvalidBlockError,
+    NumericError,
+    check_count,
+)
 from latecut.network import forward, op_counter, random_network
 from latecut.profiling import LatencyProfile, profile
 from latecut.pruning import (
@@ -205,6 +211,17 @@ class TestRankAndPrune:
             rank_and_prune(net, toy_batch(net), prof, -1)
 
 
+def test_check_count_returns_a_python_int_or_names_the_bounds():
+    for value in (2, np.int64(2), np.uint8(2)):
+        assert type(check_count("n_p", value, 0, 3)) is int
+    assert check_count("seed", 10**30, 0) == 10**30  # no upper bound by default
+    for value, bounds in ((4, "within 0..3"), (-1, "within 0..3"), (True, "within 0..3")):
+        with pytest.raises(ConfigError, match=rf"^n_p must be an integer {bounds} .*got {value!r}$"):
+            check_count("n_p", value, 0, 3)
+    with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0 .*got '1'$"):
+        check_count("seed", "1", 0)
+
+
 def _method_function(method, net, batch, prof, n_p, cache, k_steps, seed):
     """The public function behind ``method``, called as prune_by_method calls it."""
     return {
@@ -233,10 +250,13 @@ def _prune_with_counts(route, method, **counts):
     *[(method, "n_p", value) for method in METHODS for value in (True, 1.5, -1, 4)],
     *[("oracle", "k_steps", value) for value in (2.5, True, 0)],
     *[(method, "seed", value) for method in ("random", "oracle") for value in (1.5, True, -1)],
+    *[pytest.param(method, name, np.bool_(True), id=f"{method}-{name}-np_bool")
+      for method, name in [(method, "n_p") for method in METHODS]
+      + [("oracle", "k_steps"), ("random", "seed"), ("oracle", "seed")]],
 ])
 def test_bad_count_is_refused_before_any_pass(route, method, name, value):
     # A bool is no count: n_p=True would prune one block, seed=True seed 1.
-    with pytest.raises(ConfigError, match=rf"^{name}\b"):
+    with pytest.raises(ConfigError, match=rf"^{name} must be an integer (>= 0|>= 1|within 0\.\.3) "):
         _prune_with_counts(route, method, **{name: value})
     assert op_counter.forward_passes == op_counter.backward_passes == 0
 

@@ -313,7 +313,8 @@ class TestServe:
             _, timeline, numpy_timings = serve(iter(xs), net, small_config(), numpy)
             assert timeline == expected and numpy_timings == timings
 
-    @pytest.mark.parametrize("count", [True, 0, -1, 2.5], ids=["bool", "zero", "negative", "float"])
+    @pytest.mark.parametrize("count", [True, 0, -1, 2.5, np.bool_(True)],
+                             ids=["bool", "zero", "negative", "float", "np_bool"])
     def test_bad_arrival_count_raises_before_anything_is_profiled(self, monkeypatch, count):
         net = random_network(4, 4, 2, 3, seed=9)
 
@@ -323,6 +324,7 @@ class TestServe:
         monkeypatch.setattr(serving, "profile", no_profile)
         with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 1"):
             serve(iter(make_stream(net, 20)), net, small_config(), count)
+        assert op_counter.forward_passes == op_counter.backward_passes == 0
 
     def test_degenerate_profile_raises_before_any_tick(self, monkeypatch):
         net = random_network(4, 4, 3, 3, seed=9)
@@ -342,7 +344,8 @@ class TestServe:
         assert ticks == []
         assert op_counter.forward_passes == 0
 
-    @pytest.mark.parametrize("entry", [2.7, True, -1], ids=["float", "bool", "negative"])
+    @pytest.mark.parametrize("entry", [2.7, True, -1, np.bool_(True)],
+                             ids=["float", "bool", "negative", "np_bool"])
     def test_bad_schedule_entry_raises_when_its_tick_comes(self, monkeypatch, entry):
         net = random_network(4, 4, 2, 3, seed=9)
         real_tick = serving.tick
@@ -356,6 +359,11 @@ class TestServe:
         with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 0"):
             serve(iter(make_stream(net, 20)), net, small_config(), [2, 0, entry, 1])
         assert ticks == [2, 0]
+        op_counter.reset()
+        with pytest.raises(ConfigError, match="arrivals per tick must be an integer >= 0"):
+            serve(iter(make_stream(net, 20)), net, small_config(), [entry, 1])
+        assert ticks == [2, 0]  # a first entry that is no count: no tick, no pass
+        assert op_counter.forward_passes == op_counter.backward_passes == 0
 
     # The unit that raises, as (kind, index): the baseline pass, a block's
     # score, a cache sample's label or a distillation step.  small_config on a
