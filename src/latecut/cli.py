@@ -46,7 +46,7 @@ from .experiment import (
 )
 from .network import KERNEL_PAIR, compact
 from .profiling import MODE_MEASURED, profile, profile_from_dict, profile_to_dict
-from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
+from .pruning import METHODS, ORACLE_K_STEPS, check_n_p, prune_by_method
 from .serving import ServeConfig, serve
 
 log = logging.getLogger("latecut")
@@ -89,14 +89,12 @@ def _resolve_seed(seed: int) -> int:
     """``seed``, or the LATECUT_SEED environment variable when it is set;
     ConfigError unless the result is a non-negative integer."""
     env = os.environ.get("LATECUT_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"LATECUT_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    if env is None:
+        return check_count("seed", seed, 0)
+    try:
+        return check_count("LATECUT_SEED", int(env), 0)
+    except ValueError as exc:
+        raise ConfigError(f"LATECUT_SEED must be an integer, got {env!r}") from exc
 
 
 def _distill_config(args) -> DistillConfig:
@@ -171,6 +169,7 @@ def _cmd_profile(args) -> None:
             (("--warmup", measured, 3), ("--runs", measured, 9), ("--seed", measured, 0)))
     timing = {} if not measured else dict(warmup_runs=args.warmup, timed_runs=args.runs,
                                           seed=args.seed)
+    check_count("--batch", args.batch, 1)
     network = formats.load_checkpoint(args.checkpoint)
     prof = profile(network, args.batch, mode=args.mode, **timing)
     _write_json(args.out, profile_to_dict(prof))
@@ -245,6 +244,7 @@ def _cmd_distill(args) -> None:
 
 
 def _cmd_serve(args) -> None:
+    check_count("--arrivals-per-tick", args.arrivals_per_tick, 1)
     config = ServeConfig(
         n_p=args.np,
         prune_batch_size=args.prune_batch,
@@ -253,6 +253,7 @@ def _cmd_serve(args) -> None:
         budget_per_tick=args.budget,
     )
     network = formats.load_checkpoint(args.checkpoint)
+    check_n_p(network, config.n_p)
     inputs, labels = formats.load_samples(args.stream)
     stream = iter(inputs) if labels is None else zip(inputs, labels.tolist())
     try:

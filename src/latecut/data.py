@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, TrainingDivergedError, check_ints
+from .errors import (ConfigError, DimensionError, TrainingDivergedError, check_choice, check_ints,
+                     check_real)
 from .network import (
     ResidualNetwork,
     backprop_from_outputs,
@@ -29,20 +30,14 @@ from .network import (
 SHIFT_KINDS = ("none", "additive_noise", "smoothing", "scaling", "rotation_mix")
 
 
-def _check_scale(name, value) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-
-
 @dataclass
 class ShiftSpec:
     kind: str = "none"
     severity: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SHIFT_KINDS:
-            raise ConfigError(f"unknown shift kind {self.kind!r}")
-        _check_scale("shift severity", self.severity)
+        check_choice("shift kind", self.kind, SHIFT_KINDS)
+        self.severity = check_real("shift severity", self.severity)
 
 
 @dataclass
@@ -57,8 +52,8 @@ class DatasetSpec:
 
     def __post_init__(self):
         check_ints(self, num_classes=1, input_dim=1, samples_per_split=1, seed=0)
-        _check_scale("class_sep", self.class_sep)
-        _check_scale("noise_sigma", self.noise_sigma)
+        self.class_sep = check_real("class_sep", self.class_sep)
+        self.noise_sigma = check_real("noise_sigma", self.noise_sigma)
 
 
 def _class_means(spec: DatasetSpec) -> np.ndarray:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, check_ints
+from .errors import (ConfigError, DimensionError, NumericError, check_choice, check_count,
+                     check_ints, check_real)
 from .formats import load_cache_file, network_fingerprint, save_cache_file
 from .network import (
     ResidualNetwork,
@@ -52,9 +53,7 @@ LR_DECAY_EVERY_FRACTION = 0.4
 
 def check_feature_source(feature_source) -> str:
     """``feature_source`` if it names a label source, else ConfigError."""
-    if feature_source not in (SOURCE_FINAL_BLOCK, SOURCE_POOLED):
-        raise ConfigError(f"unknown feature source {feature_source!r}")
-    return feature_source
+    return check_choice("feature source", feature_source, (SOURCE_FINAL_BLOCK, SOURCE_POOLED))
 
 
 def label_pixels(feature_source, width: int) -> int:
@@ -106,8 +105,7 @@ class DistillConfig:
 
     def __post_init__(self):
         check_ints(self, steps=0, batch_size=1, seed=0)
-        if not (math.isfinite(self.lr0) and self.lr0 > 0):
-            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
+        self.lr0 = check_real("lr0", self.lr0, positive=True)
 
 
 @dataclass
@@ -137,8 +135,7 @@ def lr_at(step: int, config: DistillConfig) -> float:
 def required_dataset_size(student_param_count: int, pixels_per_label: int) -> int:
     """Fine-tuning set size below which overfitting is likely: the student's
     parameter count divided by the per-label pixel count, rounded up."""
-    if pixels_per_label < 1:
-        raise ConfigError(f"pixels_per_label must be >= 1, got {pixels_per_label}")
+    check_count("pixels_per_label", pixels_per_label, 1)
     return max(1, math.ceil(student_param_count / pixels_per_label))
 
 

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and its two count rules.
+"""Exception hierarchy shared across the package, and its setting rules.
 
 The CLI maps these onto exit codes: usage errors exit 1, data/config errors
-exit 2, numeric failures exit 3.  A count is never coerced: :func:`check_count`
-decides every integer argument of a library function (a Python or numpy
-integer, not a bool), and :func:`check_ints` a config dataclass's integer
-fields (Python ints only, which the CLI's JSON config log needs).
+exit 2, numeric failures exit 3.  A setting is never coerced:
+:func:`check_count` decides every integer, :func:`check_real` every real
+number and :func:`check_choice` every name, and config dataclasses store
+what they return, Python numbers, which the CLI's JSON config log needs.
 """
+
+import math
 
 import numpy as np
 
@@ -26,17 +28,6 @@ class ConfigError(LatecutError):
     """A configuration value is out of range or inconsistent."""
 
 
-def check_ints(config, **lows) -> None:
-    """ConfigError unless each named field of ``config`` is a Python int,
-    not a bool or numpy integer, >= its bound: config fields stay Python
-    ints, which the CLI's JSON config log needs."""
-    for name, low in lows.items():
-        value = getattr(config, name)
-        if type(value) is not int or value < low:
-            raise ConfigError(f"{type(config).__name__}.{name} must be a Python int >= {low} "
-                              f"(not a bool or numpy integer), got {value!r}")
-
-
 def is_integer(value) -> bool:
     """True for a Python or numpy integer, False for a bool or anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -50,6 +41,36 @@ def check_count(name, value, low, high=None) -> int:
         bounds = f">= {low}" if high is None else f"within {low}..{high}"
         raise ConfigError(f"{name} must be an integer {bounds} (not a bool), got {value!r}")
     return int(value)
+
+
+def check_ints(config, **lows) -> None:
+    """Store each named field of ``config`` back as :func:`check_count`'s int >= its bound."""
+    for name, low in lows.items():
+        setattr(config, name, check_count(f"{type(config).__name__}.{name}",
+                                          getattr(config, name), low))
+
+
+def check_real(name, value, positive=False) -> float:
+    """``value`` as a Python float, else ConfigError naming ``name`` and
+    ``value``: a Python or numpy real, not a bool, finite and >= 0 (> 0
+    when ``positive``).  An int too large for a float is refused."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond every float
+        number = math.nan
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise ConfigError(f"{name} must be a finite real {'>' if positive else '>='} 0 "
+                          f"(not a bool), got {value!r}")
+    return number
+
+
+def check_choice(name, value, choices):
+    """``value`` if it is one of ``choices``, else ConfigError naming
+    ``name``, ``value`` and the choices."""
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; choose from {list(choices)}")
+    return value
 
 
 class FormatError(LatecutError):

@@ -34,7 +34,7 @@ from .distill import (
     label_pixels,
     required_dataset_size,
 )
-from .errors import ConfigError, check_ints
+from .errors import ConfigError, check_choice, check_count, check_ints
 from .network import clone_network, square_parameter_count
 from .profiling import latency_saving, profile
 from .pruning import METHODS, ORACLE_K_STEPS, prune_by_method
@@ -82,20 +82,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown pruning method {self.method!r}; choose from {METHODS}")
-        if self.distill_mode not in ("cached", "live"):
-            raise ConfigError(f"distill_mode must be cached or live, got {self.distill_mode!r}")
-        if self.pf_source not in ("test", "train"):
-            raise ConfigError(f"pf_source must be test or train, got {self.pf_source!r}")
+        check_choice("pruning method", self.method, METHODS)
+        check_choice("distill_mode", self.distill_mode, ("cached", "live"))
+        check_choice("pf_source", self.pf_source, ("test", "train"))
         check_feature_source(self.feature_source)
-        arch = self.arch if isinstance(self.arch, dict) else {}
-        if set(arch) != {"width", "n_blocks"} or not all(
-                type(value) is int and value >= 1 for value in arch.values()):
-            raise ConfigError(f"arch takes exactly a positive integer width and n_blocks, "
-                              f"got {self.arch!r}")
-        if type(self.n_p) is not int or not 0 <= self.n_p <= arch["n_blocks"]:
-            raise ConfigError(f"n_p={self.n_p!r} outside 0..{arch['n_blocks']} removable blocks")
+        if not isinstance(self.arch, dict) or set(self.arch) != {"width", "n_blocks"}:
+            raise ConfigError(f"arch takes exactly a width and n_blocks, got {self.arch!r}")
+        self.arch = {key: check_count(f"arch.{key}", value, 1) for key, value in self.arch.items()}
+        self.n_p = check_count("n_p", self.n_p, 0, self.arch["n_blocks"])
         check_ints(self, prune_batch_size=1, pretrain_epochs=0, oracle_k_steps=1, seed=0)
         if self.cache_size is not None:
             check_ints(self, cache_size=1)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateBlockError, InvalidBlockError, check_count, is_integer
+from .errors import (ConfigError, DegenerateBlockError, InvalidBlockError, check_choice,
+                     check_count, check_real, is_integer)
 from .network import ResidualNetwork, block_ids, compact, forward
 
 MODE_MEASURED = "measured"
@@ -78,11 +79,13 @@ def _forward_seconds(network, batch) -> float:
 def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9, seed=0):
     """Profile full-network latency and each single-block-skipped latency
     for a batch of ``batch_size`` rows; measured mode times seeded random
-    noise at the network's input width.  Either mode first checks its counts:
-    ``batch_size`` and ``warmup_runs`` >= 1, ``timed_runs`` >= 3."""
+    noise at the network's input width.  Either mode first checks ``mode``,
+    ``batch_size`` and ``warmup_runs`` >= 1, ``timed_runs`` >= 3, ``seed`` >= 0."""
+    check_choice("latency mode", mode, (MODE_MEASURED, MODE_MODELED))
     batch_size = check_count("batch_size", batch_size, 1)
     warmup_runs = check_count("warmup_runs", warmup_runs, 1)
     timed_runs = check_count("timed_runs", timed_runs, 3)
+    seed = check_count("seed", seed, 0)
 
     if mode == MODE_MODELED:
         full = network_cost_macs(network, batch_size)
@@ -91,9 +94,6 @@ def profile(network, batch_size, mode=MODE_MODELED, warmup_runs=3, timed_runs=9,
             for block in network.blocks
         }
         return LatencyProfile(MODE_MODELED, full, skipped)
-
-    if mode != MODE_MEASURED:
-        raise ConfigError(f"unknown latency mode {mode!r}")
 
     batch = np.random.default_rng(seed).standard_normal((batch_size, network.input_dim))
     views = {block.block_id: compact(network, {block.block_id}) for block in network.blocks}
@@ -153,32 +153,18 @@ def profile_to_dict(prof: LatencyProfile) -> dict:
 
 
 def profile_from_dict(payload: dict) -> LatencyProfile:
-    """The profile a :func:`profile_to_dict` payload holds.  Block ids must
-    be unique integers and ``T`` and every latency positive, finite numbers
-    (JSON's, so not bools or strings), else ConfigError."""
+    """The profile a :func:`profile_to_dict` payload holds, else ConfigError:
+    block ids must be unique integers, ``T`` and every latency positive
+    finite reals (:func:`~latecut.errors.check_real`) and ``mode`` a mode."""
     try:
-        mode = payload["mode"]
-        full = _number("T", payload["T"])
-        skipped = {}
-        for row in payload["per_block"]:
-            block_id = row["block_id"]
-            if not is_integer(block_id) or block_id in skipped:
-                raise TypeError(f"block id {block_id!r} is not a unique integer")
-            skipped[int(block_id)] = _number(f"block {block_id} latency", row["latency"])
-    except (KeyError, TypeError, OverflowError) as exc:
+        mode, full = payload["mode"], payload["T"]
+        rows = [(row["block_id"], row["latency"]) for row in payload["per_block"]]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed profile payload: {exc}") from exc
-    if mode not in (MODE_MEASURED, MODE_MODELED):
-        raise ConfigError(f"unknown latency mode {mode!r}")
-    if not 0 < full < np.inf:
-        raise ConfigError(f"profile T must be positive and finite, got {full}")
-    for block_id, latency in skipped.items():
-        if not 0 < latency < np.inf:
-            raise ConfigError(f"block {block_id} latency must be positive and finite, "
-                              f"got {latency}")
-    return LatencyProfile(mode, full, skipped)
-
-
-def _number(name, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} {value!r} is not a number")
-    return float(value)
+    skipped = {}
+    for block_id, latency in rows:
+        if not is_integer(block_id) or block_id in skipped:
+            raise ConfigError(f"malformed profile payload: {block_id!r} is no unique block id")
+        skipped[int(block_id)] = check_real(f"block {block_id} latency", latency, positive=True)
+    return LatencyProfile(check_choice("latency mode", mode, (MODE_MEASURED, MODE_MODELED)),
+                          check_real("profile T", full, positive=True), skipped)

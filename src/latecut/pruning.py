@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import log_softmax
 from .distill import DistillConfig, DistillRun, PseudoLabelCache
-from .errors import ConfigError, InvalidBlockError, NumericError, check_count
+from .errors import ConfigError, InvalidBlockError, NumericError, check_choice, check_count
 from .network import (
     block_param_count,
     clone_network,
@@ -232,6 +232,7 @@ def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfil
     """Prune with one of :data:`METHODS`.  ``random`` ignores the prune
     batch; ``oracle`` needs ``cache`` and fine-tunes each candidate for
     ``k_steps``; ``seed`` seeds ``random`` and the oracle's distillation."""
+    check_choice("pruning method", method, METHODS)
     if method == "proposed":
         return rank_and_prune(network, prune_batch, latency_profile, n_p)
     if method == "random":
@@ -240,10 +241,7 @@ def prune_by_method(method, network, prune_batch, latency_profile: LatencyProfil
         return baseline_l2_ratio(network, prune_batch, n_p)
     if method == "curl":
         return baseline_curl(network, prune_batch, n_p)
-    if method == "oracle":
-        if cache is None:
-            raise ConfigError("method 'oracle' needs a pseudo-label cache to distill against")
-        return baseline_finetune_oracle(
-            network, prune_batch, cache, n_p, k_steps, latency_profile, seed
-        )
-    raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")
+    if cache is None:  # oracle
+        raise ConfigError("method 'oracle' needs a pseudo-label cache to distill against")
+    return baseline_finetune_oracle(network, prune_batch, cache, n_p, k_steps, latency_profile,
+                                    seed)

@@ -281,9 +281,11 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
     stream: n - n_p blocks, numbered 1..n - n_p as a checkpoint numbers
     them.
     Raises :class:`PartialRunError`, carrying the timeline, if the stream
-    ends before the prune batch and cache can be seeded, or, once the whole
-    stream has been answered, if background work failed (the unit's
-    exception is the error's ``__cause__``).
+    ends before the prune batch and cache can be seeded, if an arrival is
+    malformed once a sample was answered (its :class:`DimensionError`,
+    raised as is before any answer, is the ``__cause__``), or, once the
+    whole stream has been answered, if background work failed (the unit's
+    exception is the ``__cause__``).
     """
     try:
         counts = chain((check_count("arrivals per tick", k, 0) for k in arrival_schedule),
@@ -295,7 +297,13 @@ def serve(stream, pretrained: ResidualNetwork, config: ServeConfig, arrival_sche
     stream = iter(stream)
     for count in counts:
         arrivals = list(islice(stream, count))
-        timeline.records.extend(tick(state, arrivals))
+        try:
+            timeline.records.extend(tick(state, arrivals))
+        except DimensionError as exc:
+            if not state.samples_seen:
+                raise
+            raise PartialRunError(f"{exc} at tick {state.tick_index}, after "
+                                  f"{state.samples_seen} answered samples", timeline) from exc
         if len(arrivals) < count:
             break
     while state.phase is not Phase.SERVING and state.phase is not Phase.FAILED:

@@ -579,7 +579,8 @@ def test_negative_seed_exits_2_before_any_work(workspace, capsys, monkeypatch, c
         argv = args[command] + ["--seed", "-1"]
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 2
-    assert "non-negative" in _one_data_error_line(capsys)
+    name = "LATECUT_SEED" if command == "env" else "seed"
+    assert f"{name} must be an integer >= 0" in _one_data_error_line(capsys)
     assert not out.exists() and not (tmp / "timeline.json").exists()
 
 
@@ -601,13 +602,21 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"dataset": {"seed": -2}}, "DatasetSpec.seed"),
     ({"dataset": {"shift": {"kind": "scaling", "severity": float("nan")}}}, "severity"),
     ({"dataset": {"class_sep": float("inf")}}, "class_sep"),
+    # JSON true is no real number: it would run as 1.0 and be logged as true.
+    ({"dataset": {"shift": {"kind": "scaling", "severity": True}}}, "shift severity must be"),
+    ({"dataset": {"class_sep": True}}, "class_sep must be a finite real >= 0"),
+    ({"dataset": {"noise_sigma": True}}, "noise_sigma must be a finite real >= 0"),
+    ({"distill": {"lr0": True}}, "lr0 must be a finite real > 0"),
+    ({"distill": {"lr0": "0.1"}}, "lr0 must be a finite real > 0"),
+    ({"distill": {"lr0": 0}}, "lr0 must be a finite real > 0"),
+    ({"dataset": {"shift": {"kind": "blur"}}}, "unknown shift kind 'blur'"),
     ({"arch": {"width": 0, "n_blocks": 2}}, "arch"),
     ({"arch": {"width": 8, "n_blocks": 2, "widht": 3}}, "widht"),  # pretraining would ignore it
     ({"pretrain_epochs": -1}, "pretrain_epochs"),
     # A grid is checked whole: its valid first entry must not start work either.
     ({"grid": {"method": ["proposed", "bogus"]}}, "bogus"),
     ({"grid": {"seed": [2, -1]}}, "seed must be"),
-    ({"grid": {"n_p": [1, 5]}}, "n_p=5"),  # the default arch has 4 blocks
+    ({"grid": {"n_p": [1, 5]}}, "n_p must be an integer within 0..4"),  # the default arch
     ({"grid": {"cache_size": [16, 1990]}}, "samples_per_split=2000"),
     ({"grid": {"distill_mode": ["cached", "lived"]}}, "lived"),
     ({"grid": {"pf_source": ["test", "val"]}}, "val"),
@@ -644,7 +653,9 @@ def test_decision_file_pruned_must_be_a_list_of_ints(workspace, capsys, pruned):
     ({"feature_source": "pooled", "pretrain_epochs": 300}, "= 2563 samples"),
     ({"kappa": -1}, "kappa"),  # no setting: cache_size or the sizing rule sizes the cache
     ({"method": "oracle", "oracle_k_steps": 0}, "oracle_k_steps"),
-], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "arch_width_0", "arch_typo",
+], ids=["seed", "dataset_seed", "severity_nan", "class_sep_inf", "severity_bool", "class_sep_bool",
+        "noise_sigma_bool", "lr0_bool", "lr0_string", "lr0_0", "shift_kind", "arch_width_0",
+        "arch_typo",
         "pretrain_epochs", "grid_method", "grid_seed", "grid_n_p", "grid_cache_size",
         "grid_distill_mode", "grid_pf_source", "grid_seed_empty", "grid_method_empty",
         "grid_old_key", "config_list", "grid_list", "dataset_list", "shift_string",
@@ -728,10 +739,10 @@ def test_output_dir_overrides_where_the_config_is_logged(workspace):
 
 @pytest.mark.parametrize("case", [
     # checked by the library once the work has begun
-    "prune_np_9", "prune_oracle_k_steps_0", "profile_batch_0", "profile_measured_runs_1",
-    "distill_block_99", "serve_np_9", "serve_arrivals_per_tick_0",
-    "prune_profile_of_another_network",
+    "prune_np_9", "prune_oracle_k_steps_0", "profile_measured_runs_1",
+    "distill_block_99", "prune_profile_of_another_network",
     # checked by the command before the library runs
+    "profile_batch_0", "serve_np_9", "serve_np_9_before_the_stream", "serve_arrivals_per_tick_0",
     "prune_without_samples", "prune_oracle_without_cache", "prune_oracle_cache_of_another_teacher",
     "distill_cached_without_labels", "distill_live_save_cache", "distill_live_cache",
     "distill_cache_and_samples", "prune_random_samples", "prune_random_prune_batch_0",
@@ -762,7 +773,8 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
     t_not_a_number = tmp / "t_not_a_number.json"
     t_not_a_number.write_text(json.dumps({**json.loads(profile_json.read_text()), "T": "fast"}))
     # Coerced, each of these would read as another profile: 1.9 would
-    # replace block 1's row, and 1.7 and true would collapse into block 1.
+    # replace block 1's row, 1.7 and true would collapse into block 1, and
+    # a latency of true would read as 1.0.
     bad_profiles = {}
     for name, edit in {
         "extra_float_block_id": lambda p, rows: rows + [{"block_id": 1.9, "latency": 0.5 * p["T"]}],
@@ -805,13 +817,19 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
                                                       "--k-steps", "0"],
                                    "k_steps must be an integer >= 1"),
         "profile_batch_0": (["profile", "--checkpoint", str(ckpt), "--batch", "0"],
-                            "batch_size must be an integer >= 1"),
+                            "--batch must be an integer >= 1"),
         "profile_measured_runs_1": (["profile", "--checkpoint", str(ckpt), "--mode", "measured",
                                      "--runs", "1"], "timed_runs must be an integer >= 3"),
         "distill_block_99": (distill + ["--teacher", str(ckpt)] + samples,
                              "block id 99 outside 1..3"),
         "serve_np_9": (serve + ["--np", "9"], "n_p must be an integer within 0..3"),
-        "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"], "arrivals per tick"),
+        # n_p is checked against the checkpoint before the stream is read
+        "serve_np_9_before_the_stream": (
+            ["serve", "--checkpoint", str(ckpt), "--stream", str(tmp / "nonexistent.bin"),
+             "--timeline", str(out / "timeline.json"), "--np", "9"],
+            "n_p must be an integer within 0..3"),
+        "serve_arrivals_per_tick_0": (serve + ["--arrivals-per-tick", "0"],
+                                      "--arrivals-per-tick must be an integer >= 1"),
         "prune_profile_of_another_network": (prune_with(foreign_profile) + samples,
                                              "not exactly 1..3"),
         "prune_without_samples": (prune, "needs --samples"),
@@ -845,11 +863,13 @@ def test_invalid_run_writes_nothing(workspace, capsys, case):
         "prune_profile_without_per_block": (prune_with(no_per_block) + samples,
                                             "malformed profile payload"),
         "prune_profile_T_not_a_number": (prune_with(t_not_a_number) + samples,
-                                         "malformed profile payload"),
+                                         "profile T must be a finite real > 0"),
         **{f"prune_profile_{name}": (prune_with(path) + samples, "malformed profile payload")
-           for name, path in bad_profiles.items()},
+           for name, path in bad_profiles.items() if name != "latency_bool"},
+        "prune_profile_latency_bool": (prune_with(bad_profiles["latency_bool"]) + samples,
+                                       "block 1 latency must be a finite real > 0 (not a bool)"),
         **{f"prune_profile_nonpositive_latency_{name}": (
-            prune_with(path) + samples, "block 3 latency must be positive and finite")
+            prune_with(path) + samples, "block 3 latency must be a finite real > 0")
            for name, path in nonpositive.items()},
         "report_malformed": (["report", "--results", str(malformed)], "malformed report"),
         "report_empty_tree": (["report", "--results", str(empty)], "no report JSON files"),
@@ -882,6 +902,10 @@ _REFUSALS = [
     *[(_PRUNE + ["--method", method], f"method '{method}' needs --samples")
       for method in ("proposed", "l2ratio", "curl", "oracle")],
     (_prune("oracle"), "method 'oracle' needs --cache"),
+    # Counts the library would check only after the checkpoint is read
+    (_PROFILE + ["--batch", "0"], "--batch must be an integer >= 1"),
+    (["serve", "--checkpoint", "FILE", "--stream", "FILE", "--timeline", "FILE",
+      "--arrivals-per-tick", "0"], "--arrivals-per-tick must be an integer >= 1"),
     *[(_prune(method, "--seed", "5"), f"method '{method}' does not read --seed")
       for method in ("proposed", "l2ratio", "curl")],
     *[(_prune(method, "--prune-batch", value), "--prune-batch must be an integer >= 1")
@@ -904,7 +928,8 @@ _REFUSALS = [
 @pytest.mark.parametrize("argv,message", _REFUSALS, ids=[
     # "prune random --samples": the command, its method or mode and the flags given
     " ".join(a for a in argv if a not in ("FILE", "--checkpoint", "--profile", "--np", "1",
-                                          "--student", "--decision", "--method", "--mode"))
+                                          "--student", "--decision", "--method", "--mode",
+                                          "--stream", "--timeline"))
     for argv, _ in _REFUSALS
 ])
 def test_flag_refusal_reads_no_file(tmp_path, capsys, argv, message):

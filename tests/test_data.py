@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from latecut.data import (
 )
 from latecut.distill import DistillConfig
 from latecut.errors import ConfigError, DimensionError, TrainingDivergedError
+from latecut.experiment import ExperimentConfig
 from latecut.network import (
     clone_network,
     forward,
@@ -245,9 +249,51 @@ def test_evaluate_accuracy_refuses_zero_rows():
     (lambda value: DatasetSpec(seed=value), "DatasetSpec.seed"),
 ], ids=["serve", "distill", "dataset"])
 def test_config_int_fields_refuse_bools_and_numpy_integers(make, field, value):
-    """Config fields stay Python ints, which the CLI's JSON config log
-    needs, and the message says so rather than asking for "an integer"."""
-    with pytest.raises(ConfigError) as info:
-        make(value)
-    assert str(info.value) == (f"{field} must be a Python int >= 0 "
-                               f"(not a bool or numpy integer), got {value!r}")
+    """A config's integer field goes through ``check_count``: it refuses a
+    bool, and never keeps a numpy integer but stores it as a Python int,
+    which the CLI's JSON config log needs."""
+    if value is True:
+        with pytest.raises(ConfigError) as info:
+            make(value)
+        assert str(info.value) == f"{field} must be an integer >= 0 (not a bool), got True"
+        return
+    stored = getattr(make(value), field.split(".")[1])
+    assert stored == 1 and type(stored) is int
+
+
+def _numpy_configs():
+    """Each config built with a numpy scalar in every numeric field."""
+    shift = ShiftSpec(kind="scaling", severity=np.float32(0.5))
+    dataset = DatasetSpec(num_classes=np.int64(3), input_dim=np.int32(8),
+                          samples_per_split=np.uint16(300), class_sep=np.float64(2.0),
+                          noise_sigma=np.int8(1), shift=shift, seed=np.int64(4))
+    distill = DistillConfig(steps=np.int64(5), batch_size=np.int16(4), lr0=np.float16(0.25),
+                            seed=np.uint8(2))
+    serve = ServeConfig(n_p=np.int64(1), prune_batch_size=np.int32(8), cache_size=np.int64(8),
+                        distill=distill, budget_per_tick=np.uint32(2))
+    experiment = ExperimentConfig(
+        dataset=dataset, arch={"width": np.int64(8), "n_blocks": np.int32(2)},
+        n_p=np.int64(1), prune_batch_size=np.int64(16), cache_size=np.int64(16),
+        distill=distill, pretrain_epochs=np.int64(2), oracle_k_steps=np.int64(3),
+        seed=np.int64(1))
+    return {"shift": shift, "dataset": dataset, "distill": distill, "serve": serve,
+            "experiment": experiment}
+
+
+@pytest.mark.parametrize("name", ["shift", "dataset", "distill", "serve", "experiment"])
+def test_configs_store_numpy_scalars_as_python_numbers(name):
+    """Every setting a config stores is a Python int, float or str, so the
+    JSON config log takes the whole config."""
+    config = _numpy_configs()[name]
+    values = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        else:
+            values.append(value)
+
+    walk(asdict(config))
+    assert values and all(type(value) in (int, float, str) for value in values)
+    assert json.loads(json.dumps(asdict(config))) == asdict(config)

@@ -3,9 +3,10 @@ of the method cannot be re-implemented behind another module's private
 helper; only ``network.compact`` turns a skip set into a network; only
 ``network._stack_pass`` runs the forward kernels; only
 ``profiling.check_profile`` refuses a block's latency saving; only
-``errors.check_count`` decides a count a library function takes; and every
-name has one import path, the module that defines it, since the package
-root is its docstring alone."""
+``errors.check_count`` decides a count a library function takes and only
+``errors.check_real`` a real number; and every name has one import path,
+the module that defines it, since the package root is its docstring
+alone."""
 
 import ast
 import os
@@ -55,9 +56,9 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == {}
 
 
-def users_of(name: str, source: str) -> list[str]:
-    """The function (``<module>`` outside any) of every use of ``name`` in
-    ``source``, as a call or as a value, bare or as an attribute."""
+def owners_of(source: str, is_use) -> list[str]:
+    """The function (``<module>`` outside any) of every node of ``source``
+    for which ``is_use`` holds."""
     found = []
 
     def visit(node, owner):
@@ -65,13 +66,29 @@ def users_of(name: str, source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name):
+            if is_use(child):
                 found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def users_of(name: str, source: str) -> list[str]:
+    """The function of every use of ``name`` in ``source``, as a call or as
+    a value, bare or as an attribute."""
+    return owners_of(source, lambda node: isinstance(node, ast.Name) and node.id == name
+                     or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def math_users_of(name: str, source: str) -> list[str]:
+    """The function of every ``math.<name>`` in ``source``, and of every
+    ``from math import <name>`` (which would let a bare call hide)."""
+    return owners_of(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.value, ast.Name) and node.value.id == "math"
+        or isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any(alias.name == name for alias in node.names)))
 
 
 def test_detector_sees_every_use_of_normalize_skip():
@@ -165,6 +182,39 @@ def test_only_check_count_decides_a_count():
     }
     assert users == {"errors.py": ["check_count"], "network.py": ["block_ids"],
                      "profiling.py": ["profile_from_dict"], "serving.py": ["_split_sample"]}
+
+
+def test_detector_sees_every_math_isfinite_and_no_numpy_one():
+    source = (
+        "import math\n"
+        "from math import isfinite\n"
+        "def check_real(v):\n"
+        "    return math.isfinite(v)\n"
+        "def loss(x):\n"
+        "    return np.isfinite(x).all() and isfinite(x[0])\n"
+    )
+    assert math_users_of("isfinite", source) == ["<module>", "check_real"]
+
+
+def test_only_check_real_decides_a_real_number():
+    """One implementation of the rule for real settings: ``math.isfinite``
+    appears only in ``check_real`` (``np.isfinite`` checks computed arrays
+    and losses, which are no settings), and ``check_ints`` stores what
+    ``check_count`` returns, with no type or range rule of its own."""
+    users = {
+        path.name: sorted(set(names))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := math_users_of("isfinite", path.read_text(encoding="utf-8")))
+    }
+    assert users == {"errors.py": ["check_real"]}
+    tree = ast.parse((PACKAGE_DIR / "errors.py").read_text(encoding="utf-8"))
+    [check_ints] = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "check_ints"]
+    names = {node.id for node in ast.walk(check_ints) if isinstance(node, ast.Name)}
+    assert "check_count" in names
+    # no comparison (``type(value) is not int``, ``value < low``) and no type test
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(check_ints))
+    assert not names & {"isinstance", "is_integer", "int", "np", "bool"}
 
 
 def test_package_root_is_its_docstring_only():

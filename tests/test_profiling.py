@@ -193,20 +193,22 @@ def test_profile_json_roundtrip():
     ("batch_size", 2.9), ("batch_size", True), ("batch_size", "8"), ("batch_size", 0),
     ("warmup_runs", 1.5), ("warmup_runs", 0),
     ("timed_runs", 9.0), ("timed_runs", np.bool_(True)), ("timed_runs", 2),
+    # seed=True would time seed 1's batch
+    ("seed", True), ("seed", -1), ("seed", 1.5),
 ], ids=["batch_float", "batch_bool", "batch_str", "batch_0", "warmup_float", "warmup_0",
-        "runs_float", "runs_np_bool", "runs_2"])
+        "runs_float", "runs_np_bool", "runs_2", "seed_bool", "seed_negative", "seed_float"])
 @pytest.mark.parametrize("mode", ["modeled", "measured"])
 def test_profile_counts_are_integers(mode, name, value):
     """A count is never coerced (``int(2.9)`` would profile batch 2), and
     each is checked in either mode before any pass."""
     net = random_network(4, 4, 2, 2, seed=0)
     kwargs = dict(batch_size=8, warmup_runs=1, timed_runs=3) | {name: value}
-    low = 3 if name == "timed_runs" else 1
+    low = {"timed_runs": 3, "seed": 0}.get(name, 1)
     with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= {low} .* got "):
         profile(net, mode=mode, **kwargs)
     assert op_counter.forward_passes == 0
     numpy_counts = profile(net, np.int64(8), mode=mode, warmup_runs=np.int32(1),
-                           timed_runs=np.uint8(3))
+                           timed_runs=np.uint8(3), seed=np.int16(0))
     assert numpy_counts.skipped_latency.keys() == {1, 2}
     if mode == "modeled":
         assert numpy_counts == profile(net, 8)
@@ -220,22 +222,40 @@ def _payload_with(**changes):
     return json.loads(json.dumps(payload | changes))
 
 
-@pytest.mark.parametrize("payload", [
-    _payload_with(rows=lambda rows: rows + [{"block_id": 1.9, "latency": 0.5}]),
-    _payload_with(rows=lambda rows: [dict(rows[0], block_id=1.7), dict(rows[1], block_id=True),
-                                     rows[2]]),
-    _payload_with(rows=lambda rows: rows + [dict(rows[0])]),
-    _payload_with(rows=lambda rows: [dict(rows[0], block_id="1")] + rows[1:]),
-    _payload_with(rows=lambda rows: [dict(rows[0], latency="5.0")] + rows[1:]),
-    _payload_with(rows=lambda rows: [dict(rows[0], latency=False)] + rows[1:]),
-    _payload_with(rows=lambda rows: [dict(rows[0], latency=None)] + rows[1:]),
-    _payload_with(T=True),
-    _payload_with(T="96.0"),
-    _payload_with(T=10**400),
+def test_unknown_mode_is_refused_before_any_pass():
+    net = random_network(4, 4, 2, 2, seed=0)
+    with pytest.raises(ConfigError, match=r"^unknown latency mode 'timed'; "
+                                          r"choose from \['measured', 'modeled'\]$"):
+        profile(net, 8, mode="timed")
+    assert op_counter.forward_passes == 0
+    with pytest.raises(ConfigError, match="^unknown latency mode 'timed'"):
+        profile_from_dict(_payload_with(mode="timed"))
+
+
+_MALFORMED_ID = "malformed profile payload: .* is no unique block id"
+_LATENCY = r"block 1 latency must be a finite real > 0 \(not a bool\), got "
+_T = r"profile T must be a finite real > 0 \(not a bool\), got "
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_payload_with(rows=lambda rows: rows + [{"block_id": 1.9, "latency": 0.5}]), _MALFORMED_ID),
+    (_payload_with(rows=lambda rows: [dict(rows[0], block_id=1.7), dict(rows[1], block_id=True),
+                                      rows[2]]), _MALFORMED_ID),
+    (_payload_with(rows=lambda rows: rows + [dict(rows[0])]), _MALFORMED_ID),
+    (_payload_with(rows=lambda rows: [dict(rows[0], block_id="1")] + rows[1:]), _MALFORMED_ID),
+    (_payload_with(rows=lambda rows: [dict(rows[0], latency="5.0")] + rows[1:]), _LATENCY),
+    (_payload_with(rows=lambda rows: [dict(rows[0], latency=False)] + rows[1:]), _LATENCY),
+    (_payload_with(rows=lambda rows: [dict(rows[0], latency=None)] + rows[1:]), _LATENCY),
+    (_payload_with(T=True), _T),
+    (_payload_with(T="96.0"), _T),
+    (_payload_with(T=10**400), _T),
 ], ids=["extra_float_id", "float_and_bool_ids", "duplicate_id", "string_id", "string_latency",
         "bool_latency", "null_latency", "bool_T", "string_T", "T_beyond_float"])
-def test_profile_from_dict_reads_only_unique_integer_ids_and_numbers(payload):
-    with pytest.raises(ConfigError, match="malformed profile payload"):
+def test_profile_from_dict_reads_only_unique_integer_ids_and_numbers(payload, message):
+    """Block ids are unique integers (1.9, 1.7 and true would read as
+    other blocks), and ``T`` and every latency are reals by
+    ``check_real``'s rule."""
+    with pytest.raises(ConfigError, match=f"^{message}"):
         profile_from_dict(payload)
 
 
@@ -253,7 +273,7 @@ def test_profile_from_dict_refuses_a_nonpositive_latency(latency):
     # Read as given, -1.0 would be a saving above 1, more than the whole
     # network costs, ranking block 3 first.
     payload = _payload_with(rows=lambda rows: rows[:2] + [dict(rows[2], latency=latency)])
-    with pytest.raises(ConfigError, match="block 3 latency must be positive and finite"):
+    with pytest.raises(ConfigError, match=rf"^block 3 latency must be a finite real > 0 .*{latency}$"):
         profile_from_dict(payload)
 
 

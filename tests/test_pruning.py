@@ -272,6 +272,15 @@ def test_numpy_integer_counts_run_as_their_ints(route, method):
         (r.block_id, r.importance) for r in ints.ranked]
 
 
+@pytest.mark.parametrize("method", ["bogus", "Proposed", None])
+def test_unknown_method_is_refused_before_any_check_or_pass(method):
+    # checked first: the bad n_p below is not what is reported
+    with pytest.raises(ConfigError, match=rf"^unknown pruning method {method!r}; choose from "
+                                          r"\['proposed', 'random', 'l2ratio', 'curl', 'oracle'\]$"):
+        _prune_with_counts("prune_by_method", method, n_p=True)
+    assert op_counter.forward_passes == op_counter.backward_passes == 0
+
+
 @pytest.mark.parametrize("method", ["proposed", "l2ratio", "curl", "oracle"])
 def test_nan_in_prune_batch_raises_instead_of_ranking(method):
     net = random_network(4, 4, 3, 2, seed=0)

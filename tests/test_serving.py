@@ -134,6 +134,28 @@ class TestTick:
         assert op_counter.forward_passes == before
         assert state.samples_seen == 0 and state.prune_samples == [] and state.tick_index == 0
 
+    @pytest.mark.parametrize("index", [0, 30])
+    @pytest.mark.parametrize("bad", ["wide", "float_label"])
+    def test_serve_keeps_its_answers_when_an_arrival_is_malformed(self, bad, index):
+        """A malformed arrival after answered ones ends ``serve`` with
+        PartialRunError carrying every answer given (the DimensionError is
+        its cause); with nothing answered yet the DimensionError is raised
+        as is."""
+        net = random_network(4, 4, 2, 3, seed=6)
+        stream = make_stream(net, 60, seed=6, with_labels=True)
+        x, label = stream[index]
+        stream[index] = (np.append(x, 0.0), label) if bad == "wide" else (x, 1.5)
+        _, expected, _ = serve(iter(make_stream(net, 60, seed=6, with_labels=True)), net,
+                               small_config())
+        if index == 0:
+            with pytest.raises(DimensionError):
+                serve(iter(stream), net, small_config())
+            return
+        with pytest.raises(PartialRunError, match=f"after {index} answered samples") as info:
+            serve(iter(stream), net, small_config())
+        assert isinstance(info.value.__cause__, DimensionError)
+        assert info.value.timeline.records == expected.records[:index]
+
     def test_numpy_integer_labels_score_as_ints(self):
         net = random_network(4, 4, 2, 3, seed=6)
         arrivals = make_stream(net, 6, seed=6, with_labels=True)
